@@ -19,8 +19,6 @@ from geoprofile.engine import (
     MethodId,
     ModelSpec,
     PosteriorSurface,
-    cell_center,
-    locate_cell,
     m3_surface,
     method_surfaces,
     multimodel_combine,
@@ -37,7 +35,7 @@ from geoprofile.evaluation import (
     search_fraction,
 )
 from geoprofile.geodesy import GeoPoint, UtmPoint, latlon_to_utm, utm_zone
-from geoprofile.grid import Grid
+from geoprofile.grid import Grid, cell_center, locate_cell
 from geoprofile.models import (
     M1Params,
     M2Params,

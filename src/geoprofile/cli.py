@@ -55,7 +55,6 @@ class RunConfig:
     grid: Grid = field(default_factory=Grid)
     methods: tuple[MethodId, ...] = DEFAULT_METHODS
     scope: Scope = Scope.ALL
-    seed: int = 0
     nonres_weight: float = NONRES_WEIGHT_FROM_FREQUENCIES
     quadrature: dict = field(default_factory=dict)
     classifier_options: dict = field(default_factory=dict)
@@ -131,8 +130,6 @@ def load_config(path) -> RunConfig:
             config.methods = _parse_methods(value)
         elif key == "scope":
             config.scope = _parse_scope(value)
-        elif key == "seed":
-            config.seed = int(value)
         elif key == "nonres_weight":
             config.nonres_weight = float(value)
         elif key == "grid":
@@ -163,8 +160,6 @@ def _apply_flags(config: RunConfig, args) -> RunConfig:
         config.methods = _parse_methods(",".join(args.method))
     if getattr(args, "scope", None):
         config.scope = _parse_scope(args.scope)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
     grid_kwargs = {}
     if getattr(args, "grid", None):
         ncols, nrows = _parse_grid_shape(args.grid)
@@ -245,16 +240,25 @@ def cmd_classify(config: RunConfig, args) -> int:
     return 0
 
 
+def _cell_centers(grid: Grid) -> list[list[float]]:
+    """Row-major cell centers as Python floats, so ``repr`` prints plain numbers.
+
+    Centers grow monotonically with row and column, so checking the two
+    corner cells rejects any grid with a center outside the zone's UTM
+    ranges.
+    """
+    cell_center(grid, 0, 0)
+    cell_center(grid, grid.nrows - 1, grid.ncols - 1)
+    return grid.centers.tolist()
+
+
 def write_surface_csv(surface: PosteriorSurface, path) -> None:
     grid = surface.grid
     lines = ["row,col,easting,northing,mass"]
-    for row in range(grid.nrows):
-        for col in range(grid.ncols):
-            center = cell_center(grid, row, col)
-            lines.append(
-                f"{row},{col},{center.easting!r},{center.northing!r},"
-                f"{float(surface.mass[row, col])!r}"
-            )
+    masses = surface.mass.ravel().tolist()
+    for k, (easting, northing) in enumerate(_cell_centers(grid)):
+        row, col = divmod(k, grid.ncols)
+        lines.append(f"{row},{col},{easting!r},{northing!r},{masses[k]!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -272,16 +276,17 @@ def write_surface_sidecar(
     surface: PosteriorSurface, offender_id: str, method: MethodId, subtype: str, path
 ) -> None:
     grid = surface.grid
+    centers = _cell_centers(grid)
     top = []
     for rank, (row, col) in enumerate(rank_cells(surface)[:20], start=1):
-        center = cell_center(grid, row, col)
+        easting, northing = centers[row * grid.ncols + col]
         top.append(
             {
                 "rank": rank,
                 "row": row,
                 "col": col,
-                "easting": center.easting,
-                "northing": center.northing,
+                "easting": easting,
+                "northing": northing,
                 "mass": float(surface.mass[row, col]),
             }
         )
@@ -366,10 +371,9 @@ def cmd_evaluate(config: RunConfig, args) -> int:
 def cmd_emit_grid(config: RunConfig, args) -> int:
     grid = config.grid
     lines = ["row,col,easting,northing"]
-    for row in range(grid.nrows):
-        for col in range(grid.ncols):
-            center = cell_center(grid, row, col)
-            lines.append(f"{row},{col},{center.easting!r},{center.northing!r}")
+    for k, (easting, northing) in enumerate(_cell_centers(grid)):
+        row, col = divmod(k, grid.ncols)
+        lines.append(f"{row},{col},{easting!r},{northing!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -391,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file or directory")
         p.add_argument("--method", action="append", help="method id (repeatable)")
         p.add_argument("--scope", help="residents | all")
-        p.add_argument("--seed", type=int, help="run seed recorded in the config")
         p.add_argument("--grid", help="grid shape WxH, e.g. 100x70")
         p.add_argument("--bounds", help="grid bounds W,E,S,N in km")
 

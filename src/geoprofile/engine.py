@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from geoprofile.classify import SubtypeKind, SubtypeLabel
 from geoprofile.dataset import CrimeSeries
-from geoprofile.grid import Grid, OutOfGridError, cell_center, locate_cell
+from geoprofile.grid import Grid
 from geoprofile.models import (
     TWO_PI,
     angle_normalizer,
@@ -50,10 +49,6 @@ __all__ = [
     "ModelSpec",
     "PosteriorSurface",
     "DegenerateSurfaceError",
-    "Grid",
-    "OutOfGridError",
-    "cell_center",
-    "locate_cell",
     "posterior_surface",
     "multimodel_combine",
     "m3_surface",
@@ -184,101 +179,90 @@ def _quadrature_nodes(spec: ModelSpec, param: str, priors: PriorSet) -> np.ndarr
     return nodes
 
 
-def _radial_stats(xy: np.ndarray, centers: np.ndarray):
-    """Per-cell radius sums; bearings for sites not on the cell center.
+def _node_pairs(
+    spec: ModelSpec, priors: PriorSet, mean: str, spread: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of two parameters' nodes, flattened mean-major."""
+    mu, s = np.meshgrid(
+        _quadrature_nodes(spec, mean, priors),
+        _quadrature_nodes(spec, spread, priors),
+        indexing="ij",
+    )
+    return mu.ravel(), s.ravel()
 
-    A crime site exactly on a candidate anchor has no bearing; it is
-    treated as sitting a nominal 1e-6 km away in the preferred direction,
-    which zeroes its bearing residual for every bearing node.
+
+def _sum_stats(x: np.ndarray, count) -> np.ndarray:
+    """(cells, 4) per-cell [sum x^2, sum x, count, 1] of a per-crime scalar."""
+    cells = len(x)
+    return np.column_stack(
+        [(x * x).sum(axis=1), x.sum(axis=1), np.broadcast_to(count, cells), np.ones(cells)]
+    )
+
+
+def _gaussian_coeffs(n: int, mu, s, log_norm) -> np.ndarray:
+    """(4, nodes) coefficients on ``_sum_stats`` columns of the summed log density
+
+        sum_i -(x_i - mu)^2 / (2 s^2)  -  n log_norm
+
+    one column per node (mu, s, log_norm).
     """
-    d = centers[:, None, :] - xy[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    degenerate = r < ANCHOR_COINCIDENCE_KM
-    r_eff = np.where(degenerate, ANCHOR_NUDGE_KM, r)
-    phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
-    phi = np.where(phi >= TWO_PI, 0.0, phi)
-    valid = ~degenerate
-    return r_eff, phi, valid
+    inv = 1.0 / (2.0 * s * s)
+    return np.stack([-inv, 2.0 * mu * inv, -mu * mu * inv, -n * log_norm])
 
 
-def _log_quad_m1(sum_r2: np.ndarray, n: int, alpha: np.ndarray) -> np.ndarray:
-    a2 = alpha[None, :] ** 2
-    s = -n * np.log(4.0 * a2) - (math.pi / (4.0 * a2)) * sum_r2[:, None]
-    return logsumexp(s, axis=1) - math.log(len(alpha))
-
-
-def _log_quad_radial(
-    sum_r: np.ndarray,
-    sum_r2: np.ndarray,
-    n: int,
-    alpha: np.ndarray,
-    sigma: np.ndarray,
-    normalizer,
-) -> np.ndarray:
-    a, s = np.meshgrid(alpha, sigma, indexing="ij")
-    a, s = a.ravel()[None, :], s.ravel()[None, :]
-    log_norm = n * np.log(normalizer(a, s))
-    resid = sum_r2[:, None] - 2.0 * a * sum_r[:, None] + n * a * a
-    vals = -resid / (2.0 * s * s) - log_norm
-    return logsumexp(vals, axis=1) - math.log(vals.shape[1])
-
-
-def _log_quad_angular(
-    sum_phi: np.ndarray,
-    sum_phi2: np.ndarray,
-    n_valid: np.ndarray,
-    n_total: int,
-    theta: np.ndarray,
-    sigma2: np.ndarray,
-) -> np.ndarray:
-    t, s = np.meshgrid(theta, sigma2, indexing="ij")
-    t, s = t.ravel()[None, :], s.ravel()[None, :]
-    log_norm = n_total * np.log(angle_normalizer(t, s))
-    resid = sum_phi2[:, None] - 2.0 * t * sum_phi[:, None] + n_valid[:, None] * t * t
-    vals = -resid / (2.0 * s * s) - log_norm
-    return logsumexp(vals, axis=1) - math.log(vals.shape[1])
+def _log_quad(stats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """log of the equal-weight node average of exp(stats @ coeffs), per cell."""
+    vals = stats @ coeffs
+    peak = vals.max(axis=1, keepdims=True)
+    # a cell that underflowed at every node stays -inf instead of turning NaN
+    peak[~np.isfinite(peak)] = 0.0
+    total = np.exp(vals - peak).sum(axis=1)
+    return np.log(total) + peak[:, 0] - math.log(coeffs.shape[1])
 
 
 def _log_marginal_likelihood(
     series: CrimeSeries, spec: ModelSpec, priors: PriorSet, grid: Grid
 ) -> np.ndarray:
-    """log of the quadrature sum per cell, flattened row-major."""
+    """log of the quadrature sum per cell, flattened row-major.
+
+    Each family is one or two Gaussian blocks in a per-crime scalar (radius
+    or bearing); the log-quadratures of independent blocks add.
+    """
     xy = series.xy
     n = len(xy)
-    r, phi, valid = _radial_stats(xy, grid.centers)
-    sum_r = r.sum(axis=1)
-    sum_r2 = (r * r).sum(axis=1)
+    d = grid.centers[:, None, :] - xy[None, :, :]
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    on_anchor = r < ANCHOR_COINCIDENCE_KM
+    r_stats = _sum_stats(np.where(on_anchor, ANCHOR_NUDGE_KM, r), n)
 
     if spec.family is Family.M1:
-        return _log_quad_m1(sum_r2, n, _quadrature_nodes(spec, "alpha", priors))
+        # isotropic normal: x = r, mean 0, 2 s^2 = 4 alpha^2 / pi
+        alpha = _quadrature_nodes(spec, "alpha", priors)
+        coeffs = _gaussian_coeffs(
+            n, 0.0, alpha * math.sqrt(2.0 / math.pi), np.log(4.0 * alpha**2)
+        )
+        return _log_quad(r_stats, coeffs)
 
     if spec.family is Family.M2:
-        return _log_quad_radial(
-            sum_r,
-            sum_r2,
-            n,
-            _quadrature_nodes(spec, "alpha", priors),
-            _quadrature_nodes(spec, "sigma", priors),
-            ring_normal_normalizer,
-        )
+        a, s = _node_pairs(spec, priors, "alpha", "sigma")
+        coeffs = _gaussian_coeffs(n, a, s, np.log(ring_normal_normalizer(a, s)))
+        return _log_quad(r_stats, coeffs)
 
-    radial = _log_quad_radial(
-        sum_r,
-        sum_r2,
-        n,
-        _quadrature_nodes(spec, "alpha", priors),
-        _quadrature_nodes(spec, "sigma1", priors),
-        radial_normalizer,
+    a, s1 = _node_pairs(spec, priors, "alpha", "sigma1")
+    radial = _log_quad(
+        r_stats, _gaussian_coeffs(n, a, s1, np.log(radial_normalizer(a, s1)))
     )
-    angular = _log_quad_angular(
-        (phi * valid).sum(axis=1),
-        (phi * phi * valid).sum(axis=1),
-        valid.sum(axis=1),
-        n,
-        _quadrature_nodes(spec, "theta", priors),
-        _quadrature_nodes(spec, "sigma2", priors),
+    # A crime site exactly on a candidate anchor has no bearing; it is
+    # treated as sitting a nominal 1e-6 km away in the preferred direction,
+    # which zeroes its bearing residual for every bearing node.
+    phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
+    phi = np.where(on_anchor | (phi >= TWO_PI), 0.0, phi)
+    t, s2 = _node_pairs(spec, priors, "theta", "sigma2")
+    bearing = _log_quad(
+        _sum_stats(phi, n - on_anchor.sum(axis=1)),
+        _gaussian_coeffs(n, t, s2, np.log(angle_normalizer(t, s2))),
     )
-    return radial + angular
+    return radial + bearing
 
 
 def _normalize_log_mass(log_mass: np.ndarray, grid: Grid) -> PosteriorSurface:

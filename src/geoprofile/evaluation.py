@@ -20,6 +20,7 @@ import numpy as np
 from geoprofile.classify import classify
 from geoprofile.dataset import CrimeSeries, Dataset
 from geoprofile.engine import (
+    DegenerateSurfaceError,
     MethodId,
     NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
@@ -27,7 +28,7 @@ from geoprofile.engine import (
 )
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, locate_cell
-from geoprofile.priors import build_prior_set
+from geoprofile.priors import NONRESIDENT_MIN_KM, build_prior_set
 from geoprofile.rossmo import hit_score_surface
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-NONRESIDENT_MIN_KM = 10.0
 
 RESIDENTS_THRESHOLDS = tuple(t / 100.0 for t in (*range(1, 11), 16, 17))
 ALL_THRESHOLDS = tuple(t / 100.0 for t in (1, 5, 10, 15, 20, 25, 36, 37, 38, 39))
@@ -118,7 +117,10 @@ def search_fraction(
     """1-based rank of the anchor's cell in the surface ordering."""
     row, col = locate_cell(surface.grid, anchor)
     target = row * surface.grid.ncols + col
-    rank = int(np.nonzero(_ranking(surface) == target)[0][0]) + 1
+    mass = surface.mass.ravel()
+    # same tie rule as _ranking: equal cells earlier in row-major order win
+    rank = 1 + int(np.count_nonzero(mass > mass[target]))
+    rank += int(np.count_nonzero(mass[:target] == mass[target]))
     return SearchResult(
         offender_id=offender_id,
         method=method,
@@ -199,8 +201,9 @@ def compare_methods(
     """Full pipeline over a dataset: classify, leave-one-out priors,
     per-method surfaces, search fractions, accumulation curves.
 
-    Per-offender failures (anchor outside the grid, prior construction,
-    engine errors) are recorded and skipped; the run always completes.
+    Per-offender domain failures (anchor outside the grid, too few donors
+    for a prior, out-of-range parameters, a degenerate surface) are
+    recorded and skipped; any other exception is a defect and propagates.
     """
     grid = grid or Grid()
     methods = tuple(methods)
@@ -248,14 +251,14 @@ def compare_methods(
                     nonres_weight,
                     quadrature,
                 )
-            except Exception as exc:
+            except (ValueError, DegenerateSurfaceError) as exc:
                 logger.warning("offender %s: posterior methods failed: %s", oid, exc)
                 for m in bayes_methods:
                     report.failures.append(FailureRecord(oid, m.value, str(exc)))
         if MethodId.ROSSMO in methods:
             try:
                 surfaces[MethodId.ROSSMO] = hit_score_surface(series, grid)
-            except Exception as exc:
+            except ValueError as exc:
                 logger.warning("offender %s: hit-score baseline failed: %s", oid, exc)
                 report.failures.append(
                     FailureRecord(oid, MethodId.ROSSMO.value, str(exc))

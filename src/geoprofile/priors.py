@@ -23,6 +23,7 @@ import numpy as np
 from geoprofile.classify import SubtypeKind, SubtypeLabel, as_xy
 from geoprofile.dataset import Dataset, leave_one_out
 from geoprofile.grid import Grid
+from geoprofile.models import TWO_PI
 
 __all__ = [
     "PriorKind",
@@ -40,7 +41,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-TWO_PI = 2.0 * math.pi
 TABLE_NODES = 512
 NONRESIDENT_MIN_KM = 10.0
 

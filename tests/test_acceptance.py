@@ -24,7 +24,6 @@ from geoprofile.engine import (
     MethodId,
     ModelSpec,
     PosteriorSurface,
-    locate_cell,
     multimodel_combine,
     posterior_surface,
 )
@@ -36,7 +35,7 @@ from geoprofile.evaluation import (
     search_fraction,
 )
 from geoprofile.geodesy import GeoPoint, UtmPoint, latlon_to_utm
-from geoprofile.grid import Grid, cell_center
+from geoprofile.grid import Grid, cell_center, locate_cell
 from geoprofile.models import (
     M1Params,
     M2Params,

@@ -213,6 +213,10 @@ class TestEmitGrid:
         assert len(lines) == 1 + 7000
         assert lines[1] == "0,0,300.5,4330.5"
 
+    def test_bounds_outside_utm_ranges_rejected(self, capsys):
+        assert main(["emit-grid", "--bounds", "300,400,-20,50"]) == 1
+        assert "northing" in capsys.readouterr().err
+
 
 class TestConfig:
     def test_config_file_round_trip(self, tmp_path):
@@ -225,7 +229,6 @@ class TestConfig:
                     "out = results",
                     "methods = 1a, 2bii, rossmo",
                     "scope = residents",
-                    "seed = 7",
                     "grid = 50x35",
                     "bounds = 300,400,4330,4400",
                     "zone = 18",
@@ -241,7 +244,6 @@ class TestConfig:
         assert config.out_dir == "results"
         assert config.methods == (MethodId.ONE_A, MethodId.TWO_BII, MethodId.ROSSMO)
         assert config.scope is Scope.RESIDENTS_ONLY
-        assert config.seed == 7
         assert config.grid.ncols == 50 and config.grid.nrows == 35
         assert config.grid.west == 300.0 and config.grid.north == 4400.0
         assert config.quadrature == {"alpha": 16}

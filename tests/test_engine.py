@@ -12,7 +12,6 @@ from geoprofile.engine import (
     ModelSpec,
     PosteriorSurface,
     _normalize_log_mass,
-    locate_cell,
     m3_surface,
     method_surfaces,
     multimodel_combine,
@@ -20,7 +19,7 @@ from geoprofile.engine import (
     run_method,
 )
 from geoprofile.geodesy import UtmPoint
-from geoprofile.grid import Grid
+from geoprofile.grid import Grid, locate_cell
 from geoprofile.models import M1Params, M2Params, NonResParams, m1_density, m2_density, nonres_density
 from geoprofile.priors import PriorKind, flat_prior_set
 
@@ -386,69 +385,153 @@ class TestQuadratureOracle:
 
         return flat_prior_set(self.SMALL)
 
+    def _prior_sets(self, seed):
+        """Flat priors, then seeded reflection-KDE priors like the pipeline's."""
+        from types import MappingProxyType
+
+        from geoprofile.priors import SUPPORTS, PriorSet, bounded_density_1d
+
+        sample_ranges = {
+            PriorKind.DISTANCE_M1: (0.5, 5.0),
+            PriorKind.DISTANCE_M2: (2.0, 8.0),
+            PriorKind.DISTANCE_NONRES: (8.0, 20.0),
+            PriorKind.ANGLE_M2: (0.0, 2.0 * math.pi),
+            PriorKind.ANGLE_NONRES: (0.0, 2.0 * math.pi),
+            PriorKind.SPREAD_RADIAL: (0.3, 3.0),
+            PriorKind.SPREAD_ANGULAR: (0.1, 1.0),
+        }
+        rng = np.random.default_rng(seed)
+        params = {
+            kind: bounded_density_1d(
+                rng.uniform(*sample_ranges[kind], size=12), *SUPPORTS[kind], kind=kind
+            )
+            for kind in PriorKind
+        }
+        flat = self._flat_small()
+        return flat, PriorSet(flat.anchor, MappingProxyType(params), 12)
+
     @staticmethod
     def _nodes(prior, m):
         return np.asarray(prior.quantile((np.arange(m) + 0.5) / m), dtype=float)
 
+    def test_m1_marginal_matches_direct_tensor_sum(self):
+        rng = np.random.default_rng(400)
+        sites = rng.uniform([346.0, 4356.0], [356.0, 4364.0], size=(6, 2))
+        series = _series(sites)
+        centers = self.SMALL.centers
+        for priors in self._prior_sets(400):
+            surface = posterior_surface(
+                series, ModelSpec(Family.M1, quadrature={"alpha": 5}), priors, self.SMALL
+            )
+            total = np.zeros(len(centers))
+            for a in self._nodes(priors[PriorKind.DISTANCE_M1], 5):
+                prod = np.ones(len(centers))
+                for site in series.xy:
+                    prod = prod * m1_density(site, centers, M1Params(float(a)))
+                total += prod
+            direct = total / total.sum()
+            np.testing.assert_allclose(
+                surface.mass.ravel(), direct, rtol=1e-10, atol=1e-300
+            )
+
     def test_m2_marginal_matches_direct_tensor_sum(self):
         rng = np.random.default_rng(401)
-        priors = self._flat_small()
         sites = rng.uniform([346.0, 4356.0], [356.0, 4364.0], size=(5, 2))
         series = _series(sites)
         quad = {"alpha": 4, "sigma": 3}
-        surface = posterior_surface(
-            series, ModelSpec(Family.M2, quadrature=quad), priors, self.SMALL
-        )
+        for priors in self._prior_sets(401):
+            surface = posterior_surface(
+                series, ModelSpec(Family.M2, quadrature=quad), priors, self.SMALL
+            )
 
-        alphas = self._nodes(priors[PriorKind.DISTANCE_M2], 4)
-        sigmas = self._nodes(priors[PriorKind.SPREAD_RADIAL], 3)
-        centers = self.SMALL.centers
-        total = np.zeros(len(centers))
-        for a in alphas:
-            for s in sigmas:
-                prod = np.ones(len(centers))
-                for site in series.xy:
-                    prod = prod * m2_density(site, centers, M2Params(float(a), float(s)))
-                total += prod / (len(alphas) * len(sigmas))
-        direct = total / total.sum()
-        np.testing.assert_allclose(
-            surface.mass.ravel(), direct, rtol=1e-10, atol=1e-300
-        )
+            alphas = self._nodes(priors[PriorKind.DISTANCE_M2], 4)
+            sigmas = self._nodes(priors[PriorKind.SPREAD_RADIAL], 3)
+            centers = self.SMALL.centers
+            total = np.zeros(len(centers))
+            for a in alphas:
+                for s in sigmas:
+                    prod = np.ones(len(centers))
+                    for site in series.xy:
+                        prod = prod * m2_density(
+                            site, centers, M2Params(float(a), float(s))
+                        )
+                    total += prod / (len(alphas) * len(sigmas))
+            direct = total / total.sum()
+            np.testing.assert_allclose(
+                surface.mass.ravel(), direct, rtol=1e-10, atol=1e-300
+            )
 
     def test_nonres_marginal_matches_direct_tensor_sum(self):
         rng = np.random.default_rng(402)
-        priors = self._flat_small()
         sites = rng.uniform([346.0, 4356.0], [356.0, 4364.0], size=(4, 2))
         series = _series(sites)
         quad = {"alpha": 4, "sigma1": 2, "theta": 4, "sigma2": 2}
-        surface = posterior_surface(
-            series, ModelSpec(Family.NONRES, quadrature=quad), priors, self.SMALL
-        )
-
         from geoprofile.priors import PriorKind as PK
 
-        alphas = self._nodes(priors[PK.DISTANCE_NONRES], 4)
-        sigma1s = self._nodes(priors[PK.SPREAD_RADIAL], 2)
-        thetas = self._nodes(priors[PK.ANGLE_NONRES], 4)
-        sigma2s = self._nodes(priors[PK.SPREAD_ANGULAR], 2)
+        for priors in self._prior_sets(402):
+            surface = posterior_surface(
+                series, ModelSpec(Family.NONRES, quadrature=quad), priors, self.SMALL
+            )
+
+            alphas = self._nodes(priors[PK.DISTANCE_NONRES], 4)
+            sigma1s = self._nodes(priors[PK.SPREAD_RADIAL], 2)
+            thetas = self._nodes(priors[PK.ANGLE_NONRES], 4)
+            sigma2s = self._nodes(priors[PK.SPREAD_ANGULAR], 2)
+            centers = self.SMALL.centers
+            total = np.zeros(len(centers))
+            n_tuples = 0
+            for a in alphas:
+                for s1 in sigma1s:
+                    for t in thetas:
+                        for s2 in sigma2s:
+                            params = NonResParams(
+                                float(a), float(s1), float(t), float(s2)
+                            )
+                            prod = np.ones(len(centers))
+                            for site in series.xy:
+                                prod = prod * nonres_density(site, centers, params)
+                            total += prod
+                            n_tuples += 1
+            direct = total / n_tuples
+            direct /= direct.sum()
+            np.testing.assert_allclose(
+                surface.mass.ravel(), direct, rtol=1e-10, atol=1e-300
+            )
+
+    def test_nonres_site_on_cell_center_lies_in_preferred_direction(self):
+        # a site on a candidate anchor is read as 1e-6 km away along theta
         centers = self.SMALL.centers
-        total = np.zeros(len(centers))
-        n_tuples = 0
-        for a in alphas:
-            for s1 in sigma1s:
-                for t in thetas:
-                    for s2 in sigma2s:
-                        params = NonResParams(float(a), float(s1), float(t), float(s2))
-                        prod = np.ones(len(centers))
-                        for site in series.xy:
-                            prod = prod * nonres_density(site, centers, params)
-                        total += prod
-                        n_tuples += 1
-        direct = total / n_tuples
-        direct /= direct.sum()
-        np.testing.assert_allclose(
-            surface.mass.ravel(), direct, rtol=1e-10, atol=1e-300
-        )
+        k = 5 * self.SMALL.ncols + 6
+        rng = np.random.default_rng(406)
+        others = rng.uniform([346.0, 4356.0], [356.0, 4364.0], size=(3, 2))
+        series = _series(np.vstack([centers[k], others]))
+        quad = {"alpha": 3, "sigma1": 2, "theta": 3, "sigma2": 2}
+        away = np.arange(len(centers)) != k
+        for priors in self._prior_sets(406):
+            surface = posterior_surface(
+                series, ModelSpec(Family.NONRES, quadrature=quad), priors, self.SMALL
+            )
+            total = np.zeros(len(centers))
+            for a in self._nodes(priors[PriorKind.DISTANCE_NONRES], 3):
+                for s1 in self._nodes(priors[PriorKind.SPREAD_RADIAL], 2):
+                    for t in self._nodes(priors[PriorKind.ANGLE_NONRES], 3):
+                        for s2 in self._nodes(priors[PriorKind.SPREAD_ANGULAR], 2):
+                            params = NonResParams(
+                                float(a), float(s1), float(t), float(s2)
+                            )
+                            prod = np.ones(len(centers))
+                            for site in others:
+                                prod = prod * nonres_density(site, centers, params)
+                            on = np.empty(len(centers))
+                            on[away] = nonres_density(centers[k], centers[away], params)
+                            nudged = centers[k] + 1e-6 * np.array([np.cos(t), np.sin(t)])
+                            on[k] = nonres_density(nudged, centers[k], params)
+                            total += prod * on
+            direct = total / total.sum()
+            assert direct[k] > 1e-200
+            np.testing.assert_allclose(
+                surface.mass.ravel(), direct, rtol=1e-10, atol=1e-300
+            )
 
     def test_site_order_invariance(self):
         rng = np.random.default_rng(403)

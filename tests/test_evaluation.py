@@ -81,6 +81,15 @@ class TestSearchFraction:
         with pytest.raises(OutOfGridError):
             search_fraction(_uniform_surface(), UtmPoint(18, 1.0, 1.0))
 
+    def test_plateau_ties_match_rank_cells(self):
+        flat = np.ones((GRID.nrows, GRID.ncols))
+        two_level = np.where(np.arange(GRID.ncells) % 7 < 3, 2.0, 1.0)
+        for mass in (flat, two_level.reshape(GRID.nrows, GRID.ncols)):
+            surface = PosteriorSurface(GRID, mass / mass.sum())
+            for rank, (row, col) in enumerate(rank_cells(surface), start=1):
+                result = search_fraction(surface, cell_center(GRID, row, col))
+                assert result.cells_examined == rank
+
 
 class TestAccumulationCurve:
     def _result(self, fraction, method=MethodId.ONE_A):
@@ -204,6 +213,19 @@ class TestCompareMethods:
         assert len(curves_lines) == 1 + 3 * len(RESIDENTS_THRESHOLDS)
         table = report.format_table()
         assert "1a" in table and "rossmo" in table
+
+    def test_programming_errors_propagate(self, mini_dataset, monkeypatch):
+        import geoprofile.evaluation as evaluation
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken call")
+
+        monkeypatch.setattr(evaluation, "method_surfaces", broken)
+        with pytest.raises(TypeError, match="broken call"):
+            compare_methods(mini_dataset, [MethodId.ONE_A], Scope.ALL, grid=GRID)
+        monkeypatch.setattr(evaluation, "hit_score_surface", broken)
+        with pytest.raises(TypeError, match="broken call"):
+            compare_methods(mini_dataset, [MethodId.ROSSMO], Scope.ALL, grid=GRID)
 
 
 class TestResidency:
