@@ -8,7 +8,13 @@ where the theta_j are parameter nodes placed at equal-probability
 quantiles of the parameter priors (midpoint rule, weight 1/m each, tensor
 product across a family's parameters) and h is the anchor prior. Products
 over crimes run in log space with a per-cell max shift before
-exponentiation, so series of 30+ crimes cannot underflow.
+exponentiation, so series of 30+ crimes cannot underflow. The shifted
+exponents of the node sum are floored at LOG_SUM_EXP_FLOOR (-700) before
+exponentiation: numpy's exp is about ten times slower per element where
+its result underflows (below about -708), and a floored term, under
+1e-304, cannot change a per-cell sum that already holds the peak's own
+term of exactly 1. Only the node sum is floored; normalizing the surface
+keeps the exact zeros of cells far below the grid's peak.
 
 Every family's log-likelihood sum over crimes depends on the cell only
 through a handful of per-cell statistics (sums of radii, squared radii,
@@ -63,6 +69,13 @@ NONRES_WEIGHT_FROM_FREQUENCIES = 1.0 / 11.0
 
 ANCHOR_COINCIDENCE_KM = 1e-12
 ANCHOR_NUDGE_KM = 1e-6
+
+# Floor on the peak-shifted exponents of the node log-sum-exp. numpy's exp
+# runs about ten times slower per element once its result underflows
+# (arguments below about -708). A floored term is below 1e-304 and joins a
+# per-cell sum that holds the peak's own term, exactly 1, so the sum is
+# unchanged bit for bit.
+LOG_SUM_EXP_FLOOR = -700.0
 
 
 class Family(enum.Enum):
@@ -213,11 +226,13 @@ def _gaussian_coeffs(n: int, mu, s, log_norm) -> np.ndarray:
 def _log_quad(stats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """log of the equal-weight node average of exp(stats @ coeffs), per cell."""
     vals = stats @ coeffs
-    peak = vals.max(axis=1, keepdims=True)
-    # a cell that underflowed at every node stays -inf instead of turning NaN
-    peak[~np.isfinite(peak)] = 0.0
-    total = np.exp(vals - peak).sum(axis=1)
-    return np.log(total) + peak[:, 0] - math.log(coeffs.shape[1])
+    peak = vals.max(axis=1)
+    # a cell that underflowed at every node is shifted by 0, not by -inf
+    # (which would give NaN); adding back its -inf peak keeps it -inf
+    vals -= np.where(np.isfinite(peak), peak, 0.0)[:, None]
+    np.maximum(vals, LOG_SUM_EXP_FLOOR, out=vals)
+    np.exp(vals, out=vals)
+    return np.log(vals.sum(axis=1)) + peak - math.log(coeffs.shape[1])
 
 
 def _log_marginal_likelihood(
@@ -326,21 +341,9 @@ def m3_surface(
     """
     if label.kind is not SubtypeKind.M3:
         raise ValueError("m3_surface requires an M3 label with clusters")
-    components = [
-        posterior_surface(
-            series.restrict(cluster),
-            ModelSpec(Family.M1, quadrature=quadrature),
-            priors,
-            grid,
-        )
-        for cluster in label.clusters
-    ]
-    components.append(
-        posterior_surface(series, _buffer_spec(variant, quadrature), priors, grid)
-    )
-    if cluster_weights is None:
-        cluster_weights = [1.0 / len(components)] * len(components)
-    return multimodel_combine(components, cluster_weights)
+    return _resident_surfaces(
+        series, label, priors, grid, [variant], quadrature, cluster_weights
+    )[variant]
 
 
 def _buffer_spec(variant: str, quadrature: Mapping[str, int] | None = None) -> ModelSpec:
@@ -355,21 +358,42 @@ def _buffer_spec(variant: str, quadrature: Mapping[str, int] | None = None) -> M
     raise ValueError(f"unknown method variant {variant!r}")
 
 
-def _resident_surface(
+def _resident_surfaces(
     series: CrimeSeries,
     label: SubtypeLabel,
     priors: PriorSet,
     grid: Grid,
-    variant: str,
+    variants: Sequence[str],
     quadrature: Mapping[str, int] | None = None,
-) -> PosteriorSurface:
+    cluster_weights: Sequence[float] | None = None,
+) -> dict[str, PosteriorSurface]:
+    """Resident surface per variant, each component posterior computed once.
+
+    The variants differ only in the buffer model: an M1 label has none, so
+    every variant gets the same surface, and an M3 label's per-cluster
+    no-buffer components are shared by every variant.
+    """
+    if not variants:
+        return {}
+    m1_spec = ModelSpec(Family.M1, quadrature=quadrature)
     if label.kind is SubtypeKind.M1:
-        return posterior_surface(
-            series, ModelSpec(Family.M1, quadrature=quadrature), priors, grid
-        )
+        return dict.fromkeys(variants, posterior_surface(series, m1_spec, priors, grid))
+    buffers = {
+        v: posterior_surface(series, _buffer_spec(v, quadrature), priors, grid)
+        for v in variants
+    }
     if label.kind is SubtypeKind.M2:
-        return posterior_surface(series, _buffer_spec(variant, quadrature), priors, grid)
-    return m3_surface(series, label, priors, grid, variant=variant, quadrature=quadrature)
+        return buffers
+    clusters = [
+        posterior_surface(series.restrict(cluster), m1_spec, priors, grid)
+        for cluster in label.clusters
+    ]
+    if cluster_weights is None:
+        cluster_weights = [1.0 / (len(clusters) + 1)] * (len(clusters) + 1)
+    return {
+        v: multimodel_combine([*clusters, buffer], cluster_weights)
+        for v, buffer in buffers.items()
+    }
 
 
 _VARIANTS = {
@@ -396,13 +420,8 @@ def method_surfaces(
     """Surfaces for several methods at once, sharing component posteriors."""
     if MethodId.ROSSMO in methods:
         raise ValueError("the hit-score baseline is not a posterior method")
-    resident: dict[str, PosteriorSurface] = {}
-    for method in methods:
-        variant = _VARIANTS[method]
-        if variant not in resident:
-            resident[variant] = _resident_surface(
-                series, label, priors, grid, variant, quadrature
-            )
+    variants = list(dict.fromkeys(_VARIANTS[m] for m in methods))
+    resident = _resident_surfaces(series, label, priors, grid, variants, quadrature)
     nonres = None
     if any(m not in _RESIDENTS_ONLY_METHODS for m in methods):
         nonres = posterior_surface(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from geoprofile.engine import (
     MethodId,
     ModelSpec,
     PosteriorSurface,
+    _log_quad,
     _normalize_log_mass,
     m3_surface,
     method_surfaces,
@@ -191,6 +193,19 @@ class TestPosteriorSurface:
     def test_degenerate_surface_raises(self):
         with pytest.raises(DegenerateSurfaceError):
             _normalize_log_mass(np.full(GRID.ncells, -np.inf), GRID)
+
+    def test_cells_far_below_peak_get_exactly_zero_mass(self):
+        # the node sum's exponent floor must not leak into normalization:
+        # rank ties and the posterior-collapse oracle rely on exact zeros
+        log_mass = np.full(GRID.ncells, -3.0)
+        log_mass[0] = 0.0
+        far = np.arange(1, GRID.ncells, 7)
+        log_mass[far] = -745.5 - np.linspace(0.0, 1e4, len(far))
+        log_mass[-1] = -np.inf
+        mass = _normalize_log_mass(log_mass, GRID).mass.ravel()
+        assert np.all(mass[far] == 0.0)
+        assert mass[-1] == 0.0
+        assert np.all(mass[np.isfinite(log_mass) & (log_mass > -745.0)] > 0.0)
 
     def test_crime_on_cell_center_nonres_finite(self):
         # site exactly on a candidate cell center must not produce NaN
@@ -373,6 +388,101 @@ class TestRunMethod:
         series = self._m1_series()
         with pytest.raises(ValueError):
             run_method(series, MethodId.ROSSMO, SubtypeLabel(SubtypeKind.M1), PRIORS, GRID)
+
+    @pytest.mark.parametrize("kind", [SubtypeKind.M1, SubtypeKind.M3])
+    def test_component_posteriors_computed_once(self, kind, monkeypatch):
+        import geoprofile.engine as engine
+
+        if kind is SubtypeKind.M1:
+            series, label = self._m1_series(), SubtypeLabel(SubtypeKind.M1)
+            # one resident surface for both variants, one non-resident
+            expected = {Family.M1: 1, Family.NONRES: 1}
+        else:
+            rng = np.random.default_rng(303)
+            series, label = _two_cluster_series(rng, (345.0, 4355.0), (358.0, 4368.0))
+            # two shared cluster components; one buffer model per variant
+            # (variant b's is NONRES) plus the non-resident surface
+            expected = {Family.M1: 2, Family.M2: 1, Family.NONRES: 2}
+        calls = Counter()
+        original = engine.posterior_surface
+
+        def counting(series, spec, priors, grid):
+            calls[spec.family] += 1
+            return original(series, spec, priors, grid)
+
+        methods = [m for m in MethodId if m is not MethodId.ROSSMO]
+        monkeypatch.setattr(engine, "posterior_surface", counting)
+        assert method_surfaces(series, [], label, PRIORS, GRID) == {}
+        surfaces = method_surfaces(series, methods, label, PRIORS, GRID)
+        monkeypatch.undo()
+        assert calls == expected
+        for method in methods:
+            alone = run_method(series, method, label, PRIORS, GRID)
+            np.testing.assert_array_equal(surfaces[method].mass, alone.mass)
+
+
+class TestLogQuad:
+    """The floored node log-sum-exp against the unfloored one."""
+
+    @staticmethod
+    def _reference(stats, coeffs):
+        vals = stats @ coeffs
+        peak = vals.max(axis=1)
+        shifted = np.exp(vals - peak[:, None])
+        return np.log(shifted.sum(axis=1)) + peak - math.log(coeffs.shape[1])
+
+    @staticmethod
+    def _block(seed, cells=500, nodes=256):
+        """stats [x, 1] and coeffs [-u, w]: vals = w - u x, spread far below the peak.
+
+        A third of the nodes sit within 720 of the peak, a third land in
+        numpy's slow underflow band [-745, -708) and a third below -745.
+        """
+        rng = np.random.default_rng(seed)
+        u = rng.permutation(
+            np.concatenate(
+                [
+                    rng.uniform(0.0, 720.0, nodes - 2 * (nodes // 3)),
+                    rng.uniform(712.0, 740.0, nodes // 3),
+                    rng.uniform(750.0, 3000.0, nodes // 3),
+                ]
+            )
+        )
+        x = rng.uniform(0.995, 1.005, cells)
+        stats = np.column_stack([x, np.ones(cells)])
+        coeffs = np.stack([-u, rng.uniform(-1.0, 1.0, nodes)])
+        return stats, coeffs
+
+    def test_matches_unfloored_reference_in_underflow(self):
+        for seed in range(600, 604):
+            stats, coeffs = self._block(seed)
+            vals = stats @ coeffs
+            shifted = vals - vals.max(axis=1, keepdims=True)
+            assert np.mean(shifted < -708.0) >= 0.4
+            assert np.mean((shifted >= -745.0) & (shifted < -708.0)) >= 0.2
+            assert np.mean(shifted < -745.0) >= 0.2
+            np.testing.assert_array_equal(
+                _log_quad(stats, coeffs), self._reference(stats, coeffs)
+            )
+
+    def test_cell_underflowed_at_every_node_stays_neg_inf(self):
+        stats, coeffs = self._block(610)
+        stats[3, 0] = np.inf  # w - u x is -inf at every node, as every u > 0
+        vals = stats @ coeffs
+        assert np.all(vals[3] == -np.inf)
+        got = _log_quad(stats, coeffs)
+        assert got[3] == -np.inf
+        rest = np.arange(len(got)) != 3
+        np.testing.assert_array_equal(got[rest], self._reference(stats[rest], coeffs))
+
+    def test_cells_mixing_neg_inf_and_finite_nodes(self):
+        stats, coeffs = self._block(611)
+        coeffs[1, ::5] = -np.inf  # every cell is -inf at a fifth of the nodes
+        vals = stats @ coeffs
+        assert np.all(vals[:, ::5] == -np.inf) and np.all(np.isfinite(vals[:, 1::5]))
+        np.testing.assert_array_equal(
+            _log_quad(stats, coeffs), self._reference(stats, coeffs)
+        )
 
 
 class TestQuadratureOracle:
