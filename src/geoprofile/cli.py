@@ -18,9 +18,10 @@ import numpy as np
 from geoprofile.classify import classify
 from geoprofile.dataset import (
     CSV_HEADER,
+    UTM_CSV_HEADER,
     Dataset,
-    group_into_series,
     parse_records,
+    read_dataset,
 )
 from geoprofile.engine import (
     MethodId,
@@ -33,7 +34,6 @@ from geoprofile.geodesy import latlon_to_utm
 from geoprofile.grid import Grid, cell_center
 from geoprofile.priors import build_prior_set
 from geoprofile.rossmo import hit_score_surface
-from geoprofile.synthetic import UTM_CSV_HEADER, parse_utm_csv
 
 __all__ = ["RunConfig", "load_config", "load_dataset", "main"]
 
@@ -110,10 +110,37 @@ _CLASSIFIER_KEYS = {
 _NODE_KEYS = {f"nodes_{p}": p for p in ("alpha", "theta", "sigma", "sigma1", "sigma2")}
 
 
+def _set_key(config: RunConfig, key: str, value: str) -> None:
+    """Apply one ``key = value`` setting, from a config file or a flag."""
+    if key == "dataset":
+        config.dataset = value
+    elif key == "out":
+        config.out_dir = value
+    elif key == "methods":
+        config.methods = _parse_methods(value)
+    elif key == "scope":
+        config.scope = _parse_scope(value)
+    elif key == "nonres_weight":
+        config.nonres_weight = float(value)
+    elif key == "grid":
+        ncols, nrows = _parse_grid_shape(value)
+        config.grid = replace(config.grid, ncols=ncols, nrows=nrows)
+    elif key == "bounds":
+        west, east, south, north = _parse_bounds(value)
+        config.grid = replace(config.grid, west=west, east=east, south=south, north=north)
+    elif key == "zone":
+        config.grid = replace(config.grid, zone=int(value))
+    elif key in _NODE_KEYS:
+        config.quadrature[_NODE_KEYS[key]] = int(value)
+    elif key in _CLASSIFIER_KEYS:
+        config.classifier_options[_CLASSIFIER_KEYS[key]] = float(value)
+    else:
+        raise ValueError(f"unknown key {key!r}")
+
+
 def load_config(path) -> RunConfig:
     """Read a flat key = value config file."""
     config = RunConfig()
-    grid_kwargs: dict = {}
     for line_num, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -122,80 +149,32 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"{path}:{line_num}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "dataset":
-            config.dataset = value
-        elif key == "out":
-            config.out_dir = value
-        elif key == "methods":
-            config.methods = _parse_methods(value)
-        elif key == "scope":
-            config.scope = _parse_scope(value)
-        elif key == "nonres_weight":
-            config.nonres_weight = float(value)
-        elif key == "grid":
-            ncols, nrows = _parse_grid_shape(value)
-            grid_kwargs.update(ncols=ncols, nrows=nrows)
-        elif key == "bounds":
-            west, east, south, north = _parse_bounds(value)
-            grid_kwargs.update(west=west, east=east, south=south, north=north)
-        elif key == "zone":
-            grid_kwargs.update(zone=int(value))
-        elif key in _NODE_KEYS:
-            config.quadrature[_NODE_KEYS[key]] = int(value)
-        elif key in _CLASSIFIER_KEYS:
-            config.classifier_options[_CLASSIFIER_KEYS[key]] = float(value)
-        else:
-            raise ValueError(f"{path}:{line_num}: unknown key {key!r}")
-    if grid_kwargs:
-        config.grid = replace(Grid(), **grid_kwargs)
+        try:
+            _set_key(config, key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_num}: {exc}") from None
     return config
 
 
 def _apply_flags(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "dataset", None):
-        config.dataset = args.dataset
-    if getattr(args, "out", None):
-        config.out_dir = args.out
-    if getattr(args, "method", None):
-        config.methods = _parse_methods(",".join(args.method))
-    if getattr(args, "scope", None):
-        config.scope = _parse_scope(args.scope)
-    grid_kwargs = {}
-    if getattr(args, "grid", None):
-        ncols, nrows = _parse_grid_shape(args.grid)
-        grid_kwargs.update(ncols=ncols, nrows=nrows)
-    if getattr(args, "bounds", None):
-        west, east, south, north = _parse_bounds(args.bounds)
-        grid_kwargs.update(west=west, east=east, south=south, north=north)
-    if grid_kwargs:
-        config.grid = replace(config.grid, **grid_kwargs)
+    """Command-line flags override the config file, key by key."""
+    for key in ("dataset", "out", "method", "scope", "grid", "bounds"):
+        value = getattr(args, key, None)
+        if key == "method" and value:  # repeatable; the config key is "methods"
+            key, value = "methods", ",".join(value)
+        if value:
+            _set_key(config, key, value)
     return config
 
 
 def load_dataset(path, zone: int = 18) -> Dataset:
-    """Read either CSV layout, telling them apart by the header row."""
-    text = Path(path).read_text(encoding="utf-8")
-    first_line = text.splitlines()[0].strip() if text.strip() else ""
-    fields = [f.strip().lstrip("﻿") for f in first_line.split(",")]
-    if fields == UTM_CSV_HEADER:
-        return parse_utm_csv(text)
-    return group_into_series(parse_records(text), zone=zone)
+    """Read either CSV layout into series on ``zone``'s planar frame."""
+    return read_dataset(Path(path).read_text(encoding="utf-8"), zone=zone)
 
 
 def cmd_convert(config: RunConfig, args) -> int:
     records = parse_records(Path(args.input).read_text(encoding="utf-8"))
-    out_lines = [
-        ",".join(
-            CSV_HEADER
-            + [
-                "zone",
-                "crime_easting_km",
-                "crime_northing_km",
-                "anchor_easting_km",
-                "anchor_northing_km",
-            ]
-        )
-    ]
+    out_lines = [",".join(CSV_HEADER + UTM_CSV_HEADER[3:])]
     zone = config.grid.zone
     for r in records:
         crime = latlon_to_utm(r.crime_site, forced_zone=zone)
@@ -304,9 +283,7 @@ def write_surface_sidecar(
 def cmd_profile(config: RunConfig, args) -> int:
     ds = load_dataset(config.dataset, zone=config.grid.zone)
     series = ds.get(args.offender)
-    method = (
-        MethodId(args.method[0].strip().lower()) if args.method else config.methods[0]
-    )
+    method = config.methods[0]
     labels = {
         s.offender_id: classify(s.xy, **config.classifier_options) for s in ds.series
     }
@@ -353,7 +330,7 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     (out_dir / "curves.csv").write_text(report.curves_csv(), encoding="utf-8")
     print(report.format_table())
     missing = [
-        m.value for m in config.methods if all(c.method is not m for c in report.curves)
+        m.value for m in report.methods if all(c.method is not m for c in report.curves)
     ]
     for failure in report.failures:
         print(

@@ -1,12 +1,12 @@
-"""Crime-series ingestion: canonical CSV to grouped per-offender series.
+"""Crime-series ingestion: either CSV layout to grouped per-offender series.
 
-The canonical file is comma-separated UTF-8 with the exact header
-
-    offender_id,crime_id,ucr_code,crime_lat,crime_lon,anchor_lat,anchor_lon
-
-and WGS84 decimal-degree coordinates. Grouping projects every point into
-one shared UTM zone so the whole jurisdiction lives on a single planar
-frame, and drops offenders with fewer than three crimes.
+A file's header row tells its layout: geographic (``CSV_HEADER``, WGS84
+decimal degrees) or planar (``UTM_CSV_HEADER``, UTM kilometres; both
+anchor cells may be blank). Rows of either get the same checks, and one
+grouping step puts every point on one shared UTM zone, so the whole
+jurisdiction lives on a single planar frame (geographic points are
+projected into it, planar points must already be in it), drops offenders
+with fewer than three crimes and rejects conflicting anchors.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from geoprofile.geodesy import GeoPoint, OutOfRangeError, UtmPoint, latlon_to_ut
 
 __all__ = [
     "CSV_HEADER",
+    "UTM_CSV_HEADER",
     "CrimeRecord",
     "CrimeSeries",
     "Dataset",
@@ -30,6 +33,7 @@ __all__ = [
     "RowError",
     "DataError",
     "parse_records",
+    "read_dataset",
     "records_to_csv",
     "group_into_series",
     "leave_one_out",
@@ -46,6 +50,9 @@ CSV_HEADER = [
     "anchor_lat",
     "anchor_lon",
 ]
+UTM_CSV_HEADER = CSV_HEADER[:3] + [
+    "zone", "crime_easting_km", "crime_northing_km", "anchor_easting_km", "anchor_northing_km"
+]
 
 DEFAULT_ZONE = 18
 MIN_SERIES_LENGTH = 3
@@ -53,7 +60,7 @@ ANCHOR_CONSISTENCY_DEG = 1e-9
 
 
 class SchemaError(ValueError):
-    """The file header does not match the canonical schema."""
+    """The file header matches neither CSV layout."""
 
 
 class RowError(ValueError):
@@ -69,8 +76,8 @@ class CrimeRecord:
     offender_id: str
     crime_id: str
     ucr_code: str
-    crime_site: GeoPoint
-    anchor: GeoPoint
+    crime_site: GeoPoint | UtmPoint
+    anchor: GeoPoint | UtmPoint | None
 
     def __post_init__(self) -> None:
         if not self.offender_id:
@@ -149,52 +156,84 @@ def _text_stream(stream):
     raise TypeError(f"cannot read records from {type(stream).__name__}")
 
 
-def _coord(row_num: int, name: str, raw: str, lo: float, hi: float, half_open: bool) -> float:
+def _geo(lat: str, lon: str) -> GeoPoint:
+    return GeoPoint(float(lat), float(lon))
+
+
+def _utm(zone: str, easting: str, northing: str) -> UtmPoint:
+    return UtmPoint(int(zone), float(easting), float(northing))
+
+
+def _point(row_num: int, names, make, cells):
+    """``make(*cells)``; a bad number or range names the row and the columns."""
     try:
-        value = float(raw)
-    except ValueError:
-        raise RowError(f"row {row_num}: cannot parse {name}={raw!r}") from None
-    in_range = lo <= value < hi if half_open else lo <= value <= hi
-    if not np.isfinite(value) or not in_range:
-        raise RowError(f"row {row_num}: {name}={raw!r} out of range")
-    return value
+        return make(*cells)
+    except ValueError as exc:
+        raise RowError(
+            f"row {row_num}: {','.join(names)}={','.join(cells)!r}: {exc}"
+        ) from None
 
 
-def parse_records(stream) -> list[CrimeRecord]:
-    """Read canonical CSV into records; any malformed row raises RowError."""
+def _utm_anchor(zone: str, easting: str, northing: str) -> UtmPoint | None:
+    """A planar anchor, or None when both of its cells are blank."""
+    if not (easting.strip() or northing.strip()):
+        return None
+    return _utm(zone, easting, northing)
+
+
+# header -> (make, columns) of the crime site and of the anchor
+_LAYOUTS = {
+    tuple(CSV_HEADER): ((_geo, itemgetter(3, 4)), (_geo, itemgetter(5, 6))),
+    tuple(UTM_CSV_HEADER): (
+        (_utm, itemgetter(3, 4, 5)),
+        (_utm_anchor, itemgetter(3, 6, 7)),
+    ),
+}
+
+
+def _read_rows(stream, headers) -> Iterator[tuple]:
+    """``(offender_id, crime_id, ucr_code, crime_site, anchor)`` for each data
+    row of a CSV whose header is one of ``headers``; a bad row raises RowError.
+
+    Plain tuples, not CrimeRecords: building a frozen dataclass per row
+    costs about a third of what parsing the row does.
+    """
     reader = csv.reader(_text_stream(stream))
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("empty file: expected a header row") from None
-    header = [h.strip().lstrip("﻿") for h in header]
-    if header != CSV_HEADER:
-        raise SchemaError(
-            f"header mismatch: expected {','.join(CSV_HEADER)}, got {','.join(header)}"
-        )
-    records = []
+    header = tuple(h.strip().lstrip("\ufeff") for h in header)
+    if header not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
+        raise SchemaError(f"header mismatch: expected {expected}, got {','.join(header)}")
+    (make_site, site_of), (make_anchor, anchor_of) = _LAYOUTS[header]
+    site_names, anchor_names = site_of(header), anchor_of(header)
+    # one point per distinct anchor cells, so an offender's rows share it
+    anchors = {}
     for row_num, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
-        if len(row) != len(CSV_HEADER):
-            raise RowError(f"row {row_num}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-        offender_id, crime_id, ucr_code = (cell.strip() for cell in row[:3])
+        if len(row) != len(header):
+            raise RowError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
+        offender_id = row[0].strip()
         if not offender_id:
             raise RowError(f"row {row_num}: empty offender_id")
-        crime_lat = _coord(row_num, "crime_lat", row[3], -90.0, 90.0, False)
-        crime_lon = _coord(row_num, "crime_lon", row[4], -180.0, 180.0, True)
-        anchor_lat = _coord(row_num, "anchor_lat", row[5], -90.0, 90.0, False)
-        anchor_lon = _coord(row_num, "anchor_lon", row[6], -180.0, 180.0, True)
-        records.append(
-            CrimeRecord(
-                offender_id=offender_id,
-                crime_id=crime_id,
-                ucr_code=ucr_code,
-                crime_site=GeoPoint(crime_lat, crime_lon),
-                anchor=GeoPoint(anchor_lat, anchor_lon),
-            )
-        )
-    return records
+        site = _point(row_num, site_names, make_site, site_of(row))
+        cells = anchor_of(row)
+        if cells not in anchors:
+            anchors[cells] = _point(row_num, anchor_names, make_anchor, cells)
+        yield offender_id, row[1].strip(), row[2].strip(), site, anchors[cells]
+
+
+def parse_records(stream) -> list[CrimeRecord]:
+    """Read canonical geographic CSV into records; a malformed row raises RowError."""
+    return [CrimeRecord(*row) for row in _read_rows(stream, (tuple(CSV_HEADER),))]
+
+
+def read_dataset(stream, zone: int = DEFAULT_ZONE) -> Dataset:
+    """Either CSV layout, told apart by its header, as series in ``zone``."""
+    return _group(_read_rows(stream, _LAYOUTS), zone, MIN_SERIES_LENGTH)
 
 
 def records_to_csv(records) -> str:
@@ -217,43 +256,58 @@ def records_to_csv(records) -> str:
     return out.getvalue()
 
 
+def _same_place(a, b) -> bool:
+    """Geographic anchors agree within ANCHOR_CONSISTENCY_DEG; planar ones,
+    written by ``repr``, must be equal."""
+    if isinstance(a, GeoPoint):
+        return max(abs(a.lat - b.lat), abs(a.lon - b.lon)) <= ANCHOR_CONSISTENCY_DEG
+    return a == b
+
+
+def _in_zone(point, zone: int) -> UtmPoint | None:
+    """Project a geographic point into ``zone``; a planar one must be in it."""
+    if isinstance(point, GeoPoint):
+        return latlon_to_utm(point, forced_zone=zone)
+    if point is not None and point.zone != zone:
+        raise OutOfRangeError(f"zone {point.zone} is not the configured zone {zone}")
+    return point
+
+
 def group_into_series(
     records,
     zone: int = DEFAULT_ZONE,
     min_series_length: int = MIN_SERIES_LENGTH,
 ) -> Dataset:
-    """Group records by offender and project everything into one UTM zone.
+    """Group records by offender and put everything on one UTM zone.
 
     Offenders with fewer than ``min_series_length`` crimes are dropped with
-    a warning. An offender whose rows disagree about the anchor location
-    is a data error.
+    a warning. An offender whose rows disagree about the anchor location,
+    or whose planar points lie in another zone, is a data error.
     """
-    by_offender: dict[str, list[CrimeRecord]] = {}
-    for record in records:
-        by_offender.setdefault(record.offender_id, []).append(record)
+    rows = ((r.offender_id, r.crime_id, r.ucr_code, r.crime_site, r.anchor) for r in records)
+    return _group(rows, zone, min_series_length)
+
+
+def _group(rows, zone: int, min_series_length: int) -> Dataset:
+    """``group_into_series`` on the row tuples of ``_read_rows``."""
+    by_offender: dict[str, list[tuple]] = {}
+    for offender_id, _, _, site, anchor in rows:
+        by_offender.setdefault(offender_id, []).append((site, anchor))
 
     series = []
-    for offender_id, rows in by_offender.items():
-        anchor_geo = rows[0].anchor
-        for r in rows[1:]:
-            if (
-                abs(r.anchor.lat - anchor_geo.lat) > ANCHOR_CONSISTENCY_DEG
-                or abs(r.anchor.lon - anchor_geo.lon) > ANCHOR_CONSISTENCY_DEG
-            ):
-                raise DataError(
-                    f"offender {offender_id}: inconsistent anchor coordinates"
-                )
-        if len(rows) < min_series_length:
+    for offender_id, points in by_offender.items():
+        anchor = points[0][1]
+        if any(a is not anchor and not _same_place(a, anchor) for _, a in points):
+            raise DataError(f"offender {offender_id}: inconsistent anchor coordinates")
+        if len(points) < min_series_length:
             logger.warning(
                 "excluding offender %s: only %d crime(s), need %d",
-                offender_id,
-                len(rows),
-                min_series_length,
+                offender_id, len(points), min_series_length,
             )
             continue
         try:
-            sites = tuple(latlon_to_utm(r.crime_site, forced_zone=zone) for r in rows)
-            anchor = latlon_to_utm(anchor_geo, forced_zone=zone)
+            sites = tuple(_in_zone(site, zone) for site, _ in points)
+            anchor = _in_zone(anchor, zone)
         except OutOfRangeError as exc:
             raise DataError(f"offender {offender_id}: {exc}") from exc
         series.append(CrimeSeries(offender_id, sites, anchor))

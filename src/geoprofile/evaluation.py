@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from geoprofile.classify import classify
-from geoprofile.dataset import CrimeSeries, Dataset
+from geoprofile.dataset import Dataset
 from geoprofile.engine import (
     DegenerateSurfaceError,
     MethodId,
@@ -28,7 +28,7 @@ from geoprofile.engine import (
 )
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, locate_cell
-from geoprofile.priors import NONRESIDENT_MIN_KM, build_prior_set
+from geoprofile.priors import build_prior_set, is_nonresident
 from geoprofile.rossmo import hit_score_surface
 
 __all__ = [
@@ -83,18 +83,6 @@ class FailureRecord:
     offender_id: str
     method: str
     message: str
-
-
-def is_nonresident(series: CrimeSeries, cutoff_km: float = NONRESIDENT_MIN_KM) -> bool:
-    """Ground-truth residency: no crime within the cutoff of the anchor.
-
-    Used only for scope selection; estimation never sees the anchor.
-    """
-    if series.anchor is None:
-        raise ValueError("residency needs a known anchor")
-    anchor = np.array([series.anchor.easting, series.anchor.northing])
-    d = series.xy - anchor
-    return bool(np.hypot(d[:, 0], d[:, 1]).min() > cutoff_km)
 
 
 def _ranking(surface: PosteriorSurface) -> np.ndarray:
@@ -204,9 +192,13 @@ def compare_methods(
     Per-offender domain failures (anchor outside the grid, too few donors
     for a prior, out-of-range parameters, a degenerate surface) are
     recorded and skipped; any other exception is a defect and propagates.
+    A repeated method is scored once. A ``nonres_weight`` outside [0, 1]
+    is the caller's error and raises before any offender is scored.
     """
+    if not 0.0 <= nonres_weight <= 1.0:
+        raise ValueError(f"nonres_weight must lie in [0, 1], got {nonres_weight!r}")
     grid = grid or Grid()
-    methods = tuple(methods)
+    methods = tuple(dict.fromkeys(methods))
     if thresholds is None:
         thresholds = (
             RESIDENTS_THRESHOLDS if scope is Scope.RESIDENTS_ONLY else ALL_THRESHOLDS

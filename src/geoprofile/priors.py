@@ -37,6 +37,7 @@ __all__ = [
     "flat_param_prior",
     "flat_prior_set",
     "build_prior_set",
+    "is_nonresident",
 ]
 
 logger = logging.getLogger(__name__)
@@ -250,6 +251,18 @@ def flat_prior_set(grid: Grid, supports: dict[PriorKind, tuple[float, float]] | 
         params=MappingProxyType(params),
         source_offender_count=0,
     )
+
+
+def is_nonresident(series) -> bool:
+    """Ground-truth residency: no crime within NONRESIDENT_MIN_KM of the
+    anchor; a crime exactly that far makes the offender a resident.
+
+    The donor statistics that route donors to the priors hold the one test.
+    Used for the evaluation scope; estimation never sees the anchor.
+    """
+    if series.anchor is None:
+        raise ValueError("residency needs a known anchor")
+    return not _donor_stats(series).resident
 
 
 @dataclass

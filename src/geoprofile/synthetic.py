@@ -6,9 +6,8 @@ targets the exact planar density, whose radius law carries the polar
 Jacobian r, via rejection from a truncated normal proposal; a naive
 normal in r would not match the likelihood being tested.
 
-Exports either of two CSV layouts: the canonical geographic one is not
-reproducible without an inverse projection, so series are written in a
-planar variant flagged by its own header, which the loader recognizes.
+Series are exported in the planar CSV layout: the canonical geographic
+one is not reproducible without an inverse projection.
 """
 
 from __future__ import annotations
@@ -20,28 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geoprofile.dataset import CrimeSeries, Dataset, SchemaError
+from geoprofile.dataset import UTM_CSV_HEADER, CrimeSeries
 from geoprofile.engine import Family
 from geoprofile.geodesy import UtmPoint
 from geoprofile.models import M1Params, M2Params, NonResParams
 
 __all__ = [
     "SyntheticScenario",
-    "UTM_CSV_HEADER",
     "sample_series",
     "series_to_utm_csv",
-    "parse_utm_csv",
-]
-
-UTM_CSV_HEADER = [
-    "offender_id",
-    "crime_id",
-    "ucr_code",
-    "zone",
-    "crime_easting_km",
-    "crime_northing_km",
-    "anchor_easting_km",
-    "anchor_northing_km",
 ]
 
 MAX_REJECTION_DRAWS = 10**6
@@ -148,7 +134,7 @@ def sample_series(sc: SyntheticScenario) -> list[CrimeSeries]:
 
 
 def series_to_utm_csv(series_list) -> str:
-    """Planar CSV variant; the header row is the format flag."""
+    """Planar CSV layout, read back by ``dataset.read_dataset``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(UTM_CSV_HEADER)
@@ -168,36 +154,3 @@ def series_to_utm_csv(series_list) -> str:
                 ]
             )
     return out.getvalue()
-
-
-def parse_utm_csv(stream) -> Dataset:
-    """Read the planar CSV variant back into a dataset."""
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty file: expected a header row") from None
-    if [h.strip().lstrip("﻿") for h in header] != UTM_CSV_HEADER:
-        raise SchemaError(f"not a planar series file: header {','.join(header)}")
-    sites: dict[str, list[UtmPoint]] = {}
-    anchors: dict[str, UtmPoint] = {}
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        oid = row[0].strip()
-        zone = int(row[3])
-        sites.setdefault(oid, []).append(
-            UtmPoint(zone, float(row[4]), float(row[5]))
-        )
-        if row[6].strip():
-            anchors[oid] = UtmPoint(zone, float(row[6]), float(row[7]))
-    return Dataset(
-        tuple(
-            CrimeSeries(oid, tuple(pts), anchors.get(oid))
-            for oid, pts in sites.items()
-        )
-    )

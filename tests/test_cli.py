@@ -5,7 +5,7 @@ import pytest
 
 from geoprofile.cli import load_config, load_dataset, main
 from geoprofile.engine import Family, MethodId
-from geoprofile.evaluation import Scope
+from geoprofile.evaluation import ALL_THRESHOLDS, Scope
 from geoprofile.geodesy import UtmPoint
 from geoprofile.models import M1Params, M2Params
 from geoprofile.synthetic import SyntheticScenario, sample_series, series_to_utm_csv
@@ -205,6 +205,31 @@ class TestEvaluate:
         assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
 
 
+    def test_repeated_method_scored_once(self, synthetic_csv, tmp_path):
+        out_dir = tmp_path / "eval"
+        args = ["evaluate", "--dataset", str(synthetic_csv), "--scope", "all"]
+        code = main(args + ["--method", "rossmo", "--method", "rossmo", "--out", str(out_dir)])
+        assert code == 0
+        results = (out_dir / "results.csv").read_text().strip().splitlines()[1:]
+        assert sorted(r.split(",")[0] for r in results) == [f"o{i}" for i in range(6)]
+        curves = (out_dir / "curves.csv").read_text().strip().splitlines()[1:]
+        assert len(curves) == len(ALL_THRESHOLDS)
+
+    @pytest.mark.parametrize("weight", ["1.5", "nan"])
+    def test_bad_nonres_weight_is_one_error(self, synthetic_csv, tmp_path, capsys, weight):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nonres_weight = {weight}\n")
+        out_dir = tmp_path / "eval"
+        code = main(
+            ["evaluate", "--config", str(cfg), "--dataset", str(synthetic_csv),
+             "--method", "2aii", "--out", str(out_dir)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "nonres_weight" in err[0]
+        assert not (out_dir / "results.csv").exists()
+
+
 class TestEmitGrid:
     def test_default_grid(self, capsys):
         assert main(["emit-grid"]) == 0
@@ -277,6 +302,26 @@ class TestConfig:
         curves = (out_dir / "curves.csv").read_text()
         assert "rossmo" in curves and "1a" not in curves
 
+    def test_grid_flag_keeps_config_bounds(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bounds = 310,410,4320,4390\n")  # not the default bounds
+        assert main(["emit-grid", "--config", str(cfg), "--grid", "50x35"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 50 * 35
+        assert lines[1] == "0,0,311.0,4321.0"
+        assert lines[-1] == "34,49,409.0,4389.0"
+
+    def test_profile_method_from_config(self, tmp_path, synthetic_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("methods = rossmo, 1a\n")
+        out_dir = tmp_path / "prof"
+        code = main(
+            ["profile", "--config", str(cfg), "--dataset", str(synthetic_csv),
+             "--offender", "o0", "--out", str(out_dir)]
+        )
+        assert code == 0
+        assert (out_dir / "o0_rossmo.pgm").exists()
+
     def test_dataset_required(self, capsys):
         assert main(["classify"]) == 1
         assert "dataset" in capsys.readouterr().err
@@ -299,10 +344,9 @@ class TestEvaluateFailures:
     def test_out_of_grid_offender_gives_nonzero_exit(self, synthetic_csv, tmp_path, capsys):
         # tack on an offender whose anchor lies outside the jurisdiction
         import numpy as np
-        from geoprofile.dataset import CrimeSeries
-        from geoprofile.synthetic import parse_utm_csv, series_to_utm_csv
+        from geoprofile.dataset import CrimeSeries, read_dataset
 
-        ds = parse_utm_csv(synthetic_csv.read_text())
+        ds = read_dataset(synthetic_csv.read_text())
         rng = np.random.default_rng(13)
         anchor = UtmPoint(18, 500.0, 4500.0)
         sites = tuple(

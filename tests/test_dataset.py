@@ -5,6 +5,7 @@ import pytest
 
 from geoprofile.dataset import (
     CSV_HEADER,
+    UTM_CSV_HEADER,
     CrimeSeries,
     Dataset,
     DataError,
@@ -13,6 +14,7 @@ from geoprofile.dataset import (
     group_into_series,
     leave_one_out,
     parse_records,
+    read_dataset,
     records_to_csv,
 )
 from geoprofile.geodesy import UtmPoint
@@ -66,6 +68,107 @@ class TestParseRecords:
     def test_empty_offender_rejected(self):
         with pytest.raises(RowError, match="offender_id"):
             parse_records(_csv(_row("", "x", 39.3, -76.6)))
+
+    def test_planar_header_is_schema_error(self):
+        with pytest.raises(SchemaError):
+            parse_records(",".join(UTM_CSV_HEADER) + "\n")
+
+
+# layout -> (header, row of crime k with the anchor moved east by `shift`);
+# crime_lon / crime_easting_km is field 4 in both
+LAYOUTS = {
+    "geographic": (
+        CSV_HEADER,
+        lambda oid, k, shift=0.0: (
+            f"{oid},c{k},0624,{39.30 + 0.001 * k!r},-76.61,39.28,{-76.60 + shift!r}"
+        ),
+    ),
+    "planar": (
+        UTM_CSV_HEADER,
+        lambda oid, k, shift=0.0: (
+            f"{oid},c{k},0624,18,{350.0 + 0.1 * k!r},4360.0,{350.0 + shift!r},4361.0"
+        ),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(LAYOUTS))
+def layout(request):
+    return request.param
+
+
+def _file(layout, rows):
+    return ",".join(LAYOUTS[layout][0]) + "\n" + "".join(r + "\n" for r in rows)
+
+
+def _series_rows(layout, oid, n, shift=0.0):
+    return [LAYOUTS[layout][1](oid, k, shift) for k in range(n)]
+
+
+def _with_field(row, index, value):
+    fields = row.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+class TestReadDataset:
+    """The ingestion rules, the same for both layouts."""
+
+    def test_reads_series_on_one_zone(self, layout):
+        rows = _series_rows(layout, "a", 3) + _series_rows(layout, "b", 4, 0.5)
+        ds = read_dataset(_file(layout, rows))
+        assert ds.offender_ids() == ["a", "b"]
+        assert [s.n for s in ds.series] == [3, 4]
+        assert {p.zone for s in ds.series for p in (*s.sites, s.anchor)} == {18}
+
+    def test_short_offender_dropped_with_warning(self, layout, caplog):
+        rows = _series_rows(layout, "9", 2) + _series_rows(layout, "10", 3)
+        with caplog.at_level("WARNING"):
+            ds = read_dataset(_file(layout, rows))
+        assert ds.offender_ids() == ["10"]
+        assert "excluding offender 9" in caplog.text
+
+    def test_short_row_names_the_row(self, layout):
+        rows = _series_rows(layout, "a", 3)
+        rows[1] = rows[1].rsplit(",", 1)[0]
+        with pytest.raises(RowError, match="row 3: expected"):
+            read_dataset(_file(layout, rows))
+
+    def test_bad_number_names_the_row(self, layout):
+        rows = _series_rows(layout, "a", 3)
+        rows[0] = _with_field(rows[0], 4, "oops")
+        with pytest.raises(RowError, match="row 2: .*oops"):
+            read_dataset(_file(layout, rows))
+
+    def test_out_of_range_coordinate_names_the_row(self, layout):
+        rows = _series_rows(layout, "a", 3)
+        rows[2] = _with_field(rows[2], 4, "1e6")
+        with pytest.raises(RowError, match="row 4"):
+            read_dataset(_file(layout, rows))
+
+    def test_conflicting_anchors_rejected(self, layout):
+        rows = _series_rows(layout, "a", 3)
+        rows[2] = LAYOUTS[layout][1]("a", 2, 0.01)
+        with pytest.raises(DataError, match="offender a: inconsistent anchor"):
+            read_dataset(_file(layout, rows))
+
+    def test_configured_zone(self, layout):
+        text = _file(layout, _series_rows(layout, "a", 3))
+        if layout == "planar":
+            # a planar file is already on its own zone's frame
+            with pytest.raises(DataError, match="zone 18"):
+                read_dataset(text, zone=17)
+        else:
+            ds = read_dataset(text, zone=17)
+            assert {p.zone for p in (*ds.series[0].sites, ds.series[0].anchor)} == {17}
+
+    def test_blank_anchor_cells(self, layout):
+        rows = [",".join(r.split(",")[:-2] + ["", ""]) for r in _series_rows(layout, "a", 3)]
+        if layout == "planar":
+            assert read_dataset(_file(layout, rows)).series[0].anchor is None
+        else:
+            with pytest.raises(RowError, match="row 2"):
+                read_dataset(_file(layout, rows))
 
 
 class TestGroupIntoSeries:

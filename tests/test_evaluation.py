@@ -214,6 +214,28 @@ class TestCompareMethods:
         table = report.format_table()
         assert "1a" in table and "rossmo" in table
 
+    def test_repeated_method_scored_once(self, mini_dataset):
+        report = compare_methods(
+            mini_dataset, [MethodId.ROSSMO, MethodId.ONE_A, MethodId.ROSSMO], Scope.ALL, grid=GRID
+        )
+        assert report.methods == (MethodId.ROSSMO, MethodId.ONE_A)
+        assert [c.method for c in report.curves] == [MethodId.ROSSMO, MethodId.ONE_A]
+        keys = [(r.offender_id, r.method) for r in report.results]
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, float("nan")])
+    def test_bad_nonres_weight_rejected_before_scoring(self, mini_dataset, monkeypatch, weight):
+        import geoprofile.evaluation as evaluation
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an offender was scored")
+
+        monkeypatch.setattr(evaluation, "classify", unreachable)
+        with pytest.raises(ValueError, match="nonres_weight"):
+            compare_methods(
+                mini_dataset, [MethodId.TWO_AII], Scope.ALL, grid=GRID, nonres_weight=weight
+            )
+
     def test_programming_errors_propagate(self, mini_dataset, monkeypatch):
         import geoprofile.evaluation as evaluation
 
@@ -236,3 +258,33 @@ class TestResidency:
     def test_nonresident(self):
         rng = np.random.default_rng(9)
         assert is_nonresident(_offender(rng, "n", (340.0, 4352.0), "far"))
+
+    def test_nearest_crime_at_cutoff_is_resident(self, monkeypatch):
+        import geoprofile.priors as priors
+        from geoprofile.classify import classify
+
+        # every crime exactly 10.0 km from the anchor
+        offsets = ((6.0, 8.0), (8.0, 6.0), (-8.0, 6.0))
+        edge = CrimeSeries(
+            "edge",
+            tuple(UtmPoint(18, 350.0 + dx, 4360.0 + dy) for dx, dy in offsets),
+            UtmPoint(18, 350.0, 4360.0),
+        )
+        assert not is_nonresident(edge)
+
+        rng = np.random.default_rng(10)
+        tight = [_offender(rng, f"t{i}", (345.0, 4355.0 + 5 * i), "tight") for i in range(2)]
+        ds = Dataset((*tight, edge))
+        labels = {s.offender_id: classify(s.xy) for s in ds.series}
+        samples = {}
+        estimate = priors._estimate
+
+        def record(kind, values):
+            samples[kind] = list(values)
+            return estimate(kind, values)
+
+        monkeypatch.setattr(priors, "_estimate", record)
+        priors.build_prior_set(ds, "t0", labels, GRID)
+        assert samples[priors.PriorKind.DISTANCE_NONRES] == []
+        resident = samples[priors.PriorKind.DISTANCE_M1] + samples[priors.PriorKind.DISTANCE_M2]
+        assert 10.0 in resident

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from geoprofile.dataset import CSV_HEADER, UTM_CSV_HEADER, SchemaError, read_dataset
 from geoprofile.engine import Family
 from geoprofile.geodesy import UtmPoint
 from geoprofile.models import (
@@ -14,7 +15,6 @@ from geoprofile.models import (
 )
 from geoprofile.synthetic import (
     SyntheticScenario,
-    parse_utm_csv,
     sample_series,
     series_to_utm_csv,
 )
@@ -125,16 +125,14 @@ class TestUtmCsv:
             seed=11,
         )
         series = sample_series(sc)
-        ds = parse_utm_csv(series_to_utm_csv(series))
+        ds = read_dataset(series_to_utm_csv(series))
         assert ds.offender_ids() == [s.offender_id for s in series]
         for orig, back in zip(series, ds.series):
             assert orig.sites == back.sites
             assert orig.anchor == back.anchor
 
-    def test_rejects_canonical_header(self):
-        from geoprofile.dataset import SchemaError
-
+    def test_rejects_unknown_header(self):
+        # the geographic columns followed by the planar ones, as `convert`
+        # writes them, are neither layout
         with pytest.raises(SchemaError):
-            parse_utm_csv(
-                "offender_id,crime_id,ucr_code,crime_lat,crime_lon,anchor_lat,anchor_lon\n"
-            )
+            read_dataset(",".join(CSV_HEADER + UTM_CSV_HEADER[3:]) + "\n")
