@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,8 +19,10 @@ import numpy as np
 from geoprofile.classify import classify
 from geoprofile.dataset import (
     CSV_HEADER,
+    DEFAULT_ZONE,
     UTM_CSV_HEADER,
     Dataset,
+    csv_text,
     parse_records,
     read_dataset,
 )
@@ -37,15 +40,7 @@ from geoprofile.rossmo import hit_score_surface
 
 __all__ = ["RunConfig", "load_config", "load_dataset", "main"]
 
-DEFAULT_METHODS = (
-    MethodId.ONE_A,
-    MethodId.ONE_B,
-    MethodId.TWO_AI,
-    MethodId.TWO_AII,
-    MethodId.TWO_BI,
-    MethodId.TWO_BII,
-    MethodId.ROSSMO,
-)
+DEFAULT_METHODS = tuple(MethodId)
 
 
 @dataclass
@@ -167,55 +162,53 @@ def _apply_flags(config: RunConfig, args) -> RunConfig:
     return config
 
 
-def load_dataset(path, zone: int = 18) -> Dataset:
+def load_dataset(path, zone: int = DEFAULT_ZONE) -> Dataset:
     """Read either CSV layout into series on ``zone``'s planar frame."""
     return read_dataset(Path(path).read_text(encoding="utf-8"), zone=zone)
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_convert(config: RunConfig, args) -> int:
     records = parse_records(Path(args.input).read_text(encoding="utf-8"))
-    out_lines = [",".join(CSV_HEADER + UTM_CSV_HEADER[3:])]
     zone = config.grid.zone
+    rows = []
     for r in records:
         crime = latlon_to_utm(r.crime_site, forced_zone=zone)
         anchor = latlon_to_utm(r.anchor, forced_zone=zone)
-        out_lines.append(
-            ",".join(
-                [
-                    r.offender_id,
-                    r.crime_id,
-                    r.ucr_code,
-                    repr(r.crime_site.lat),
-                    repr(r.crime_site.lon),
-                    repr(r.anchor.lat),
-                    repr(r.anchor.lon),
-                    str(crime.zone),
-                    repr(crime.easting),
-                    repr(crime.northing),
-                    repr(anchor.easting),
-                    repr(anchor.northing),
-                ]
+        rows.append(
+            (
+                r.offender_id,
+                r.crime_id,
+                r.ucr_code,
+                r.crime_site.lat,
+                r.crime_site.lon,
+                r.anchor.lat,
+                r.anchor.lon,
+                crime.zone,
+                crime.easting,
+                crime.northing,
+                anchor.easting,
+                anchor.northing,
             )
         )
-    text = "\n".join(out_lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, csv_text(CSV_HEADER + UTM_CSV_HEADER[3:], rows))
     return 0
 
 
 def cmd_classify(config: RunConfig, args) -> int:
     ds = load_dataset(config.dataset, zone=config.grid.zone)
-    lines = ["offender_id,label,n_clusters"]
+    rows = []
     for series in ds.series:
         label = classify(series.xy, **config.classifier_options)
-        lines.append(f"{series.offender_id},{label.kind.value},{len(label.clusters)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        rows.append((series.offender_id, label.kind.value, len(label.clusters)))
+    _write_text(args.out, csv_text(("offender_id", "label", "n_clusters"), rows))
     return 0
 
 
@@ -283,6 +276,12 @@ def write_surface_sidecar(
 def cmd_profile(config: RunConfig, args) -> int:
     ds = load_dataset(config.dataset, zone=config.grid.zone)
     series = ds.get(args.offender)
+    oid = series.offender_id
+    if oid in (".", "..") or "\0" in oid or os.path.basename(oid) != oid:
+        raise ValueError(
+            f"offender id {oid!r} is not a plain file name, "
+            "and profile names its outputs after it"
+        )
     method = config.methods[0]
     labels = {
         s.offender_id: classify(s.xy, **config.classifier_options) for s in ds.series
@@ -351,11 +350,7 @@ def cmd_emit_grid(config: RunConfig, args) -> int:
     for k, (easting, northing) in enumerate(_cell_centers(grid)):
         row, col = divmod(k, grid.ncols)
         lines.append(f"{row},{col},{easting!r},{northing!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 

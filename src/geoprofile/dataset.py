@@ -32,6 +32,7 @@ __all__ = [
     "SchemaError",
     "RowError",
     "DataError",
+    "csv_text",
     "parse_records",
     "read_dataset",
     "records_to_csv",
@@ -233,27 +234,30 @@ def parse_records(stream) -> list[CrimeRecord]:
 
 def read_dataset(stream, zone: int = DEFAULT_ZONE) -> Dataset:
     """Either CSV layout, told apart by its header, as series in ``zone``."""
-    return _group(_read_rows(stream, _LAYOUTS), zone, MIN_SERIES_LENGTH)
+    return _group(_read_rows(stream, _LAYOUTS), zone)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows, LF line endings, for every writer whose
+    rows can carry text. A field holding a comma, a quote or a line break is
+    quoted by CSV rules; floats print as ``repr`` and ints as ``str``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def records_to_csv(records) -> str:
-    """Serialize records back to the canonical CSV (LF line endings)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow(
-            [
-                r.offender_id,
-                r.crime_id,
-                r.ucr_code,
-                repr(r.crime_site.lat),
-                repr(r.crime_site.lon),
-                repr(r.anchor.lat),
-                repr(r.anchor.lon),
-            ]
-        )
-    return out.getvalue()
+    """Serialize records back to the canonical CSV."""
+    return csv_text(
+        CSV_HEADER,
+        (
+            (r.offender_id, r.crime_id, r.ucr_code, r.crime_site.lat, r.crime_site.lon,
+             r.anchor.lat, r.anchor.lon)
+            for r in records
+        ),
+    )
 
 
 def _same_place(a, b) -> bool:
@@ -273,22 +277,18 @@ def _in_zone(point, zone: int) -> UtmPoint | None:
     return point
 
 
-def group_into_series(
-    records,
-    zone: int = DEFAULT_ZONE,
-    min_series_length: int = MIN_SERIES_LENGTH,
-) -> Dataset:
+def group_into_series(records, zone: int = DEFAULT_ZONE) -> Dataset:
     """Group records by offender and put everything on one UTM zone.
 
-    Offenders with fewer than ``min_series_length`` crimes are dropped with
+    Offenders with fewer than ``MIN_SERIES_LENGTH`` crimes are dropped with
     a warning. An offender whose rows disagree about the anchor location,
     or whose planar points lie in another zone, is a data error.
     """
     rows = ((r.offender_id, r.crime_id, r.ucr_code, r.crime_site, r.anchor) for r in records)
-    return _group(rows, zone, min_series_length)
+    return _group(rows, zone)
 
 
-def _group(rows, zone: int, min_series_length: int) -> Dataset:
+def _group(rows, zone: int) -> Dataset:
     """``group_into_series`` on the row tuples of ``_read_rows``."""
     by_offender: dict[str, list[tuple]] = {}
     for offender_id, _, _, site, anchor in rows:
@@ -299,10 +299,10 @@ def _group(rows, zone: int, min_series_length: int) -> Dataset:
         anchor = points[0][1]
         if any(a is not anchor and not _same_place(a, anchor) for _, a in points):
             raise DataError(f"offender {offender_id}: inconsistent anchor coordinates")
-        if len(points) < min_series_length:
+        if len(points) < MIN_SERIES_LENGTH:
             logger.warning(
                 "excluding offender %s: only %d crime(s), need %d",
-                offender_id, len(points), min_series_length,
+                offender_id, len(points), MIN_SERIES_LENGTH,
             )
             continue
         try:

@@ -94,12 +94,6 @@ class MethodId(enum.Enum):
     ROSSMO = "rossmo"
 
 
-FAMILY_PARAMS: dict[Family, tuple[str, ...]] = {
-    Family.M1: ("alpha",),
-    Family.M2: ("alpha", "sigma"),
-    Family.NONRES: ("alpha", "sigma1", "theta", "sigma2"),
-}
-
 DEFAULT_NODE_COUNTS = {
     "alpha": 32,
     "theta": 32,
@@ -329,21 +323,16 @@ def m3_surface(
     label: SubtypeLabel,
     priors: PriorSet,
     grid: Grid,
-    cluster_weights: Sequence[float] | None = None,
-    variant: str = "a",
-    quadrature: Mapping[str, int] | None = None,
 ) -> PosteriorSurface:
     """Clustered residents: one no-buffer model per cluster plus one buffer model.
 
     Each cluster contributes a no-buffer surface whose evidence is just
-    that cluster's sites; the buffer surface sees all sites. Weights
-    default to uniform over the R component models.
+    that cluster's sites; the buffer surface (the ring family, as in the
+    *a* methods) sees all sites. The R component models weigh equally.
     """
     if label.kind is not SubtypeKind.M3:
         raise ValueError("m3_surface requires an M3 label with clusters")
-    return _resident_surfaces(
-        series, label, priors, grid, [variant], quadrature, cluster_weights
-    )[variant]
+    return _resident_surfaces(series, label, priors, grid, ["a"])["a"]
 
 
 def _buffer_spec(variant: str, quadrature: Mapping[str, int] | None = None) -> ModelSpec:
@@ -365,13 +354,13 @@ def _resident_surfaces(
     grid: Grid,
     variants: Sequence[str],
     quadrature: Mapping[str, int] | None = None,
-    cluster_weights: Sequence[float] | None = None,
 ) -> dict[str, PosteriorSurface]:
     """Resident surface per variant, each component posterior computed once.
 
     The variants differ only in the buffer model: an M1 label has none, so
     every variant gets the same surface, and an M3 label's per-cluster
-    no-buffer components are shared by every variant.
+    no-buffer components are shared by every variant. An M3 surface weighs
+    its cluster and buffer components equally.
     """
     if not variants:
         return {}
@@ -388,10 +377,9 @@ def _resident_surfaces(
         posterior_surface(series.restrict(cluster), m1_spec, priors, grid)
         for cluster in label.clusters
     ]
-    if cluster_weights is None:
-        cluster_weights = [1.0 / (len(clusters) + 1)] * (len(clusters) + 1)
+    weights = [1.0 / (len(clusters) + 1)] * (len(clusters) + 1)
     return {
-        v: multimodel_combine([*clusters, buffer], cluster_weights)
+        v: multimodel_combine([*clusters, buffer], weights)
         for v, buffer in buffers.items()
     }
 

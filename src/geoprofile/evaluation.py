@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from geoprofile.classify import classify
-from geoprofile.dataset import Dataset
+from geoprofile.dataset import Dataset, csv_text
 from geoprofile.engine import (
     DegenerateSurfaceError,
     MethodId,
@@ -145,21 +145,24 @@ class EvaluationReport:
     subtypes: dict[str, str] = field(default_factory=dict)
 
     def results_csv(self) -> str:
-        lines = ["offender_id,method,subtype,cells_examined,fraction"]
-        for r in self.results:
-            subtype = self.subtypes.get(r.offender_id, "")
-            lines.append(
-                f"{r.offender_id},{r.method.value},{subtype},"
-                f"{r.cells_examined},{r.fraction!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("offender_id", "method", "subtype", "cells_examined", "fraction"),
+            (
+                (r.offender_id, r.method.value, self.subtypes.get(r.offender_id, ""),
+                 r.cells_examined, r.fraction)
+                for r in self.results
+            ),
+        )
 
     def curves_csv(self) -> str:
-        lines = ["method,threshold,found_fraction"]
-        for curve in self.curves:
-            for t, f in zip(curve.thresholds, curve.found_fraction):
-                lines.append(f"{curve.method.value},{t!r},{f!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("method", "threshold", "found_fraction"),
+            (
+                (curve.method.value, t, f)
+                for curve in self.curves
+                for t, f in zip(curve.thresholds, curve.found_fraction)
+            ),
+        )
 
     def format_table(self) -> str:
         """Threshold-by-method matrix of found fractions."""
@@ -181,7 +184,6 @@ def compare_methods(
     methods: Sequence[MethodId],
     scope: Scope,
     grid: Grid | None = None,
-    thresholds: Sequence[float] | None = None,
     nonres_weight: float = NONRES_WEIGHT_FROM_FREQUENCIES,
     classifier_options: dict | None = None,
     quadrature: dict | None = None,
@@ -199,11 +201,9 @@ def compare_methods(
         raise ValueError(f"nonres_weight must lie in [0, 1], got {nonres_weight!r}")
     grid = grid or Grid()
     methods = tuple(dict.fromkeys(methods))
-    if thresholds is None:
-        thresholds = (
-            RESIDENTS_THRESHOLDS if scope is Scope.RESIDENTS_ONLY else ALL_THRESHOLDS
-        )
-    thresholds = tuple(thresholds)
+    thresholds = (
+        RESIDENTS_THRESHOLDS if scope is Scope.RESIDENTS_ONLY else ALL_THRESHOLDS
+    )
     classifier_options = classifier_options or {}
 
     labels = {

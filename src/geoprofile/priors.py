@@ -198,7 +198,6 @@ def bounded_density_1d(
     lo: float,
     hi: float,
     kind: PriorKind = PriorKind.DISTANCE_M1,
-    bandwidth: float | None = None,
 ) -> ParamPrior:
     """Reflection-kernel density on [lo, hi], tabulated on equal nodes.
 
@@ -214,8 +213,7 @@ def bounded_density_1d(
     if not hi > lo:
         raise ValueError("support must have hi > lo")
     samples = np.clip(samples, lo, hi)
-    h = _silverman_1d(samples) if bandwidth is None else float(bandwidth)
-    h = max(h, 1e-3 * (hi - lo))
+    h = max(_silverman_1d(samples), 1e-3 * (hi - lo))
 
     nodes = np.linspace(lo, hi, TABLE_NODES)
     mirrored = np.concatenate([samples, 2.0 * lo - samples, 2.0 * hi - samples])

@@ -12,17 +12,15 @@ one is not reproducible without an inverse projection.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from geoprofile.dataset import UTM_CSV_HEADER, CrimeSeries
+from geoprofile.dataset import UTM_CSV_HEADER, CrimeSeries, csv_text
 from geoprofile.engine import Family
 from geoprofile.geodesy import UtmPoint
-from geoprofile.models import M1Params, M2Params, NonResParams
+from geoprofile.models import TWO_PI, M1Params, M2Params, NonResParams
 
 __all__ = [
     "SyntheticScenario",
@@ -98,7 +96,7 @@ def _sample_angles_windowed(rng, theta: float, sigma2: float, n: int) -> np.ndar
         batch = min(max(4 * (n - filled), 128), budget)
         draws += batch
         proposal = rng.normal(theta, sigma2, size=batch)
-        keep = proposal[(proposal >= 0.0) & (proposal < 2.0 * math.pi)]
+        keep = proposal[(proposal >= 0.0) & (proposal < TWO_PI)]
         take = min(len(keep), n - filled)
         out[filled : filled + take] = keep[:take]
         filled += take
@@ -117,7 +115,7 @@ def sample_series(sc: SyntheticScenario) -> list[CrimeSeries]:
             offsets = rng.normal(0.0, spread, size=(sc.n, 2))
         elif sc.family is Family.M2:
             radii = _sample_radii(rng, sc.true_params.alpha, sc.true_params.sigma, sc.n)
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=sc.n)
+            angles = rng.uniform(0.0, TWO_PI, size=sc.n)
             offsets = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
         else:
             radii = _sample_radii(rng, sc.true_params.alpha, sc.true_params.sigma1, sc.n)
@@ -135,22 +133,20 @@ def sample_series(sc: SyntheticScenario) -> list[CrimeSeries]:
 
 def series_to_utm_csv(series_list) -> str:
     """Planar CSV layout, read back by ``dataset.read_dataset``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(UTM_CSV_HEADER)
+    rows = []
     for series in series_list:
         anchor = series.anchor
+        anchor_cells = ("", "") if anchor is None else (anchor.easting, anchor.northing)
         for i, site in enumerate(series.sites):
-            writer.writerow(
-                [
+            rows.append(
+                (
                     series.offender_id,
                     f"{series.offender_id}_{i}",
                     "0000",
                     site.zone,
-                    repr(site.easting),
-                    repr(site.northing),
-                    repr(anchor.easting) if anchor else "",
-                    repr(anchor.northing) if anchor else "",
-                ]
+                    site.easting,
+                    site.northing,
+                    *anchor_cells,
+                )
             )
-    return out.getvalue()
+    return csv_text(UTM_CSV_HEADER, rows)

@@ -1,12 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from geoprofile.cli import load_config, load_dataset, main
+from geoprofile.dataset import CrimeRecord, CrimeSeries, read_dataset, records_to_csv
 from geoprofile.engine import Family, MethodId
 from geoprofile.evaluation import ALL_THRESHOLDS, Scope
-from geoprofile.geodesy import UtmPoint
+from geoprofile.geodesy import GeoPoint, UtmPoint
 from geoprofile.models import M1Params, M2Params
 from geoprofile.synthetic import SyntheticScenario, sample_series, series_to_utm_csv
 
@@ -40,6 +43,25 @@ def synthetic_csv(tmp_path):
     path = tmp_path / "synthetic.csv"
     path.write_text(series_to_utm_csv(series))
     return path
+
+
+def _renamed_first(synthetic_csv, tmp_path, offender_id):
+    """The synthetic dataset with its first offender renamed ``offender_id``."""
+    first, *rest = read_dataset(synthetic_csv.read_text()).series
+    renamed = CrimeSeries(offender_id, first.sites, first.anchor)
+    path = tmp_path / "renamed.csv"
+    path.write_text(series_to_utm_csv([renamed, *rest]))
+    return path
+
+
+def _csv_rows(text):
+    """The rows of ``text``, which must quote them as csv.writer does: a field
+    holding a comma or a quote is enclosed in quotes (RFC 4180)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    rewritten = io.StringIO()
+    csv.writer(rewritten, lineterminator="\n").writerows(rows)
+    assert rewritten.getvalue() == text
+    return rows
 
 
 class TestConvert:
@@ -144,6 +166,29 @@ class TestProfile:
         assert code == 0
         assert (out_dir / "o0_rossmo.pgm").exists()
 
+    @pytest.mark.parametrize("offender_id", ["../esc", "a\0b"])
+    def test_id_that_is_not_a_file_name_rejected(
+        self, synthetic_csv, tmp_path, capsys, offender_id
+    ):
+        dataset = _renamed_first(synthetic_csv, tmp_path, offender_id)
+        before = sorted(tmp_path.rglob("*"))
+        code = main(
+            [
+                "profile",
+                "--dataset",
+                str(dataset),
+                "--offender",
+                offender_id,
+                "--method",
+                "rossmo",
+                "--out",
+                str(tmp_path / "runs" / "prof"),
+            ]
+        )
+        assert code == 1
+        assert repr(offender_id) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_unknown_offender(self, synthetic_csv, tmp_path, capsys):
         code = main(
             [
@@ -228,6 +273,43 @@ class TestEvaluate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "nonres_weight" in err[0]
         assert not (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("offender_id", ["a,b", 'say "hi"'])
+class TestQuotedTextFields:
+    """An id holding a comma or a quote is quoted by CSV rules in every output."""
+
+    def test_evaluate_results(self, synthetic_csv, tmp_path, offender_id):
+        dataset = _renamed_first(synthetic_csv, tmp_path, offender_id)
+        out_dir = tmp_path / "eval"
+        args = ["evaluate", "--dataset", str(dataset), "--method", "rossmo"]
+        assert main(args + ["--scope", "all", "--out", str(out_dir)]) == 0
+        rows = _csv_rows((out_dir / "results.csv").read_text())
+        assert {len(row) for row in rows} == {5}
+        assert [row[0] for row in rows[1:]] == [offender_id] + [f"o{i}" for i in range(1, 6)]
+
+    def test_classify(self, synthetic_csv, tmp_path, capsys, offender_id):
+        dataset = _renamed_first(synthetic_csv, tmp_path, offender_id)
+        assert main(["classify", "--dataset", str(dataset)]) == 0
+        rows = _csv_rows(capsys.readouterr().out)
+        assert {len(row) for row in rows} == {3}
+        assert rows[1][0] == offender_id
+
+    def test_convert(self, tmp_path, capsys, offender_id):
+        record = CrimeRecord(
+            offender_id, "1001", "0624", GeoPoint(39.30, -76.61), GeoPoint(39.28, -76.60)
+        )
+        src = tmp_path / "geo.csv"
+        src.write_text(records_to_csv([record]))
+        assert main(["convert", str(src)]) == 0
+        rows = _csv_rows(capsys.readouterr().out)
+        assert {len(row) for row in rows} == {12}
+        assert rows[1][0] == offender_id
+
+    def test_utm_csv_round_trip(self, synthetic_csv, tmp_path, offender_id):
+        text = _renamed_first(synthetic_csv, tmp_path, offender_id).read_text()
+        assert _csv_rows(text)[1][0] == offender_id
+        assert read_dataset(text).series[0].offender_id == offender_id
 
 
 class TestEmitGrid:
@@ -344,7 +426,6 @@ class TestEvaluateFailures:
     def test_out_of_grid_offender_gives_nonzero_exit(self, synthetic_csv, tmp_path, capsys):
         # tack on an offender whose anchor lies outside the jurisdiction
         import numpy as np
-        from geoprofile.dataset import CrimeSeries, read_dataset
 
         ds = read_dataset(synthetic_csv.read_text())
         rng = np.random.default_rng(13)
