@@ -44,7 +44,6 @@ from geoprofile.models import (
     m2_density,
     nonres_density,
     ring_normal_normalizer,
-    std_normal_cdf,
 )
 from geoprofile.priors import (
     AnchorPrior,
@@ -60,7 +59,6 @@ from geoprofile.rossmo import (
     RossmoParams,
     buffer_radius,
     hit_score_surface,
-    manhattan_distance,
     rossmo_decay,
 )
 from geoprofile.synthetic import SyntheticScenario, sample_series

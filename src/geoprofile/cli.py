@@ -30,6 +30,7 @@ from geoprofile.engine import (
     MethodId,
     NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
+    QUADRATURE_PARAMS,
     run_method,
 )
 from geoprofile.evaluation import Scope, compare_methods, rank_cells
@@ -102,7 +103,7 @@ _CLASSIFIER_KEYS = {
     "classify_single_coverage": "single_cluster_coverage",
     "classify_multi_coverage": "multi_cluster_coverage",
 }
-_NODE_KEYS = {f"nodes_{p}": p for p in ("alpha", "theta", "sigma", "sigma1", "sigma2")}
+_NODE_KEYS = {f"nodes_{p}": p for p in QUADRATURE_PARAMS}
 
 
 def _set_key(config: RunConfig, key: str, value: str) -> None:
@@ -283,13 +284,15 @@ def cmd_profile(config: RunConfig, args) -> int:
             "and profile names its outputs after it"
         )
     method = config.methods[0]
-    labels = {
-        s.offender_id: classify(s.xy, **config.classifier_options) for s in ds.series
-    }
-    label = labels[series.offender_id]
     if method is MethodId.ROSSMO:
+        # the hit score needs no labels; the sidecar needs only this one
+        label = classify(series.xy, **config.classifier_options)
         surface = hit_score_surface(series, config.grid)
     else:
+        labels = {
+            s.offender_id: classify(s.xy, **config.classifier_options) for s in ds.series
+        }
+        label = labels[series.offender_id]
         priors = build_prior_set(ds, series.offender_id, labels, config.grid)
         surface = run_method(
             series,

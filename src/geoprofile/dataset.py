@@ -35,7 +35,6 @@ __all__ = [
     "csv_text",
     "parse_records",
     "read_dataset",
-    "records_to_csv",
     "group_into_series",
     "leave_one_out",
 ]
@@ -246,18 +245,6 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
-
-
-def records_to_csv(records) -> str:
-    """Serialize records back to the canonical CSV."""
-    return csv_text(
-        CSV_HEADER,
-        (
-            (r.offender_id, r.crime_id, r.ucr_code, r.crime_site.lat, r.crime_site.lon,
-             r.anchor.lat, r.anchor.lon)
-            for r in records
-        ),
-    )
 
 
 def _same_place(a, b) -> bool:

@@ -16,12 +16,14 @@ its result underflows (below about -708), and a floored term, under
 term of exactly 1. Only the node sum is floored; normalizing the surface
 keeps the exact zeros of cells far below the grid's peak.
 
-Every family's log-likelihood sum over crimes depends on the cell only
-through a handful of per-cell statistics (sums of radii, squared radii,
-bearings, squared bearings), which keeps the node sweep a dense array
-operation instead of a per-cell loop. For the distance-and-bearing family
-the tensor sum over (distance nodes) x (bearing nodes) factorizes exactly
-into the product of the two block sums, and is computed that way.
+The families are data: FAMILIES lists each one's Gaussian blocks, each in
+one per-crime scalar (distance r or bearing phi), with its parameters'
+default prior kinds and node counts and a map from the parameter nodes to
+the Gaussian's mean, spread and log normaliser. A block's sum over crimes
+depends on the cell only through per-cell sums of the scalar and its
+square, so the node sweep is a dense array operation, not a per-cell loop.
+A family's tensor sum over all its nodes factorizes exactly into the
+product of its block sums, so the blocks' log-quadratures add.
 
 Method wiring: the *a* methods model buffer-zone residents with the ring
 family, the *b* methods with the distance-and-bearing family under the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,33 +96,60 @@ class MethodId(enum.Enum):
     ROSSMO = "rossmo"
 
 
-DEFAULT_NODE_COUNTS = {
-    "alpha": 32,
-    "theta": 32,
-    "sigma": 8,
-    "sigma1": 8,
-    "sigma2": 8,
-}
+class Param(NamedTuple):
+    name: str
+    prior: PriorKind  # default prior kind
+    nodes: int  # default node count
 
-DEFAULT_PRIOR_KINDS: dict[Family, dict[str, PriorKind]] = {
-    Family.M1: {"alpha": PriorKind.DISTANCE_M1},
-    Family.M2: {"alpha": PriorKind.DISTANCE_M2, "sigma": PriorKind.SPREAD_RADIAL},
-    Family.NONRES: {
-        "alpha": PriorKind.DISTANCE_NONRES,
-        "sigma1": PriorKind.SPREAD_RADIAL,
-        "theta": PriorKind.ANGLE_NONRES,
-        "sigma2": PriorKind.SPREAD_ANGULAR,
-    },
+
+class Block(NamedTuple):
+    scalar: str  # per-crime scalar: "r" (distance) or "phi" (bearing)
+    params: tuple[Param, ...]
+    gaussian: Callable  # flattened node tensor -> (mean, spread, log normaliser)
+
+
+FAMILIES: dict[Family, tuple[Block, ...]] = {
+    # isotropic normal: x = r, mean 0, 2 s^2 = 4 alpha^2 / pi, normaliser 4 alpha^2
+    Family.M1: (
+        Block("r", (Param("alpha", PriorKind.DISTANCE_M1, 32),),
+              lambda a: (0.0, a * math.sqrt(2.0 / math.pi), np.log(4.0 * a**2))),
+    ),
+    Family.M2: (
+        Block("r", (Param("alpha", PriorKind.DISTANCE_M2, 32),
+                    Param("sigma", PriorKind.SPREAD_RADIAL, 8)),
+              lambda a, s: (a, s, np.log(ring_normal_normalizer(a, s)))),
+    ),
+    Family.NONRES: (
+        Block("r", (Param("alpha", PriorKind.DISTANCE_NONRES, 32),
+                    Param("sigma1", PriorKind.SPREAD_RADIAL, 8)),
+              lambda a, s: (a, s, np.log(radial_normalizer(a, s)))),
+        Block("phi", (Param("theta", PriorKind.ANGLE_NONRES, 32),
+                      Param("sigma2", PriorKind.SPREAD_ANGULAR, 8)),
+              lambda t, s: (t, s, np.log(angle_normalizer(t, s)))),
+    ),
 }
+_PARAMS = {
+    f: {p.name: p for block in blocks for p in block.params}
+    for f, blocks in FAMILIES.items()
+}
+QUADRATURE_PARAMS = tuple(dict.fromkeys(p for params in _PARAMS.values() for p in params))
+
+
+def check_quadrature(quadrature: Mapping[str, int] | None) -> None:
+    """Reject a node count for a parameter no family has, or one below 1."""
+    for param, count in (quadrature or {}).items():
+        if param not in QUADRATURE_PARAMS:
+            raise ValueError(
+                f"unknown quadrature parameter {param!r}; "
+                f"choose from {', '.join(QUADRATURE_PARAMS)}"
+            )
+        if int(count) < 1:
+            raise ValueError(f"node count for {param} must be >= 1, got {count}")
+
 
 # buffer-zone residents modelled with the distance-and-bearing family keep
 # their resident travel/bearing priors
-RESIDENT_RING_PRIOR_KINDS = {
-    "alpha": PriorKind.DISTANCE_M2,
-    "sigma1": PriorKind.SPREAD_RADIAL,
-    "theta": PriorKind.ANGLE_M2,
-    "sigma2": PriorKind.SPREAD_ANGULAR,
-}
+RESIDENT_RING_PRIOR_KINDS = {"alpha": PriorKind.DISTANCE_M2, "theta": PriorKind.ANGLE_M2}
 
 
 class DegenerateSurfaceError(RuntimeError):
@@ -136,18 +165,14 @@ class ModelSpec:
     fixed_overrides: Mapping[str, float] | None = None
     prior_kinds: Mapping[str, PriorKind] | None = None
 
+    def __post_init__(self) -> None:
+        check_quadrature(self.quadrature)
+
     def node_count(self, param: str) -> int:
-        if self.quadrature and param in self.quadrature:
-            count = int(self.quadrature[param])
-            if count < 1:
-                raise ValueError(f"node count for {param} must be >= 1")
-            return count
-        return DEFAULT_NODE_COUNTS[param]
+        return int((self.quadrature or {}).get(param, _PARAMS[self.family][param].nodes))
 
     def prior_kind(self, param: str) -> PriorKind:
-        if self.prior_kinds and param in self.prior_kinds:
-            return self.prior_kinds[param]
-        return DEFAULT_PRIOR_KINDS[self.family][param]
+        return (self.prior_kinds or {}).get(param, _PARAMS[self.family][param].prior)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +211,6 @@ def _quadrature_nodes(spec: ModelSpec, param: str, priors: PriorSet) -> np.ndarr
     return nodes
 
 
-def _node_pairs(
-    spec: ModelSpec, priors: PriorSet, mean: str, spread: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of two parameters' nodes, flattened mean-major."""
-    mu, s = np.meshgrid(
-        _quadrature_nodes(spec, mean, priors),
-        _quadrature_nodes(spec, spread, priors),
-        indexing="ij",
-    )
-    return mu.ravel(), s.ravel()
-
-
 def _sum_stats(x: np.ndarray, count) -> np.ndarray:
     """(cells, 4) per-cell [sum x^2, sum x, count, 1] of a per-crime scalar."""
     cells = len(x)
@@ -232,46 +245,31 @@ def _log_quad(stats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _log_marginal_likelihood(
     series: CrimeSeries, spec: ModelSpec, priors: PriorSet, grid: Grid
 ) -> np.ndarray:
-    """log of the quadrature sum per cell, flattened row-major.
-
-    Each family is one or two Gaussian blocks in a per-crime scalar (radius
-    or bearing); the log-quadratures of independent blocks add.
-    """
+    """log of the quadrature sum per cell, flattened row-major: the sum of
+    the family's block log-quadratures, in FAMILIES order."""
     xy = series.xy
     n = len(xy)
     d = grid.centers[:, None, :] - xy[None, :, :]
     r = np.sqrt(np.sum(d * d, axis=-1))
     on_anchor = r < ANCHOR_COINCIDENCE_KM
-    r_stats = _sum_stats(np.where(on_anchor, ANCHOR_NUDGE_KM, r), n)
-
-    if spec.family is Family.M1:
-        # isotropic normal: x = r, mean 0, 2 s^2 = 4 alpha^2 / pi
-        alpha = _quadrature_nodes(spec, "alpha", priors)
-        coeffs = _gaussian_coeffs(
-            n, 0.0, alpha * math.sqrt(2.0 / math.pi), np.log(4.0 * alpha**2)
+    log_mass = 0.0
+    for block in FAMILIES[spec.family]:
+        if block.scalar == "r":
+            stats = _sum_stats(np.where(on_anchor, ANCHOR_NUDGE_KM, r), n)
+        else:
+            # A crime site exactly on a candidate anchor has no bearing; it is
+            # treated as sitting a nominal 1e-6 km away in the preferred
+            # direction, which zeroes its bearing residual for every node.
+            phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
+            phi = np.where(on_anchor | (phi >= TWO_PI), 0.0, phi)
+            stats = _sum_stats(phi, n - on_anchor.sum(axis=1))
+        nodes = np.meshgrid(
+            *(_quadrature_nodes(spec, p.name, priors) for p in block.params),
+            indexing="ij",
         )
-        return _log_quad(r_stats, coeffs)
-
-    if spec.family is Family.M2:
-        a, s = _node_pairs(spec, priors, "alpha", "sigma")
-        coeffs = _gaussian_coeffs(n, a, s, np.log(ring_normal_normalizer(a, s)))
-        return _log_quad(r_stats, coeffs)
-
-    a, s1 = _node_pairs(spec, priors, "alpha", "sigma1")
-    radial = _log_quad(
-        r_stats, _gaussian_coeffs(n, a, s1, np.log(radial_normalizer(a, s1)))
-    )
-    # A crime site exactly on a candidate anchor has no bearing; it is
-    # treated as sitting a nominal 1e-6 km away in the preferred direction,
-    # which zeroes its bearing residual for every bearing node.
-    phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
-    phi = np.where(on_anchor | (phi >= TWO_PI), 0.0, phi)
-    t, s2 = _node_pairs(spec, priors, "theta", "sigma2")
-    bearing = _log_quad(
-        _sum_stats(phi, n - on_anchor.sum(axis=1)),
-        _gaussian_coeffs(n, t, s2, np.log(angle_normalizer(t, s2))),
-    )
-    return radial + bearing
+        mu, s, log_norm = block.gaussian(*(x.ravel() for x in nodes))
+        log_mass += _log_quad(stats, _gaussian_coeffs(n, mu, s, log_norm))
+    return log_mass
 
 
 def _normalize_log_mass(log_mass: np.ndarray, grid: Grid) -> PosteriorSurface:

@@ -24,6 +24,7 @@ from geoprofile.engine import (
     MethodId,
     NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
+    check_quadrature,
     method_surfaces,
 )
 from geoprofile.geodesy import UtmPoint
@@ -195,10 +196,12 @@ def compare_methods(
     for a prior, out-of-range parameters, a degenerate surface) are
     recorded and skipped; any other exception is a defect and propagates.
     A repeated method is scored once. A ``nonres_weight`` outside [0, 1]
-    is the caller's error and raises before any offender is scored.
+    and a bad ``quadrature`` (a parameter no family has, a count below 1)
+    are the caller's errors and raise before any offender is scored.
     """
     if not 0.0 <= nonres_weight <= 1.0:
         raise ValueError(f"nonres_weight must lie in [0, 1], got {nonres_weight!r}")
+    check_quadrature(quadrature)
     grid = grid or Grid()
     methods = tuple(dict.fromkeys(methods))
     thresholds = (

@@ -28,11 +28,9 @@ __all__ = [
     "M1Params",
     "M2Params",
     "NonResParams",
-    "std_normal_cdf",
     "m1_density",
     "ring_normal_normalizer",
     "m2_density",
-    "arg_angle",
     "radial_normalizer",
     "angle_normalizer",
     "nonres_density",
@@ -91,15 +89,6 @@ class NonResParams:
             raise ValueError(f"theta must lie in [0, 2*pi), got {self.theta}")
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF; scalar in, float out; arrays pass through."""
-    if np.isscalar(x):
-        if not math.isfinite(x):
-            raise ValueError("x must be finite")
-        return float(ndtr(x))
-    return ndtr(np.asarray(x, dtype=float))
-
-
 def _as_xy(p) -> np.ndarray:
     if isinstance(p, UtmPoint):
         return np.array([p.easting, p.northing], dtype=float)
@@ -150,15 +139,6 @@ def m2_density(x, z, p: M2Params):
     n = ring_normal_normalizer(p.alpha, p.sigma)
     out = np.exp(-((r - p.alpha) ** 2) / (2.0 * p.sigma**2)) / n
     return _maybe_scalar(out, np.ndim(r) == 0)
-
-
-def arg_angle(dx: float, dy: float) -> float:
-    """Counterclockwise angle of (dx, dy) from the +easting axis, in [0, 2*pi)."""
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("angle of the zero vector is undefined")
-    a = math.atan2(dy, dx) % TWO_PI
-    # a tiny negative atan2 result rounds up to exactly 2*pi under %
-    return 0.0 if a >= TWO_PI else a
 
 
 def radial_normalizer(alpha, sigma1):

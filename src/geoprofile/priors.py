@@ -110,13 +110,6 @@ class ParamPrior:
     def quantile(self, q):
         return np.interp(q, self._cdf_table, self.nodes)
 
-    def write_csv(self, path) -> None:
-        """Plot-ready (node, density) table."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node,density\n")
-            for x, d in zip(self.nodes, self.density):
-                fh.write(f"{x!r},{d!r}\n")
-
 
 @dataclass(frozen=True, eq=False)
 class AnchorPrior:

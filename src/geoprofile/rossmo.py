@@ -19,12 +19,10 @@ import numpy as np
 from geoprofile.classify import nn_distances
 from geoprofile.dataset import CrimeSeries
 from geoprofile.engine import PosteriorSurface
-from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid
 
 __all__ = [
     "RossmoParams",
-    "manhattan_distance",
     "buffer_radius",
     "rossmo_decay",
     "hit_score_surface",
@@ -49,12 +47,6 @@ class RossmoParams:
             raise ValueError(f"buffer radius must be > 0, got {self.b}")
         if self.k <= 0.0:
             raise ValueError("scale k must be > 0")
-
-
-def manhattan_distance(a: UtmPoint, b: UtmPoint) -> float:
-    if a.zone != b.zone:
-        raise ValueError("points must share one zone frame")
-    return abs(a.easting - b.easting) + abs(a.northing - b.northing)
 
 
 def buffer_radius(series: CrimeSeries) -> float:

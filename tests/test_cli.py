@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from geoprofile.classify import classify
 from geoprofile.cli import load_config, load_dataset, main
-from geoprofile.dataset import CrimeRecord, CrimeSeries, read_dataset, records_to_csv
+from geoprofile.dataset import CSV_HEADER, CrimeSeries, csv_text, read_dataset
 from geoprofile.engine import Family, MethodId
 from geoprofile.evaluation import ALL_THRESHOLDS, Scope
-from geoprofile.geodesy import GeoPoint, UtmPoint
+from geoprofile.geodesy import UtmPoint
 from geoprofile.models import M1Params, M2Params
 from geoprofile.synthetic import SyntheticScenario, sample_series, series_to_utm_csv
 
@@ -166,6 +167,26 @@ class TestProfile:
         assert code == 0
         assert (out_dir / "o0_rossmo.pgm").exists()
 
+    def test_rossmo_profile_classifies_only_its_offender(
+        self, synthetic_csv, tmp_path, monkeypatch
+    ):
+        import geoprofile.cli as cli
+
+        calls = []
+
+        def counting(xy, **kwargs):
+            calls.append(len(xy))
+            return classify(xy, **kwargs)
+
+        monkeypatch.setattr(cli, "classify", counting)
+        out_dir = tmp_path / "prof"
+        args = ["profile", "--dataset", str(synthetic_csv), "--offender", "o1"]
+        assert main(args + ["--method", "rossmo", "--out", str(out_dir)]) == 0
+        o1 = load_dataset(synthetic_csv).get("o1")
+        assert calls == [o1.n]
+        payload = json.loads((out_dir / "o1_rossmo.json").read_text())
+        assert payload["subtype"] == classify(o1.xy).kind.value
+
     @pytest.mark.parametrize("offender_id", ["../esc", "a\0b"])
     def test_id_that_is_not_a_file_name_rejected(
         self, synthetic_csv, tmp_path, capsys, offender_id
@@ -274,6 +295,19 @@ class TestEvaluate:
         assert len(err) == 1 and "nonres_weight" in err[0]
         assert not (out_dir / "results.csv").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "profile"])
+    def test_bad_node_count_is_one_error(self, synthetic_csv, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes_alpha = 0\n")
+        out_dir = tmp_path / "out"
+        args = [command, "--config", str(cfg), "--dataset", str(synthetic_csv)]
+        if command == "profile":
+            args += ["--offender", "o1"]
+        assert main(args + ["--method", "1a", "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "node count for alpha must be >= 1" in err[0]
+        assert not out_dir.exists()
+
 
 @pytest.mark.parametrize("offender_id", ["a,b", 'say "hi"'])
 class TestQuotedTextFields:
@@ -296,11 +330,10 @@ class TestQuotedTextFields:
         assert rows[1][0] == offender_id
 
     def test_convert(self, tmp_path, capsys, offender_id):
-        record = CrimeRecord(
-            offender_id, "1001", "0624", GeoPoint(39.30, -76.61), GeoPoint(39.28, -76.60)
-        )
         src = tmp_path / "geo.csv"
-        src.write_text(records_to_csv([record]))
+        src.write_text(
+            csv_text(CSV_HEADER, [(offender_id, "1001", "0624", 39.30, -76.61, 39.28, -76.60)])
+        )
         assert main(["convert", str(src)]) == 0
         rows = _csv_rows(capsys.readouterr().out)
         assert {len(row) for row in rows} == {12}
@@ -326,7 +359,10 @@ class TestEmitGrid:
 
 
 class TestConfig:
-    def test_config_file_round_trip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "node_key", ["nodes_alpha", "nodes_sigma", "nodes_sigma1", "nodes_theta", "nodes_sigma2"]
+    )
+    def test_config_file_round_trip(self, tmp_path, node_key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "\n".join(
@@ -339,7 +375,7 @@ class TestConfig:
                     "grid = 50x35",
                     "bounds = 300,400,4330,4400",
                     "zone = 18",
-                    "nodes_alpha = 16",
+                    f"{node_key} = 16",
                     "classify_nn_km = 2.5",
                     "nonres_weight = 0.125",
                 ]
@@ -353,7 +389,7 @@ class TestConfig:
         assert config.scope is Scope.RESIDENTS_ONLY
         assert config.grid.ncols == 50 and config.grid.nrows == 35
         assert config.grid.west == 300.0 and config.grid.north == 4400.0
-        assert config.quadrature == {"alpha": 16}
+        assert config.quadrature == {node_key.removeprefix("nodes_"): 16}
         assert config.classifier_options == {"nn_threshold_km": 2.5}
         assert config.nonres_weight == 0.125
 

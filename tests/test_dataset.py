@@ -11,11 +11,11 @@ from geoprofile.dataset import (
     DataError,
     RowError,
     SchemaError,
+    csv_text,
     group_into_series,
     leave_one_out,
     parse_records,
     read_dataset,
-    records_to_csv,
 )
 from geoprofile.geodesy import UtmPoint
 
@@ -28,6 +28,18 @@ def _row(offender, crime, lat, lon, alat=39.28, alon=-76.60):
 
 def _csv(*rows):
     return HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def records_to_csv(records) -> str:
+    """Serialize records back to the canonical CSV."""
+    return csv_text(
+        CSV_HEADER,
+        (
+            (r.offender_id, r.crime_id, r.ucr_code, r.crime_site.lat, r.crime_site.lon,
+             r.anchor.lat, r.anchor.lon)
+            for r in records
+        ),
+    )
 
 
 class TestParseRecords:

@@ -137,6 +137,16 @@ class TestPosteriorSurface:
         with pytest.raises(KeyError, match="distance_m1"):
             posterior_surface(series, ModelSpec(Family.M1), partial, GRID)
 
+    @pytest.mark.parametrize(
+        "quadrature, message",
+        [({"alpah": 3}, "unknown quadrature parameter"), ({"sigma": 0}, "must be >= 1")],
+        ids=["misspelled", "zero"],
+    )
+    def test_bad_quadrature_rejected(self, quadrature, message):
+        # a count for a parameter the family does not use is checked too
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(Family.M1, quadrature=quadrature)
+
     def test_override_outside_support_rejected(self):
         series = _series([(350.0, 4360.0)])
         spec = ModelSpec(Family.M1, fixed_overrides={"alpha": 1e6})
@@ -376,12 +386,14 @@ class TestRunMethod:
         got = run_method(series, MethodId.ONE_B, label, PRIORS, GRID)
         from geoprofile.engine import RESIDENT_RING_PRIOR_KINDS
 
-        expected = posterior_surface(
-            series,
-            ModelSpec(Family.NONRES, prior_kinds=RESIDENT_RING_PRIOR_KINDS),
-            PRIORS,
-            GRID,
-        )
+        spec = ModelSpec(Family.NONRES, prior_kinds=RESIDENT_RING_PRIOR_KINDS)
+        assert {p: spec.prior_kind(p) for p in ("alpha", "sigma1", "theta", "sigma2")} == {
+            "alpha": PriorKind.DISTANCE_M2,
+            "sigma1": PriorKind.SPREAD_RADIAL,
+            "theta": PriorKind.ANGLE_M2,
+            "sigma2": PriorKind.SPREAD_ANGULAR,
+        }
+        expected = posterior_surface(series, spec, PRIORS, GRID)
         np.testing.assert_array_equal(got.mass, expected.mass)
 
     def test_rossmo_rejected(self):

@@ -236,6 +236,27 @@ class TestCompareMethods:
                 mini_dataset, [MethodId.TWO_AII], Scope.ALL, grid=GRID, nonres_weight=weight
             )
 
+    @pytest.mark.parametrize(
+        "quadrature, message",
+        [({"alpah": 3}, "unknown quadrature parameter 'alpah'"),
+         ({"alpha": 0}, "node count for alpha must be >= 1"),
+         ({"sigma2": -2}, "node count for sigma2 must be >= 1")],
+        ids=["misspelled", "zero", "negative"],
+    )
+    def test_bad_quadrature_rejected_before_scoring(
+        self, mini_dataset, monkeypatch, quadrature, message
+    ):
+        import geoprofile.evaluation as evaluation
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an offender was scored")
+
+        monkeypatch.setattr(evaluation, "classify", unreachable)
+        with pytest.raises(ValueError, match=message):
+            compare_methods(
+                mini_dataset, [MethodId.ONE_A], Scope.ALL, grid=GRID, quadrature=quadrature
+            )
+
     def test_programming_errors_propagate(self, mini_dataset, monkeypatch):
         import geoprofile.evaluation as evaluation
 

@@ -3,8 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from geoprofile.geodesy import UtmPoint
 from geoprofile.models import (
@@ -12,13 +11,11 @@ from geoprofile.models import (
     M2Params,
     NonResParams,
     angle_normalizer,
-    arg_angle,
     m1_density,
     m2_density,
     nonres_density,
     radial_normalizer,
     ring_normal_normalizer,
-    std_normal_cdf,
 )
 from oracles import cartesian_square_integral, polar_disc_integral
 
@@ -27,28 +24,6 @@ TWO_PI = 2.0 * math.pi
 
 def _pt(e, n, zone=18):
     return UtmPoint(zone=zone, easting=e, northing=n)
-
-
-class TestStdNormalCdf:
-    def test_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_reflection_identity(self):
-        for x in np.linspace(-6.0, 6.0, 101):
-            assert abs(std_normal_cdf(x) - (1.0 - std_normal_cdf(-x))) <= 1e-15
-
-    def test_against_mpmath(self):
-        mpmath.mp.dps = 40
-        for x in [-8.0, -3.2, -1.0, 0.3, 1.0, 2.5, 6.0]:
-            exact = float(mpmath.ncdf(x))
-            assert abs(std_normal_cdf(x) - exact) <= 1e-12
-
-    def test_known_value(self):
-        assert std_normal_cdf(1.0) == pytest.approx(0.8413447461, abs=1e-10)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            std_normal_cdf(float("nan"))
 
 
 class TestM1Density:
@@ -110,7 +85,7 @@ class TestRingNormalizer:
                 * math.sqrt(TWO_PI)
                 * alpha
                 * sigma
-                * (1.0 - std_normal_cdf(-alpha / sigma))
+                * (1.0 - ndtr(-alpha / sigma))
             )
             assert ring_normal_normalizer(alpha, sigma) >= bound
 
@@ -158,28 +133,6 @@ class TestM2Density:
             assert on_ring > m2_density(np.array([r, 0.0]), z, p)
 
 
-class TestArgAngle:
-    def test_axes(self):
-        assert arg_angle(1.0, 0.0) == 0.0
-        assert arg_angle(0.0, 1.0) == pytest.approx(math.pi / 2)
-        assert arg_angle(-1.0, -1.0) == pytest.approx(5.0 * math.pi / 4)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            arg_angle(0.0, 0.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        dx=st.floats(-100, 100, allow_nan=False),
-        dy=st.floats(-100, 100, allow_nan=False),
-    )
-    def test_range(self, dx, dy):
-        if dx == 0.0 and dy == 0.0:
-            return
-        a = arg_angle(dx, dy)
-        assert 0.0 <= a < TWO_PI
-
-
 class TestNonResDensity:
     def test_kernel_peak_unnormalized(self):
         p = NonResParams(alpha=2.0, sigma1=0.8, theta=math.pi / 4, sigma2=math.pi / 6)
@@ -193,7 +146,7 @@ class TestNonResDensity:
         expected = (
             sigma2
             * math.sqrt(TWO_PI)
-            * (std_normal_cdf(math.pi / sigma2) - std_normal_cdf(-math.pi / sigma2))
+            * (ndtr(math.pi / sigma2) - ndtr(-math.pi / sigma2))
         )
         assert angle_normalizer(theta, sigma2) == pytest.approx(expected, rel=1e-14)
 

@@ -104,14 +104,6 @@ class TestBoundedDensity1d:
         for q in [0.05, 0.25, 0.5, 0.75, 0.95]:
             assert prior.cdf(prior.quantile(q)) == pytest.approx(q, abs=1e-3)
 
-    def test_prior_csv_export(self, tmp_path):
-        prior = flat_param_prior(PriorKind.ANGLE_M2)
-        path = tmp_path / "angle.csv"
-        prior.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "node,density"
-        assert len(lines) == 1 + len(prior.nodes)
-
 
 def _series(offender_id, anchor_xy, site_offsets):
     anchor = UtmPoint(18, *anchor_xy)

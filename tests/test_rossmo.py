@@ -8,7 +8,6 @@ from geoprofile.rossmo import (
     RossmoParams,
     buffer_radius,
     hit_score_surface,
-    manhattan_distance,
     rossmo_decay,
 )
 
@@ -17,28 +16,6 @@ GRID = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=35, ncols=
 
 def _series(xy, offender="r"):
     return CrimeSeries(offender, tuple(UtmPoint(18, float(e), float(n)) for e, n in xy))
-
-
-class TestManhattan:
-    def test_right_triangle(self):
-        a = UtmPoint(18, 300.0, 4330.0)
-        b = UtmPoint(18, 303.0, 4334.0)
-        assert manhattan_distance(a, b) == 7.0
-
-    def test_self_distance(self):
-        a = UtmPoint(18, 350.0, 4350.0)
-        assert manhattan_distance(a, a) == 0.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            a = UtmPoint(18, *rng.uniform(301.0, 399.0, 2).tolist())
-            b = UtmPoint(18, *rng.uniform(301.0, 399.0, 2).tolist())
-            assert manhattan_distance(a, b) == manhattan_distance(b, a)
-
-    def test_zone_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            manhattan_distance(UtmPoint(18, 350.0, 100.0), UtmPoint(17, 350.0, 100.0))
 
 
 class TestBufferRadius:
@@ -109,7 +86,8 @@ class TestHitScoreSurface:
         surface = hit_score_surface(series, GRID, RossmoParams(b=1.0))
         row, col = np.unravel_index(np.argmax(surface.mass), surface.mass.shape)
         peak = cell_center(GRID, row, col)
-        assert manhattan_distance(site, peak) == pytest.approx(1.0)
+        manhattan = abs(site.easting - peak.easting) + abs(site.northing - peak.northing)
+        assert manhattan == pytest.approx(1.0)
 
     def test_k_scaling_preserves_ranking(self):
         rng = np.random.default_rng(44)
