@@ -11,7 +11,6 @@ from geoprofile.dataset import (
     CrimeSeries,
     Dataset,
     group_into_series,
-    leave_one_out,
     parse_records,
 )
 from geoprofile.engine import (

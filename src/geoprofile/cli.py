@@ -19,7 +19,6 @@ import numpy as np
 from geoprofile.classify import classify
 from geoprofile.dataset import (
     CSV_HEADER,
-    DEFAULT_ZONE,
     UTM_CSV_HEADER,
     Dataset,
     csv_text,
@@ -27,6 +26,7 @@ from geoprofile.dataset import (
     read_dataset,
 )
 from geoprofile.engine import (
+    DegenerateSurfaceError,
     MethodId,
     NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
@@ -35,7 +35,7 @@ from geoprofile.engine import (
 )
 from geoprofile.evaluation import Scope, compare_methods, rank_cells
 from geoprofile.geodesy import latlon_to_utm
-from geoprofile.grid import Grid, cell_center
+from geoprofile.grid import DEFAULT_ZONE, Grid, cell_center
 from geoprofile.priors import build_prior_set
 from geoprofile.rossmo import hit_score_surface
 
@@ -399,6 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad input, file or surface is one error line and
+    exit 1, while any other exception is a defect and propagates."""
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else RunConfig()
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
         if args.command in {"classify", "profile", "evaluate"} and not config.dataset:
             raise ValueError("a dataset is required (--dataset or config)")
         return args.fn(config, args)
-    except Exception as exc:
+    except (ValueError, KeyError, OSError, DegenerateSurfaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from geoprofile.geodesy import GeoPoint, OutOfRangeError, UtmPoint, latlon_to_utm
+from geoprofile.grid import DEFAULT_ZONE
 
 __all__ = [
     "CSV_HEADER",
@@ -36,7 +37,6 @@ __all__ = [
     "parse_records",
     "read_dataset",
     "group_into_series",
-    "leave_one_out",
 ]
 
 logger = logging.getLogger(__name__)
@@ -54,7 +54,6 @@ UTM_CSV_HEADER = CSV_HEADER[:3] + [
     "zone", "crime_easting_km", "crime_northing_km", "anchor_easting_km", "anchor_northing_km"
 ]
 
-DEFAULT_ZONE = 18
 MIN_SERIES_LENGTH = 3
 ANCHOR_CONSISTENCY_DEG = 1e-9
 
@@ -299,10 +298,3 @@ def _group(rows, zone: int) -> Dataset:
             raise DataError(f"offender {offender_id}: {exc}") from exc
         series.append(CrimeSeries(offender_id, sites, anchor))
     return Dataset(tuple(series))
-
-
-def leave_one_out(ds: Dataset, offender_id: str) -> Dataset:
-    """All series except the named offender's."""
-    if offender_id not in ds.offender_ids():
-        raise KeyError(f"unknown offender id {offender_id!r}")
-    return Dataset(tuple(s for s in ds.series if s.offender_id != offender_id))

@@ -16,7 +16,9 @@ import numpy as np
 
 from geoprofile.geodesy import UtmPoint
 
-__all__ = ["Grid", "OutOfGridError", "cell_center", "locate_cell"]
+__all__ = ["DEFAULT_ZONE", "Grid", "OutOfGridError", "cell_center", "locate_cell"]
+
+DEFAULT_ZONE = 18
 
 
 class OutOfGridError(ValueError):
@@ -31,7 +33,7 @@ class Grid:
     north: float = 4400.0
     nrows: int = 70
     ncols: int = 100
-    zone: int = 18
+    zone: int = DEFAULT_ZONE
 
     def __post_init__(self) -> None:
         if not (self.east > self.west and self.north > self.south):

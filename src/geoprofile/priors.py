@@ -4,9 +4,10 @@ Everything known about the *other* offenders informs the priors for the
 one under investigation: their anchor points feed a 2-D kernel density
 over the jurisdiction grid, and per-offender summary statistics (mean
 crime-to-anchor distance, mean bearing, spreads of both) feed bounded
-1-D kernel densities, one per parameter kind. Bandwidths follow
-Silverman's rule of thumb; the bounded estimates reflect probability mass
-at the support edges instead of letting it leak out.
+1-D kernel densities, one per parameter kind, routed by ``PRIORS``.
+Bandwidths follow Silverman's rule of thumb; the bounded estimates
+reflect probability mass at the support edges instead of letting it
+leak out.
 """
 
 from __future__ import annotations
@@ -17,16 +18,18 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from geoprofile.classify import SubtypeKind, SubtypeLabel, as_xy
-from geoprofile.dataset import Dataset, leave_one_out
+from geoprofile.classify import SubtypeLabel, as_xy
+from geoprofile.dataset import Dataset
 from geoprofile.grid import Grid
 from geoprofile.models import TWO_PI
 
 __all__ = [
     "PriorKind",
+    "PRIORS",
     "ParamPrior",
     "AnchorPrior",
     "PriorSet",
@@ -45,11 +48,6 @@ logger = logging.getLogger(__name__)
 TABLE_NODES = 512
 NONRESIDENT_MIN_KM = 10.0
 
-DISTANCE_SUPPORT = (0.0, 150.0)
-ANGLE_SUPPORT = (0.0, TWO_PI)
-SPREAD_RADIAL_SUPPORT = (0.05, 20.0)
-SPREAD_ANGULAR_SUPPORT = (0.02, math.pi)
-
 
 class InsufficientDataError(ValueError):
     """Too few donor offenders or samples to estimate a prior."""
@@ -65,14 +63,25 @@ class PriorKind(enum.Enum):
     SPREAD_ANGULAR = "spread_angular"
 
 
-SUPPORTS: dict[PriorKind, tuple[float, float]] = {
-    PriorKind.DISTANCE_M1: DISTANCE_SUPPORT,
-    PriorKind.DISTANCE_M2: DISTANCE_SUPPORT,
-    PriorKind.DISTANCE_NONRES: DISTANCE_SUPPORT,
-    PriorKind.ANGLE_M2: ANGLE_SUPPORT,
-    PriorKind.ANGLE_NONRES: ANGLE_SUPPORT,
-    PriorKind.SPREAD_RADIAL: SPREAD_RADIAL_SUPPORT,
-    PriorKind.SPREAD_ANGULAR: SPREAD_ANGULAR_SUPPORT,
+class PriorRow(NamedTuple):
+    """A kind's support, and the donor groups whose ``statistic`` feeds it.
+    A donor's group is its subtype label, or ``"NONRES"`` when no crime
+    lies within NONRESIDENT_MIN_KM of its anchor."""
+
+    support: tuple[float, float]
+    groups: tuple[str, ...]
+    statistic: str
+
+
+# M3 residents belong to no group here, so they feed no parameter prior.
+PRIORS: dict[PriorKind, PriorRow] = {
+    PriorKind.DISTANCE_M1: PriorRow((0.0, 150.0), ("M1",), "mean_dist"),
+    PriorKind.DISTANCE_M2: PriorRow((0.0, 150.0), ("M2",), "mean_dist"),
+    PriorKind.DISTANCE_NONRES: PriorRow((0.0, 150.0), ("NONRES",), "mean_dist"),
+    PriorKind.ANGLE_M2: PriorRow((0.0, TWO_PI), ("M2",), "mean_angle"),
+    PriorKind.ANGLE_NONRES: PriorRow((0.0, TWO_PI), ("NONRES",), "mean_angle"),
+    PriorKind.SPREAD_RADIAL: PriorRow((0.05, 20.0), ("M2", "NONRES"), "std_radii"),
+    PriorKind.SPREAD_ANGULAR: PriorRow((0.02, math.pi), ("M2", "NONRES"), "std_angles"),
 }
 
 
@@ -217,7 +226,7 @@ def bounded_density_1d(
 
 
 def flat_param_prior(kind: PriorKind, lo: float | None = None, hi: float | None = None) -> ParamPrior:
-    default_lo, default_hi = SUPPORTS[kind]
+    default_lo, default_hi = PRIORS[kind].support
     lo = default_lo if lo is None else lo
     hi = default_hi if hi is None else hi
     nodes = np.linspace(lo, hi, TABLE_NODES)
@@ -253,36 +262,27 @@ def is_nonresident(series) -> bool:
     """
     if series.anchor is None:
         raise ValueError("residency needs a known anchor")
-    return not _donor_stats(series).resident
+    return not _donor_stats(series)["resident"]
 
 
-@dataclass
-class _DonorStats:
-    resident: bool
-    mean_dist: float
-    mean_angle: float | None
-    std_radii: float | None
-    std_angles: float | None
-
-
-def _donor_stats(series) -> _DonorStats:
+def _donor_stats(series) -> dict:
+    """Residency and the statistics ``PRIORS`` names; None if too few sites."""
     xy = series.xy
     anchor = np.array([series.anchor.easting, series.anchor.northing])
     d = xy - anchor
     radii = np.hypot(d[:, 0], d[:, 1])
     nonzero = radii > 0.0
     angles = np.arctan2(d[nonzero, 1], d[nonzero, 0]) % TWO_PI
-    return _DonorStats(
-        resident=bool(radii.min() <= NONRESIDENT_MIN_KM),
-        mean_dist=float(radii.mean()),
-        mean_angle=float(angles.mean()) if len(angles) else None,
-        std_radii=float(np.std(radii, ddof=1)) if len(radii) > 1 else None,
-        std_angles=float(np.std(angles, ddof=1)) if len(angles) > 1 else None,
-    )
+    return {
+        "resident": bool(radii.min() <= NONRESIDENT_MIN_KM),
+        "mean_dist": float(radii.mean()),
+        "mean_angle": float(angles.mean()) if len(angles) else None,
+        "std_radii": float(np.std(radii, ddof=1)) if len(radii) > 1 else None,
+        "std_angles": float(np.std(angles, ddof=1)) if len(angles) > 1 else None,
+    }
 
 
 def _estimate(kind: PriorKind, samples: list[float]) -> ParamPrior:
-    lo, hi = SUPPORTS[kind]
     if len(samples) < 3:
         logger.warning(
             "no usable donors for %s prior (%d sample(s)); falling back to flat",
@@ -290,7 +290,7 @@ def _estimate(kind: PriorKind, samples: list[float]) -> ParamPrior:
             len(samples),
         )
         return flat_param_prior(kind)
-    return bounded_density_1d(samples, lo, hi, kind=kind)
+    return bounded_density_1d(samples, *PRIORS[kind].support, kind=kind)
 
 
 def build_prior_set(
@@ -301,46 +301,36 @@ def build_prior_set(
 ) -> PriorSet:
     """Priors from every offender except the examined one.
 
-    Donor populations per kind: tight residents feed the no-buffer
-    distance prior, buffer-zone residents the ring distance and bearing
-    priors, non-residents (no crime within 10 km of their anchor) the
-    far-travel distance and bearing priors. Spread priors pool the two
-    populations whose models carry a spread parameter. A kind with fewer
-    than 3 donor samples falls back to a flat prior with a warning.
+    Each donor feeds every kind whose ``PRIORS`` row names its group, in
+    donor order. A kind with fewer than 3 donor samples falls back to a
+    flat prior with a warning. An unknown ``excluded_offender`` raises
+    KeyError.
     """
-    donors = leave_one_out(ds, excluded_offender)
-    if len(donors.series) < 2:
+    if excluded_offender not in ds.offender_ids():
+        raise KeyError(f"unknown offender id {excluded_offender!r}")
+    anchors = []
+    samples: dict[PriorKind, list[float]] = {kind: [] for kind in PRIORS}
+    for series in ds.series:
+        if series.offender_id == excluded_offender:
+            continue
+        if series.anchor is None:
+            raise InsufficientDataError("every donor series needs a known anchor")
+        anchors.append(series.anchor)
+        stats = _donor_stats(series)
+        label = subtype_labels[series.offender_id]
+        group = label.kind.value if stats["resident"] else "NONRES"
+        for kind, row in PRIORS.items():
+            value = stats[row.statistic]
+            if group in row.groups and value is not None:
+                samples[kind].append(value)
+    if len(anchors) < 2:
         raise InsufficientDataError(
             "leave-one-out donor set too small to build an anchor prior"
         )
-
-    anchors = [s.anchor for s in donors.series]
-    if any(a is None for a in anchors):
-        raise InsufficientDataError("every donor series needs a known anchor")
-
-    samples: dict[PriorKind, list[float]] = {kind: [] for kind in PriorKind}
-    for series in donors.series:
-        stats = _donor_stats(series)
-        label = subtype_labels[series.offender_id]
-        if not stats.resident:
-            samples[PriorKind.DISTANCE_NONRES].append(stats.mean_dist)
-            if stats.mean_angle is not None:
-                samples[PriorKind.ANGLE_NONRES].append(stats.mean_angle)
-        elif label.kind is SubtypeKind.M1:
-            samples[PriorKind.DISTANCE_M1].append(stats.mean_dist)
-        elif label.kind is SubtypeKind.M2:
-            samples[PriorKind.DISTANCE_M2].append(stats.mean_dist)
-            if stats.mean_angle is not None:
-                samples[PriorKind.ANGLE_M2].append(stats.mean_angle)
-        if not stats.resident or label.kind is SubtypeKind.M2:
-            if stats.std_radii is not None:
-                samples[PriorKind.SPREAD_RADIAL].append(stats.std_radii)
-            if stats.std_angles is not None:
-                samples[PriorKind.SPREAD_ANGULAR].append(stats.std_angles)
 
     params = {kind: _estimate(kind, vals) for kind, vals in samples.items()}
     return PriorSet(
         anchor=kde2d(anchors, grid),
         params=MappingProxyType(params),
-        source_offender_count=len(donors.series),
+        source_offender_count=len(anchors),
     )

@@ -445,6 +445,17 @@ class TestConfig:
         assert "dataset" in capsys.readouterr().err
 
 
+def test_programming_error_propagates(synthetic_csv, tmp_path, monkeypatch):
+    import geoprofile.cli as cli
+
+    def defect(*args, **kwargs):
+        raise TypeError("simulated defect")
+
+    monkeypatch.setattr(cli, "compare_methods", defect)
+    with pytest.raises(TypeError, match="simulated defect"):
+        main(["evaluate", "--dataset", str(synthetic_csv), "--out", str(tmp_path / "ev")])
+
+
 def test_load_dataset_sniffs_both_formats(tmp_path, synthetic_csv):
     ds = load_dataset(synthetic_csv)
     assert len(ds.series) == 6

@@ -13,7 +13,6 @@ from geoprofile.dataset import (
     SchemaError,
     csv_text,
     group_into_series,
-    leave_one_out,
     parse_records,
     read_dataset,
 )
@@ -242,35 +241,6 @@ class TestGroupIntoSeries:
         rows += [_row("b", f"d{i}", 39.20 + 0.001 * i, -76.51) for i in range(5)]
         ds = group_into_series(parse_records(_csv(*rows)))
         assert ds.total_crimes == sum(s.n for s in ds.series) == 9
-
-
-class TestLeaveOneOut:
-    def _dataset(self, n_offenders=6):
-        rows = []
-        for o in range(n_offenders):
-            for i in range(3):
-                rows.append(_row(f"off{o}", f"c{o}_{i}", 39.30 + 0.01 * i, -76.61))
-        return group_into_series(parse_records(_csv(*rows)))
-
-    def test_removes_exactly_one(self):
-        ds = self._dataset()
-        loo = leave_one_out(ds, "off2")
-        assert len(loo.series) == len(ds.series) - 1
-        assert "off2" not in loo.offender_ids()
-
-    def test_membership_restored(self):
-        ds = self._dataset()
-        loo = leave_one_out(ds, "off3")
-        restored = set(loo.offender_ids()) | {"off3"}
-        assert restored == set(ds.offender_ids())
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            leave_one_out(self._dataset(), "nope")
-
-    def test_single_series_gives_empty(self):
-        ds = self._dataset(n_offenders=1)
-        assert leave_one_out(ds, "off0").series == ()
 
 
 class TestTypes:

@@ -511,7 +511,7 @@ class TestQuadratureOracle:
         """Flat priors, then seeded reflection-KDE priors like the pipeline's."""
         from types import MappingProxyType
 
-        from geoprofile.priors import SUPPORTS, PriorSet, bounded_density_1d
+        from geoprofile.priors import PRIORS, PriorSet, bounded_density_1d
 
         sample_ranges = {
             PriorKind.DISTANCE_M1: (0.5, 5.0),
@@ -525,7 +525,7 @@ class TestQuadratureOracle:
         rng = np.random.default_rng(seed)
         params = {
             kind: bounded_density_1d(
-                rng.uniform(*sample_ranges[kind], size=12), *SUPPORTS[kind], kind=kind
+                rng.uniform(*sample_ranges[kind], size=12), *PRIORS[kind].support, kind=kind
             )
             for kind in PriorKind
         }

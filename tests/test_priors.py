@@ -206,6 +206,70 @@ class TestBuildPriorSet:
         with pytest.raises(InsufficientDataError):
             build_prior_set(ds, "o0", labels, Grid())
 
+    def test_unknown_excluded_offender(self):
+        rng = np.random.default_rng(83)
+        ds, labels = _population(rng)
+        with pytest.raises(KeyError, match="nope"):
+            build_prior_set(ds, "nope", labels, Grid())
+
+    def test_donor_groups_route_statistics(self, monkeypatch):
+        import geoprofile.priors as priors
+
+        # residents of every subtype and two non-residents, one labelled M3
+        m1 = SubtypeLabel(SubtypeKind.M1)
+        m2 = SubtypeLabel(SubtypeKind.M2)
+        m3 = SubtypeLabel(SubtypeKind.M3, (frozenset({0, 1}), frozenset({2, 3})))
+        tight = ((0.5, 0.0), (0.0, 0.7), (-0.2, -0.3))
+        ring = ((5.0, 0.0), (0.0, 4.0), (-6.0, 1.0), (1.0, -5.0))
+        pairs = ((3.0, 0.0), (3.2, 0.3), (-4.0, 1.0), (-4.1, 1.2))
+        far = ((18.0, 2.0), (15.0, 9.0), (17.0, -4.0), (20.0, 1.0))
+        population = [  # id, anchor, site offsets, label
+            ("x", (330.0, 4350.0), tight[::-1], m1),
+            ("m2a", (340.0, 4360.0), ring, m2),
+            ("m1", (350.0, 4350.0), tight, m1),
+            ("m3", (360.0, 4370.0), pairs, m3),
+            ("far_m3", (320.0, 4340.0), far, m3),
+            ("m2b", (370.0, 4380.0), ring[::-1], m2),
+            ("far_m2", (325.0, 4345.0), far[1:], m2),
+        ]
+        ds = Dataset(tuple(_series(oid, a, offsets) for oid, a, offsets, _ in population))
+        labels = {oid: label for oid, _, _, label in population}
+        samples = {}
+        estimate = priors._estimate
+
+        def record(kind, values):
+            samples[kind] = list(values)
+            return estimate(kind, values)
+
+        monkeypatch.setattr(priors, "_estimate", record)
+        built = build_prior_set(ds, "x", labels, Grid())
+
+        def stats(offsets):
+            radii = [math.hypot(dx, dy) for dx, dy in offsets]
+            angles = [math.atan2(dy, dx) % TWO_PI for dx, dy in offsets]
+            return {
+                "dist": sum(radii) / len(radii),
+                "angle": sum(angles) / len(angles),
+                "sr": float(np.std(radii, ddof=1)),
+                "sa": float(np.std(angles, ddof=1)),
+            }
+
+        tight_s, m2a, m2b = stats(tight), stats(ring), stats(ring[::-1])
+        far_m3, far_m2 = stats(far), stats(far[1:])
+        expected = {  # donor order; the M3 resident feeds nothing
+            PriorKind.DISTANCE_M1: [tight_s["dist"]],
+            PriorKind.DISTANCE_M2: [m2a["dist"], m2b["dist"]],
+            PriorKind.DISTANCE_NONRES: [far_m3["dist"], far_m2["dist"]],
+            PriorKind.ANGLE_M2: [m2a["angle"], m2b["angle"]],
+            PriorKind.ANGLE_NONRES: [far_m3["angle"], far_m2["angle"]],
+            PriorKind.SPREAD_RADIAL: [m2a["sr"], far_m3["sr"], m2b["sr"], far_m2["sr"]],
+            PriorKind.SPREAD_ANGULAR: [m2a["sa"], far_m3["sa"], m2b["sa"], far_m2["sa"]],
+        }
+        assert samples.keys() == expected.keys()
+        for kind, values in expected.items():
+            assert samples[kind] == pytest.approx(values, rel=1e-12), kind
+        assert built.source_offender_count == 6
+
 
 SUPPORTS_LO = {
     PriorKind.DISTANCE_M1: 0.0,
