@@ -72,14 +72,41 @@ def _pairwise(xy: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _nearest(d: np.ndarray) -> np.ndarray:
+    """Row minima of a pairwise matrix over the other sites; ``d`` is kept."""
+    d = d.copy()
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def _components(d: np.ndarray, cutoff: float) -> list[frozenset[int]]:
+    """Clusters of a pairwise matrix at the cutoff, as ``detect_clusters``."""
+    if cutoff <= 0.0:
+        raise ValueError("cutoff must be > 0")
+    adjacent = (d <= cutoff).tolist()
+    seen = [False] * len(adjacent)
+    clusters = []
+    for start in range(len(adjacent)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        for i in members:  # grows while it is read: a breadth-first search
+            for j, near in enumerate(adjacent[i]):
+                if near and not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+        if len(members) >= 2:
+            clusters.append(frozenset(members))
+    return clusters
+
+
 def nn_distances(sites, metric: str = "euclidean") -> np.ndarray:
     """Distance from each site to its nearest other site."""
     xy = as_xy(sites)
     if len(xy) < 2:
         raise ValueError("need at least 2 sites for nearest-neighbour distances")
-    d = _pairwise(xy, metric)
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+    return _nearest(_pairwise(xy, metric))
 
 
 def detect_clusters(sites, cutoff: float = CLUSTER_CUTOFF_KM) -> list[frozenset[int]]:
@@ -92,29 +119,7 @@ def detect_clusters(sites, cutoff: float = CLUSTER_CUTOFF_KM) -> list[frozenset[
     xy = as_xy(sites)
     if len(xy) < 2:
         raise ValueError("need at least 2 sites to detect clusters")
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be > 0")
-    n = len(xy)
-    adjacent = _pairwise(xy, "euclidean") <= cutoff
-    labels = np.full(n, -1, dtype=int)
-    n_comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = n_comp
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(adjacent[i] & (labels < 0))[0]:
-                labels[j] = n_comp
-                stack.append(j)
-        n_comp += 1
-    clusters = []
-    for comp in range(n_comp):
-        members = frozenset(np.nonzero(labels == comp)[0].tolist())
-        if len(members) >= 2:
-            clusters.append(members)
-    return clusters
+    return _components(_pairwise(xy, "euclidean"), cutoff)
 
 
 def classify(
@@ -136,10 +141,11 @@ def classify(
     xy = as_xy(sites)
     if len(xy) < 3:
         raise ValueError("need at least 3 sites to classify")
-    clusters = detect_clusters(xy, cluster_cutoff_km)
+    d = _pairwise(xy, "euclidean")
+    clusters = _components(d, cluster_cutoff_km)
     coverage = sum(len(c) for c in clusters) / len(xy)
     if (
-        float(np.median(nn_distances(xy))) <= nn_threshold_km
+        float(np.median(_nearest(d))) <= nn_threshold_km
         and len(clusters) == 1
         and len(clusters[0]) / len(xy) >= single_cluster_coverage
     ):

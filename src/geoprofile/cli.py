@@ -409,7 +409,9 @@ def main(argv=None) -> int:
             raise ValueError("a dataset is required (--dataset or config)")
         return args.fn(config, args)
     except (ValueError, KeyError, OSError, DegenerateSurfaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -54,11 +54,19 @@ class Grid:
         return self.nrows * self.ncols
 
     @cached_property
+    def east_centers(self) -> np.ndarray:
+        """(ncols,) easting of each column's cell centers, west to east."""
+        return self.west + (np.arange(self.ncols) + 0.5) * self.dx
+
+    @cached_property
+    def north_centers(self) -> np.ndarray:
+        """(nrows,) northing of each row's cell centers, south to north."""
+        return self.south + (np.arange(self.nrows) + 0.5) * self.dy
+
+    @cached_property
     def centers(self) -> np.ndarray:
         """(ncells, 2) cell-center coordinates in row-major order."""
-        east = self.west + (np.arange(self.ncols) + 0.5) * self.dx
-        north = self.south + (np.arange(self.nrows) + 0.5) * self.dy
-        ee, nn = np.meshgrid(east, north)
+        ee, nn = np.meshgrid(self.east_centers, self.north_centers)
         return np.column_stack([ee.ravel(), nn.ravel()])
 
     def contains(self, p: UtmPoint) -> bool:
@@ -74,8 +82,8 @@ def cell_center(grid: Grid, row: int, col: int) -> UtmPoint:
         raise OutOfGridError(f"cell ({row}, {col}) outside {grid.nrows}x{grid.ncols}")
     return UtmPoint(
         zone=grid.zone,
-        easting=grid.west + (col + 0.5) * grid.dx,
-        northing=grid.south + (row + 0.5) * grid.dy,
+        easting=float(grid.east_centers[col]),
+        northing=float(grid.north_centers[row]),
     )
 
 

@@ -64,11 +64,16 @@ def rossmo_decay(d, p: RossmoParams):
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr < 0.0):
         raise ValueError("distance must be >= 0")
-    out = np.empty_like(d_arr)
-    far = d_arr > p.b
-    out[far] = p.k / d_arr[far] ** p.h
-    out[~far] = p.k * p.b ** (p.g - p.h) / (2.0 * p.b - d_arr[~far]) ** p.g
-    return float(out) if np.ndim(d) == 0 else out
+    flat = d_arr.ravel()
+    # the far branch everywhere, then the few distances inside the buffer
+    # patched over it; those may first divide by zero (a crime on a cell
+    # center) or overflow (a denormal power)
+    out = flat**p.h
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(p.k, out, out=out)
+    near = np.flatnonzero(flat <= p.b)
+    out[near] = p.k * p.b ** (p.g - p.h) / (2.0 * p.b - flat[near]) ** p.g
+    return float(out[0]) if np.ndim(d) == 0 else out.reshape(d_arr.shape)
 
 
 def hit_score_surface(
@@ -92,11 +97,13 @@ def hit_score_surface(
                 fallback,
             )
             params = RossmoParams(b=fallback)
-    centers = grid.centers
+    # |de| per column plus |dn| per row on (nrows, ncols, n): row-major
+    # cells, each holding its crimes in series order. Filling every row with
+    # the |de| block, then adding |dn|, beats one broadcast add.
     xy = series.xy
-    d = np.abs(centers[:, None, 0] - xy[None, :, 0]) + np.abs(
-        centers[:, None, 1] - xy[None, :, 1]
-    )
-    scores = rossmo_decay(d, params).sum(axis=1)
+    d = np.empty((grid.nrows, grid.ncols, len(xy)))
+    d[...] = np.abs(grid.east_centers[:, None] - xy[:, 0])
+    d += np.abs(grid.north_centers[:, None, None] - xy[:, 1])
+    scores = rossmo_decay(d.reshape(grid.ncells, len(xy)), params).sum(axis=1)
     total = scores.sum()
     return PosteriorSurface(grid, (scores / total).reshape(grid.nrows, grid.ncols))

@@ -47,3 +47,28 @@ def cartesian_square_integral(f_xy, center, half_side, feature):
     y = np.linspace(cy - half_side, cy + half_side, n)
     vals = f_xy(x[:, None], y[None, :])
     return float(np.trapezoid(np.trapezoid(vals, y, axis=1), x))
+
+
+def hit_score_direct(series, grid, params):
+    """Normalized hit-score mass, (nrows, ncols), written out the plain way.
+
+    Manhattan distances come from the (ncells, 2) cell centers, the decay
+    fills its two branches through boolean masks, and each cell's crimes
+    are summed along the rows of one (ncells, n) array, so the result is
+    the bit pattern that ``geoprofile.rossmo.hit_score_surface`` must keep.
+    """
+    centers = grid.centers
+    xy = series.xy
+    d = np.abs(centers[:, None, 0] - xy[None, :, 0]) + np.abs(
+        centers[:, None, 1] - xy[None, :, 1]
+    )
+    scores = np.empty_like(d)
+    far = d > params.b
+    scores[far] = params.k / d[far] ** params.h
+    scores[~far] = (
+        params.k
+        * params.b ** (params.g - params.h)
+        / (2.0 * params.b - d[~far]) ** params.g
+    )
+    total = scores.sum(axis=1)
+    return (total / total.sum()).reshape(grid.nrows, grid.ncols)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,9 @@ from geoprofile.classify import (
     detect_clusters,
     nn_distances,
 )
+
+# the package re-exports the function ``classify``, which hides the module
+classify_module = importlib.import_module("geoprofile.classify")
 
 
 class TestNnDistances:
@@ -121,6 +125,49 @@ class TestClassify:
     def test_too_few_sites(self):
         with pytest.raises(ValueError):
             classify([(0.0, 0.0), (1.0, 1.0)])
+
+
+class TestSharedMatrix:
+    """``classify`` builds one pairwise matrix, read by both of its rules."""
+
+    SITES = [(0.0, 0.0), (0.4, 0.1), (0.1, 0.5), (12.0, 0.0), (12.4, 0.2), (6.0, 9.0)]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        matrices = []
+        pairwise = classify_module._pairwise
+
+        def counting(xy, metric):
+            matrices.append(pairwise(xy, metric))
+            return matrices[-1]
+
+        monkeypatch.setattr(classify_module, "_pairwise", counting)
+        return matrices
+
+    def test_one_matrix_per_call(self, built):
+        for n in range(3, len(self.SITES) + 1):
+            built.clear()
+            classify(self.SITES[:n])
+            assert len(built) == 1
+
+    def test_nearest_neighbours_leave_the_matrix(self, built):
+        # the nearest-neighbour rule masks the diagonal with inf; that must
+        # stay out of the matrix the cluster rule thresholds
+        label = classify(self.SITES)
+        assert label.kind is SubtypeKind.M3
+        assert label.clusters == (frozenset({0, 1, 2}), frozenset({3, 4}))
+        (d,) = built
+        fresh = classify_module._pairwise(np.array(self.SITES), "euclidean")
+        np.testing.assert_array_equal(d, fresh)
+        np.testing.assert_array_equal(np.diag(d), 0.0)
+
+    def test_diagonal_left_out_of_nearest_neighbours(self):
+        # one chain at 1.5 km spacing: every nearest neighbour is 1.5 km away,
+        # so only a threshold above 1.5 makes it M1; a zero diagonal read as
+        # a neighbour would make it M1 at any threshold
+        sites = [(1.5 * i, 0.0) for i in range(6)]
+        assert classify(sites, nn_threshold_km=1.0).kind is SubtypeKind.M2
+        assert classify(sites).kind is SubtypeKind.M1
 
 
 class TestSubtypeLabel:

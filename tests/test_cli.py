@@ -223,7 +223,8 @@ class TestProfile:
             ]
         )
         assert code == 1
-        assert "nope" in capsys.readouterr().err
+        # the message itself, not the repr a KeyError's str() gives
+        assert capsys.readouterr().err == "error: unknown offender id 'nope'\n"
 
 
 class TestEvaluate:

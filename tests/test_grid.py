@@ -34,6 +34,20 @@ class TestGeometry:
         p = cell_center(default_grid, row, col)
         assert tuple(centers[k]) == (p.easting, p.northing)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(), Grid(west=310.0, east=317.5, south=4327.0, north=4332.2, nrows=13, ncols=6)],
+        ids=["default", "non-square"],
+    )
+    def test_cell_center_is_centers_row(self, grid):
+        assert grid.east_centers.shape == (grid.ncols,)
+        assert grid.north_centers.shape == (grid.nrows,)
+        for row in range(grid.nrows):
+            for col in range(grid.ncols):
+                p = cell_center(grid, row, col)
+                e, n = grid.centers[row * grid.ncols + col]
+                assert (p.easting, p.northing) == (e, n)
+
 
 class TestLocateCell:
     def test_lower_corner(self, default_grid):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from geoprofile.rossmo import (
     hit_score_surface,
     rossmo_decay,
 )
+from oracles import hit_score_direct
 
 GRID = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=35, ncols=40)
 
@@ -68,6 +71,11 @@ class TestRossmoDecay:
         p = RossmoParams(b=1.0)
         assert rossmo_decay(0.0, p) == pytest.approx(1.0 / 2.0**1.2)
 
+    def test_denormal_power_inside_buffer(self):
+        # k / d**h overflows here; the buffer branch must replace it quietly
+        p = RossmoParams(b=1.0)
+        assert rossmo_decay(1e-262, p) == pytest.approx(1.0 / 2.0**1.2)
+
     def test_outside_buffer(self):
         p = RossmoParams(b=1.0)
         assert rossmo_decay(2.0, p) == pytest.approx(2.0**-1.2)
@@ -124,6 +132,62 @@ class TestHitScoreSurface:
             surface = hit_score_surface(series, GRID)
         assert "falls back" in caplog.text
         assert np.all(np.isfinite(surface.mass))
+
+
+class TestBitIdentity:
+    """``hit_score_surface`` reproduces the plain formulation bit for bit."""
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_random_series(self, n):
+        # n runs across numpy's 8-element pairwise-summation block, so a
+        # change in the order of a cell's row sum shows
+        rng = np.random.default_rng(1000 + n)
+        series = _series(rng.uniform((332.0, 4347.0), (368.0, 4378.0), size=(n, 2)))
+        params = RossmoParams(b=buffer_radius(series))
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    def test_crime_on_cell_center(self):
+        site = cell_center(GRID, 12, 30)
+        series = _series([(site.easting, site.northing), (341.3, 4361.7), (352.9, 4370.2)])
+        assert np.any(np.all(GRID.centers == series.xy[0], axis=1))
+        params = RossmoParams(b=buffer_radius(series))
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    def test_cell_at_buffer_edge(self):
+        # two cells away on a 1 km grid is exactly d == b; with g != h the
+        # two branches differ in the last bit there, so the branch taken shows
+        site = cell_center(GRID, 20, 10)
+        series = _series([(site.easting, site.northing), (355.2, 4350.8)])
+        params = RossmoParams(b=2.0, g=1.5, h=1.1)
+        d = np.abs(GRID.centers - series.xy[0]).sum(axis=1)
+        assert np.count_nonzero(d == params.b) == 8
+        assert params.k / params.b**params.h != rossmo_decay(params.b, params)
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID, params).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    def test_non_default_exponents_and_scale(self):
+        rng = np.random.default_rng(77)
+        series = _series(rng.uniform((335.0, 4350.0), (365.0, 4375.0), size=(11, 2)))
+        params = RossmoParams(b=2.3, g=1.7, h=0.8, k=3.5)
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID, params).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    def test_coincident_fallback(self, caplog):
+        series = _series([(350.0, 4360.0)] * 9)
+        with caplog.at_level("WARNING"):
+            got = hit_score_surface(series, GRID).mass
+        params = RossmoParams(b=0.5 * math.hypot(GRID.dx, GRID.dy))
+        np.testing.assert_array_equal(got, hit_score_direct(series, GRID, params))
 
 
 def _raw_total(series, params):
