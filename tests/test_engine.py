@@ -433,6 +433,53 @@ class TestRunMethod:
             np.testing.assert_array_equal(surfaces[method].mass, alone.mass)
 
 
+# Each posterior method's wiring, written out independently of the engine:
+# the resident buffer-zone model and the weight of the non-resident surface
+# (None: the caller's nonres_weight).
+_RING = ModelSpec(Family.M2)
+_DIRECTIONAL = ModelSpec(
+    Family.NONRES, prior_kinds={"alpha": PriorKind.DISTANCE_M2, "theta": PriorKind.ANGLE_M2}
+)
+WIRING = {
+    MethodId.ONE_A: (_RING, 0.0),
+    MethodId.ONE_B: (_DIRECTIONAL, 0.0),
+    MethodId.TWO_AI: (_RING, 0.5),
+    MethodId.TWO_AII: (_RING, None),
+    MethodId.TWO_BI: (_DIRECTIONAL, 0.5),
+    MethodId.TWO_BII: (_DIRECTIONAL, None),
+}
+
+
+class TestMethodWiring:
+    """run_method against a composition of component posteriors by hand."""
+
+    @pytest.mark.parametrize("kind", list(SubtypeKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("method", list(WIRING), ids=lambda m: m.value)
+    def test_run_method_equals_composition(self, method, kind):
+        rng = np.random.default_rng(310)
+        series, m3_label = _two_cluster_series(rng, (345.0, 4355.0), (358.0, 4368.0))
+        label = m3_label if kind is SubtypeKind.M3 else SubtypeLabel(kind)
+        buffer, weight = WIRING[method]
+        weight = 0.3 if weight is None else weight
+        no_buffer = ModelSpec(Family.M1)
+        if kind is SubtypeKind.M1:
+            resident = posterior_surface(series, no_buffer, PRIORS, GRID)
+        else:
+            resident = posterior_surface(series, buffer, PRIORS, GRID)
+        if kind is SubtypeKind.M3:
+            first, second = (
+                posterior_surface(series.restrict(c), no_buffer, PRIORS, GRID)
+                for c in label.clusters
+            )
+            resident = multimodel_combine([first, second, resident], [1.0 / 3.0] * 3)
+        expected = resident
+        if weight:
+            nonres = posterior_surface(series, ModelSpec(Family.NONRES), PRIORS, GRID)
+            expected = multimodel_combine([resident, nonres], [1.0 - weight, weight])
+        got = run_method(series, method, label, PRIORS, GRID, nonres_weight=0.3)
+        np.testing.assert_array_equal(got.mass, expected.mass)
+
+
 class TestLogQuad:
     """The floored node log-sum-exp against the unfloored one."""
 
