@@ -10,7 +10,6 @@ from geoprofile.dataset import (
     CrimeRecord,
     CrimeSeries,
     Dataset,
-    group_into_series,
     parse_records,
 )
 from geoprofile.engine import (

@@ -283,35 +283,41 @@ def cmd_profile(config: RunConfig, args) -> int:
             f"offender id {oid!r} is not a plain file name, "
             "and profile names its outputs after it"
         )
-    method = config.methods[0]
-    if method is MethodId.ROSSMO:
+    methods = tuple(dict.fromkeys(config.methods))
+    if all(m is MethodId.ROSSMO for m in methods):
         # the hit score needs no labels; the sidecar needs only this one
         label = classify(series.xy, **config.classifier_options)
-        surface = hit_score_surface(series, config.grid)
     else:
         labels = {
             s.offender_id: classify(s.xy, **config.classifier_options) for s in ds.series
         }
-        label = labels[series.offender_id]
-        priors = build_prior_set(ds, series.offender_id, labels, config.grid)
-        surface = run_method(
-            series,
-            method,
-            label,
-            priors,
-            config.grid,
-            config.nonres_weight,
-            config.quadrature or None,
-        )
+        label = labels[oid]
+        priors = build_prior_set(ds, oid, labels, config.grid)
+    # every surface before any file, so an error writes nothing
+    surfaces = {}
+    for method in methods:
+        if method is MethodId.ROSSMO:
+            surfaces[method] = hit_score_surface(series, config.grid)
+        else:
+            surfaces[method] = run_method(
+                series,
+                method,
+                label,
+                priors,
+                config.grid,
+                config.nonres_weight,
+                config.quadrature or None,
+            )
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{series.offender_id}_{method.value}"
-    write_surface_csv(surface, out_dir / f"{stem}_surface.csv")
-    write_surface_pgm(surface, out_dir / f"{stem}.pgm")
-    write_surface_sidecar(
-        surface, series.offender_id, method, label.kind.value, out_dir / f"{stem}.json"
-    )
-    print(f"wrote {stem}_surface.csv, {stem}.pgm, {stem}.json in {out_dir}")
+    for method, surface in surfaces.items():
+        stem = f"{oid}_{method.value}"
+        write_surface_csv(surface, out_dir / f"{stem}_surface.csv")
+        write_surface_pgm(surface, out_dir / f"{stem}.pgm")
+        write_surface_sidecar(
+            surface, oid, method, label.kind.value, out_dir / f"{stem}.json"
+        )
+        print(f"wrote {stem}_surface.csv, {stem}.pgm, {stem}.json in {out_dir}")
     return 0
 
 
@@ -382,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_classify)
     p_classify.set_defaults(fn=cmd_classify)
 
-    p_profile = sub.add_parser("profile", help="posterior surface for one offender")
+    p_profile = sub.add_parser("profile", help="one offender's surface under each method")
     p_profile.add_argument("--offender", required=True)
     add_common(p_profile)
     p_profile.set_defaults(fn=cmd_profile)

@@ -36,7 +36,6 @@ __all__ = [
     "csv_text",
     "parse_records",
     "read_dataset",
-    "group_into_series",
 ]
 
 logger = logging.getLogger(__name__)
@@ -142,19 +141,6 @@ class Dataset:
         raise KeyError(f"unknown offender id {offender_id!r}")
 
 
-def _text_stream(stream):
-    if isinstance(stream, (bytes, bytearray)):
-        return io.StringIO(stream.decode("utf-8"))
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    if hasattr(stream, "read"):
-        probe = stream.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(stream, encoding="utf-8")
-        return stream
-    raise TypeError(f"cannot read records from {type(stream).__name__}")
-
-
 def _geo(lat: str, lon: str) -> GeoPoint:
     return GeoPoint(float(lat), float(lon))
 
@@ -190,14 +176,15 @@ _LAYOUTS = {
 }
 
 
-def _read_rows(stream, headers) -> Iterator[tuple]:
+def _read_rows(text: str, headers) -> Iterator[tuple]:
     """``(offender_id, crime_id, ucr_code, crime_site, anchor)`` for each data
-    row of a CSV whose header is one of ``headers``; a bad row raises RowError.
+    row of CSV ``text`` whose header is one of ``headers``; a bad row raises
+    RowError.
 
     Plain tuples, not CrimeRecords: building a frozen dataclass per row
     costs about a third of what parsing the row does.
     """
-    reader = csv.reader(_text_stream(stream))
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -225,14 +212,14 @@ def _read_rows(stream, headers) -> Iterator[tuple]:
         yield offender_id, row[1].strip(), row[2].strip(), site, anchors[cells]
 
 
-def parse_records(stream) -> list[CrimeRecord]:
+def parse_records(text: str) -> list[CrimeRecord]:
     """Read canonical geographic CSV into records; a malformed row raises RowError."""
-    return [CrimeRecord(*row) for row in _read_rows(stream, (tuple(CSV_HEADER),))]
+    return [CrimeRecord(*row) for row in _read_rows(text, (tuple(CSV_HEADER),))]
 
 
-def read_dataset(stream, zone: int = DEFAULT_ZONE) -> Dataset:
+def read_dataset(text: str, zone: int = DEFAULT_ZONE) -> Dataset:
     """Either CSV layout, told apart by its header, as series in ``zone``."""
-    return _group(_read_rows(stream, _LAYOUTS), zone)
+    return _group(_read_rows(text, _LAYOUTS), zone)
 
 
 def csv_text(header, rows) -> str:
@@ -263,19 +250,8 @@ def _in_zone(point, zone: int) -> UtmPoint | None:
     return point
 
 
-def group_into_series(records, zone: int = DEFAULT_ZONE) -> Dataset:
-    """Group records by offender and put everything on one UTM zone.
-
-    Offenders with fewer than ``MIN_SERIES_LENGTH`` crimes are dropped with
-    a warning. An offender whose rows disagree about the anchor location,
-    or whose planar points lie in another zone, is a data error.
-    """
-    rows = ((r.offender_id, r.crime_id, r.ucr_code, r.crime_site, r.anchor) for r in records)
-    return _group(rows, zone)
-
-
 def _group(rows, zone: int) -> Dataset:
-    """``group_into_series`` on the row tuples of ``_read_rows``."""
+    """Group the row tuples of ``_read_rows`` by offender, all on ``zone``."""
     by_offender: dict[str, list[tuple]] = {}
     for offender_id, _, _, site, anchor in rows:
         by_offender.setdefault(offender_id, []).append((site, anchor))

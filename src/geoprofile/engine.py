@@ -25,17 +25,15 @@ square, so the node sweep is a dense array operation, not a per-cell loop.
 A family's tensor sum over all its nodes factorizes exactly into the
 product of its block sums, so the blocks' log-quadratures add.
 
-Method wiring: the *a* methods model buffer-zone residents with the ring
-family, the *b* methods with the distance-and-bearing family under the
-resident ring priors; the 2* methods blend the resident surface with a
-non-resident surface at fixed weights.
+The methods are data too: METHODS gives each posterior method its
+resident buffer-zone model and the weight of its non-resident surface.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -55,6 +53,7 @@ __all__ = [
     "Family",
     "MethodId",
     "ModelSpec",
+    "METHODS",
     "PosteriorSurface",
     "DegenerateSurfaceError",
     "posterior_surface",
@@ -145,11 +144,6 @@ def check_quadrature(quadrature: Mapping[str, int] | None) -> None:
             )
         if int(count) < 1:
             raise ValueError(f"node count for {param} must be >= 1, got {count}")
-
-
-# buffer-zone residents modelled with the distance-and-bearing family keep
-# their resident travel/bearing priors
-RESIDENT_RING_PRIOR_KINDS = {"alpha": PriorKind.DISTANCE_M2, "theta": PriorKind.ANGLE_M2}
 
 
 class DegenerateSurfaceError(RuntimeError):
@@ -316,6 +310,27 @@ def multimodel_combine(
     return PosteriorSurface(grid, mass)
 
 
+class Method(NamedTuple):
+    buffer: ModelSpec  # model of buffer-zone (M2 and M3) residents
+    nonres_weight: float | None  # of the non-resident surface; None: the caller's
+
+
+# the ring family, or the distance-and-bearing family of Mohler & Short
+# under the resident travel and bearing priors
+_RING = ModelSpec(Family.M2)
+_DIRECTIONAL = ModelSpec(
+    Family.NONRES, prior_kinds={"alpha": PriorKind.DISTANCE_M2, "theta": PriorKind.ANGLE_M2}
+)
+METHODS: dict[MethodId, Method] = {
+    MethodId.ONE_A: Method(_RING, 0.0),
+    MethodId.ONE_B: Method(_DIRECTIONAL, 0.0),
+    MethodId.TWO_AI: Method(_RING, 0.5),
+    MethodId.TWO_AII: Method(_RING, None),
+    MethodId.TWO_BI: Method(_DIRECTIONAL, 0.5),
+    MethodId.TWO_BII: Method(_DIRECTIONAL, None),
+}
+
+
 def m3_surface(
     series: CrimeSeries,
     label: SubtypeLabel,
@@ -330,19 +345,7 @@ def m3_surface(
     """
     if label.kind is not SubtypeKind.M3:
         raise ValueError("m3_surface requires an M3 label with clusters")
-    return _resident_surfaces(series, label, priors, grid, ["a"])["a"]
-
-
-def _buffer_spec(variant: str, quadrature: Mapping[str, int] | None = None) -> ModelSpec:
-    if variant == "a":
-        return ModelSpec(Family.M2, quadrature=quadrature)
-    if variant == "b":
-        return ModelSpec(
-            Family.NONRES,
-            quadrature=quadrature,
-            prior_kinds=RESIDENT_RING_PRIOR_KINDS,
-        )
-    raise ValueError(f"unknown method variant {variant!r}")
+    return _resident_surfaces(series, label, priors, grid, [_RING])[0]
 
 
 def _resident_surfaces(
@@ -350,48 +353,33 @@ def _resident_surfaces(
     label: SubtypeLabel,
     priors: PriorSet,
     grid: Grid,
-    variants: Sequence[str],
+    buffers: Sequence[ModelSpec],
     quadrature: Mapping[str, int] | None = None,
-) -> dict[str, PosteriorSurface]:
-    """Resident surface per variant, each component posterior computed once.
+) -> list[PosteriorSurface]:
+    """Resident surface per buffer model, each component posterior computed once.
 
-    The variants differ only in the buffer model: an M1 label has none, so
-    every variant gets the same surface, and an M3 label's per-cluster
-    no-buffer components are shared by every variant. An M3 surface weighs
-    its cluster and buffer components equally.
+    An M1 label has no buffer zone, so every buffer model gets the same
+    surface, and an M3 label's per-cluster no-buffer components are shared
+    by every buffer model. An M3 surface weighs its cluster and buffer
+    components equally.
     """
-    if not variants:
-        return {}
+    if not buffers:
+        return []
     m1_spec = ModelSpec(Family.M1, quadrature=quadrature)
     if label.kind is SubtypeKind.M1:
-        return dict.fromkeys(variants, posterior_surface(series, m1_spec, priors, grid))
-    buffers = {
-        v: posterior_surface(series, _buffer_spec(v, quadrature), priors, grid)
-        for v in variants
-    }
+        return [posterior_surface(series, m1_spec, priors, grid)] * len(buffers)
+    surfaces = [
+        posterior_surface(series, replace(buffer, quadrature=quadrature), priors, grid)
+        for buffer in buffers
+    ]
     if label.kind is SubtypeKind.M2:
-        return buffers
+        return surfaces
     clusters = [
         posterior_surface(series.restrict(cluster), m1_spec, priors, grid)
         for cluster in label.clusters
     ]
     weights = [1.0 / (len(clusters) + 1)] * (len(clusters) + 1)
-    return {
-        v: multimodel_combine([*clusters, buffer], weights)
-        for v, buffer in buffers.items()
-    }
-
-
-_VARIANTS = {
-    MethodId.ONE_A: "a",
-    MethodId.ONE_B: "b",
-    MethodId.TWO_AI: "a",
-    MethodId.TWO_AII: "a",
-    MethodId.TWO_BI: "b",
-    MethodId.TWO_BII: "b",
-}
-_RESIDENTS_ONLY_METHODS = {MethodId.ONE_A, MethodId.ONE_B}
-_EQUAL_WEIGHT_METHODS = {MethodId.TWO_AI, MethodId.TWO_BI}
+    return [multimodel_combine([*clusters, surface], weights) for surface in surfaces]
 
 
 def method_surfaces(
@@ -404,26 +392,26 @@ def method_surfaces(
     quadrature: Mapping[str, int] | None = None,
 ) -> dict[MethodId, PosteriorSurface]:
     """Surfaces for several methods at once, sharing component posteriors."""
-    if MethodId.ROSSMO in methods:
+    if any(m not in METHODS for m in methods):
         raise ValueError("the hit-score baseline is not a posterior method")
-    variants = list(dict.fromkeys(_VARIANTS[m] for m in methods))
-    resident = _resident_surfaces(series, label, priors, grid, variants, quadrature)
+    rows = {m: METHODS[m] for m in methods}
+    # one buffer model per family: a spec holding prior_kinds cannot be hashed
+    buffers = {row.buffer.family: row.buffer for row in rows.values()}
+    resident = _resident_surfaces(series, label, priors, grid, [*buffers.values()], quadrature)
+    resident = dict(zip(buffers, resident))
+    weights = {
+        m: nonres_weight if row.nonres_weight is None else row.nonres_weight
+        for m, row in rows.items()
+    }
     nonres = None
-    if any(m not in _RESIDENTS_ONLY_METHODS for m in methods):
+    if any(weights.values()):
         nonres = posterior_surface(
             series, ModelSpec(Family.NONRES, quadrature=quadrature), priors, grid
         )
-
     out = {}
-    for method in methods:
-        base = resident[_VARIANTS[method]]
-        if method in _RESIDENTS_ONLY_METHODS:
-            out[method] = base
-        else:
-            w_nonres = 0.5 if method in _EQUAL_WEIGHT_METHODS else nonres_weight
-            out[method] = multimodel_combine(
-                [base, nonres], [1.0 - w_nonres, w_nonres]
-            )
+    for method, w in weights.items():
+        base = resident[rows[method].buffer.family]
+        out[method] = multimodel_combine([base, nonres], [1.0 - w, w]) if w else base
     return out
 
 

@@ -18,7 +18,7 @@ import pytest
 
 import reference_tm
 from geoprofile.classify import classify
-from geoprofile.dataset import group_into_series, parse_records
+from geoprofile.dataset import read_dataset
 from geoprofile.engine import (
     Family,
     MethodId,
@@ -443,8 +443,7 @@ def test_c08_geodesy_reference_agreement():
 
 @pytest.fixture(scope="module")
 def baltimore():
-    records = parse_records(Path(BALTIMORE_CSV).read_text(encoding="utf-8"))
-    return group_into_series(records)
+    return read_dataset(Path(BALTIMORE_CSV).read_text(encoding="utf-8"))
 
 
 @needs_baltimore

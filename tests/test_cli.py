@@ -187,6 +187,25 @@ class TestProfile:
         payload = json.loads((out_dir / "o1_rossmo.json").read_text())
         assert payload["subtype"] == classify(o1.xy).kind.value
 
+    def test_every_requested_method_written(self, synthetic_csv, tmp_path, capsys):
+        args = ["profile", "--dataset", str(synthetic_csv), "--offender", "o1"]
+        methods = ["2aii", "rossmo", "1b", "2aii"]
+        both = tmp_path / "both"
+        flags = [flag for m in methods for flag in ("--method", m)]
+        assert main(args + flags + ["--out", str(both)]) == 0
+        wrote = capsys.readouterr().out.splitlines()
+        assert [line.split("_")[1] for line in wrote] == ["2aii", "rossmo", "1b"]
+        names = sorted(p.name for p in both.iterdir())
+        assert len(names) == 9
+        for method in ("2aii", "rossmo", "1b"):
+            alone = tmp_path / method
+            assert main(args + ["--method", method, "--out", str(alone)]) == 0
+            files = sorted(alone.iterdir())
+            assert len(files) == 3
+            for path in files:
+                assert path.name in names
+                assert (both / path.name).read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("offender_id", ["../esc", "a\0b"])
     def test_id_that_is_not_a_file_name_rejected(
         self, synthetic_csv, tmp_path, capsys, offender_id

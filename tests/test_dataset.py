@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from geoprofile.dataset import (
     RowError,
     SchemaError,
     csv_text,
-    group_into_series,
     parse_records,
     read_dataset,
 )
@@ -67,9 +64,8 @@ class TestParseRecords:
         with pytest.raises(SchemaError):
             parse_records("offender_id,crime_id,ucr_code,crime_lat\n")
 
-    def test_byte_stream(self):
-        text = _csv(_row("5", "x", 39.3, -76.6))
-        records = parse_records(io.BytesIO(text.encode("utf-8")))
+    def test_leading_byte_order_mark(self):
+        records = parse_records("\ufeff" + _csv(_row("5", "x", 39.3, -76.6)))
         assert records[0].offender_id == "5"
 
     def test_crlf(self):
@@ -183,9 +179,11 @@ class TestReadDataset:
 
 
 class TestGroupIntoSeries:
+    """read_dataset's grouping step on geographic rows."""
+
     def test_minimum_series(self):
         rows = [_row("9", f"c{i}", 39.30 + 0.001 * i, -76.61) for i in range(3)]
-        ds = group_into_series(parse_records(_csv(*rows)))
+        ds = read_dataset(_csv(*rows))
         assert len(ds.series) == 1
         assert ds.series[0].n == 3
         assert ds.total_crimes == 3
@@ -198,7 +196,7 @@ class TestGroupIntoSeries:
             *[_row("10", f"d{i}", 39.30 + 0.001 * i, -76.62) for i in range(4)],
         ]
         with caplog.at_level("WARNING"):
-            ds = group_into_series(parse_records(_csv(*rows)))
+            ds = read_dataset(_csv(*rows))
         assert ds.offender_ids() == ["10"]
         assert "excluding offender 9" in caplog.text
 
@@ -209,7 +207,7 @@ class TestGroupIntoSeries:
             _row("9", "c2", 39.32, -76.61, alat=39.28),
         ]
         with pytest.raises(DataError, match="anchor"):
-            group_into_series(parse_records(_csv(*rows)))
+            read_dataset(_csv(*rows))
 
     def test_roundtrip_preserves_series(self):
         rng = np.random.default_rng(31)
@@ -228,9 +226,9 @@ class TestGroupIntoSeries:
                         alon,
                     )
                 )
-        records = parse_records(_csv(*rows))
-        ds1 = group_into_series(records)
-        ds2 = group_into_series(parse_records(records_to_csv(records)))
+        text = _csv(*rows)
+        ds1 = read_dataset(text)
+        ds2 = read_dataset(records_to_csv(parse_records(text)))
         assert ds1.offender_ids() == ds2.offender_ids()
         for s1, s2 in zip(ds1.series, ds2.series):
             assert s1.n == s2.n
@@ -239,7 +237,7 @@ class TestGroupIntoSeries:
     def test_total_crimes_equals_sum(self):
         rows = [_row("a", f"c{i}", 39.30 + 0.001 * i, -76.61) for i in range(4)]
         rows += [_row("b", f"d{i}", 39.20 + 0.001 * i, -76.51) for i in range(5)]
-        ds = group_into_series(parse_records(_csv(*rows)))
+        ds = read_dataset(_csv(*rows))
         assert ds.total_crimes == sum(s.n for s in ds.series) == 9
 
 

@@ -384,9 +384,10 @@ class TestRunMethod:
         series = _series(sites)
         label = SubtypeLabel(SubtypeKind.M2)
         got = run_method(series, MethodId.ONE_B, label, PRIORS, GRID)
-        from geoprofile.engine import RESIDENT_RING_PRIOR_KINDS
-
-        spec = ModelSpec(Family.NONRES, prior_kinds=RESIDENT_RING_PRIOR_KINDS)
+        spec = ModelSpec(
+            Family.NONRES,
+            prior_kinds={"alpha": PriorKind.DISTANCE_M2, "theta": PriorKind.ANGLE_M2},
+        )
         assert {p: spec.prior_kind(p) for p in ("alpha", "sigma1", "theta", "sigma2")} == {
             "alpha": PriorKind.DISTANCE_M2,
             "sigma1": PriorKind.SPREAD_RADIAL,
