@@ -72,3 +72,74 @@ def hit_score_direct(series, grid, params):
     )
     total = scores.sum(axis=1)
     return (total / total.sum()).reshape(grid.nrows, grid.ncols)
+
+
+def kde2d_direct(xy, grid, bandwidth=None):
+    """Anchor-prior weights, (nrows, ncols), from one (ncells, N) exponent.
+
+    The plain formulation of ``geoprofile.priors.kde2d``: every cell center
+    against every donor anchor, summed along the rows. The library must
+    keep this bit pattern.
+    """
+    xy = np.asarray(xy, dtype=float)
+    if bandwidth is None:
+        h = np.std(xy, axis=0, ddof=1) * len(xy) ** (-1.0 / 6.0)
+    else:
+        h = np.asarray(bandwidth, dtype=float)
+    h = np.maximum(h, [grid.dx / 2.0, grid.dy / 2.0])
+    centers = grid.centers
+    de = (centers[:, 0][:, None] - xy[None, :, 0]) / h[0]
+    dn = (centers[:, 1][:, None] - xy[None, :, 1]) / h[1]
+    weights = np.exp(-0.5 * (de * de + dn * dn)).sum(axis=1)
+    return (weights / weights.sum()).reshape(grid.nrows, grid.ncols)
+
+
+def density_1d_direct(samples, lo, hi):
+    """Reflection-kernel density on 512 equal nodes of [lo, hi], with every
+    ``exp`` taken, those that underflow to zero included: the plain
+    formulation of ``geoprofile.priors.bounded_density_1d``."""
+    samples = np.clip(np.asarray(samples, dtype=float), lo, hi)
+    std = float(np.std(samples, ddof=1))
+    q75, q25 = np.percentile(samples, [75, 25])
+    iqr = float(q75 - q25)
+    scale = min(std, iqr / 1.34) if iqr > 0.0 else std
+    h = max(0.9 * scale * len(samples) ** -0.2, 1e-3 * (hi - lo))
+    nodes = np.linspace(lo, hi, 512)
+    mirrored = np.concatenate([samples, 2.0 * lo - samples, 2.0 * hi - samples])
+    u = (nodes[:, None] - mirrored[None, :]) / h
+    density = np.exp(-0.5 * u * u).sum(axis=1)
+    return density / np.trapezoid(density, nodes)
+
+
+def donor_stats_direct(series):
+    """One donor's residency and travel statistics, computed on its own.
+
+    Residency is a crime within 10 km of the anchor. Bearings leave out
+    crimes on the anchor; a statistic needing more samples than there are
+    is None.
+    """
+    xy = series.xy
+    anchor = np.array([series.anchor.easting, series.anchor.northing])
+    d = xy - anchor
+    radii = np.hypot(d[:, 0], d[:, 1])
+    nonzero = radii > 0.0
+    angles = np.arctan2(d[nonzero, 1], d[nonzero, 0]) % TWO_PI
+    return {
+        "resident": bool(radii.min() <= 10.0),
+        "mean_dist": float(radii.mean()),
+        "mean_angle": float(angles.mean()) if len(angles) else None,
+        "std_radii": float(np.std(radii, ddof=1)) if len(radii) > 1 else None,
+        "std_angles": float(np.std(angles, ddof=1)) if len(angles) > 1 else None,
+    }
+
+
+def surface_csv_direct(surface):
+    """A surface's CSV text, one f-string per cell from the (ncells, 2)
+    cell centers, as ``geoprofile.cli.write_surface_csv`` must write it."""
+    grid = surface.grid
+    lines = ["row,col,easting,northing,mass"]
+    masses = surface.mass.ravel().tolist()
+    for k, (easting, northing) in enumerate(grid.centers.tolist()):
+        row, col = divmod(k, grid.ncols)
+        lines.append(f"{row},{col},{easting!r},{northing!r},{masses[k]!r}")
+    return "\n".join(lines) + "\n"

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from geoprofile.classify import classify
-from geoprofile.cli import load_config, load_dataset, main
+from geoprofile.cli import load_config, load_dataset, main, rank_cells, write_surface_csv
 from geoprofile.dataset import CSV_HEADER, CrimeSeries, csv_text, read_dataset
-from geoprofile.engine import Family, MethodId
-from geoprofile.evaluation import ALL_THRESHOLDS, Scope
+from geoprofile.engine import Family, MethodId, PosteriorSurface
+from geoprofile.evaluation import ALL_THRESHOLDS, Scope, _ranking
 from geoprofile.geodesy import UtmPoint
+from geoprofile.grid import Grid
 from geoprofile.models import M1Params, M2Params
 from geoprofile.synthetic import SyntheticScenario, sample_series, series_to_utm_csv
+from oracles import surface_csv_direct
 
 CANONICAL_HEADER = (
     "offender_id,crime_id,ucr_code,crime_lat,crime_lon,anchor_lat,anchor_lon"
@@ -521,3 +523,31 @@ class TestEvaluateFailures:
         assert code == 1
         err = capsys.readouterr().err
         assert "stray" in err and "outside" in err
+
+
+class TestWriterFormulations:
+    """The writers reproduce the plain per-cell formulations exactly."""
+
+    GRIDS = {
+        "default": Grid(),
+        # non-square cells from an origin on no round number
+        "odd": Grid(west=301.37, east=377.915, south=4331.21, north=4389.404, nrows=53, ncols=81),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_surface_csv_bytes(self, tmp_path, name):
+        grid = self.GRIDS[name]
+        mass = np.random.default_rng(3000).gamma(0.5, size=(grid.nrows, grid.ncols))
+        surface = PosteriorSurface(grid, mass / mass.sum())
+        path = tmp_path / "surface.csv"
+        write_surface_csv(surface, path)
+        assert path.read_bytes() == surface_csv_direct(surface).encode("utf-8")
+
+    def test_rank_cells_plateau(self):
+        grid = self.GRIDS["odd"]
+        # four mass levels, so most cells tie with many others
+        levels = np.random.default_rng(3001).integers(1, 5, size=(grid.nrows, grid.ncols))
+        surface = PosteriorSurface(grid, levels / levels.sum())
+        got = rank_cells(surface)
+        assert got == [divmod(int(k), grid.ncols) for k in _ranking(surface)]
+        assert all(type(row) is int and type(col) is int for row, col in got)

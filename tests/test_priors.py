@@ -9,14 +9,17 @@ from geoprofile.dataset import CrimeSeries, Dataset
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid
 from geoprofile.priors import (
+    PRIORS,
     InsufficientDataError,
     PriorKind,
     bounded_density_1d,
     build_prior_set,
     flat_anchor_prior,
     flat_param_prior,
+    is_nonresident,
     kde2d,
 )
+from oracles import density_1d_direct, donor_stats_direct, kde2d_direct
 
 TWO_PI = 2.0 * math.pi
 
@@ -287,3 +290,114 @@ def test_flat_anchor_prior_uniform():
     prior = flat_anchor_prior(grid)
     assert prior.weights.sum() == pytest.approx(1.0)
     assert prior.weights.min() == prior.weights.max()
+
+
+# dx = 0.945 km and dy = 1.098 km, from an origin on no round number
+ODD_GRID = Grid(west=301.37, east=377.915, south=4331.21, north=4389.404, nrows=53, ncols=81)
+
+
+class TestPlainFormulations:
+    """The priors reproduce the plain formulations of ``oracles`` bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 299])
+    @pytest.mark.parametrize("grid", [Grid(), ODD_GRID], ids=["default", "odd"])
+    def test_kde2d(self, n, grid):
+        # n runs across numpy's 8-way unroll and its 128-element pairwise
+        # block, so a change in the order of a cell's row sum shows
+        rng = np.random.default_rng(2000 + n)
+        xy = rng.uniform((grid.west, grid.south), (grid.east, grid.north), size=(n, 2))
+        np.testing.assert_array_equal(kde2d(xy, grid).weights, kde2d_direct(xy, grid))
+
+    @pytest.mark.parametrize("grid", [Grid(), ODD_GRID], ids=["default", "odd"])
+    def test_kde2d_tightly_packed(self, grid):
+        # the bandwidth falls to its dx/2, dy/2 floor and most cells underflow
+        rng = np.random.default_rng(2400)
+        xy = np.array([[340.3, 4361.7]]) + rng.normal(0.0, 0.01, size=(40, 2))
+        h = np.std(xy, axis=0, ddof=1) * len(xy) ** (-1.0 / 6.0)
+        assert np.all(h < [grid.dx / 2.0, grid.dy / 2.0])
+        weights = kde2d(xy, grid).weights
+        assert np.count_nonzero(weights == 0.0) > grid.ncells // 2
+        np.testing.assert_array_equal(weights, kde2d_direct(xy, grid))
+
+    def test_kde2d_bandwidth_given(self):
+        rng = np.random.default_rng(2401)
+        xy = rng.uniform((310.0, 4340.0), (390.0, 4390.0), size=(50, 2))
+        np.testing.assert_array_equal(
+            kde2d(xy, ODD_GRID, bandwidth=(3.7, 0.6)).weights,
+            kde2d_direct(xy, ODD_GRID, bandwidth=(3.7, 0.6)),
+        )
+
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("n", [3, 8, 9, 40, 129, 299])
+    def test_density_1d(self, kind, n):
+        lo, hi = PRIORS[kind].support
+        rng = np.random.default_rng(2500 + n)
+        samples = rng.gamma(2.0, 0.1 * (hi - lo) / 2.0, size=n) + lo
+        np.testing.assert_array_equal(
+            bounded_density_1d(samples, lo, hi, kind=kind).density,
+            density_1d_direct(samples, lo, hi),
+        )
+
+    def test_density_1d_underflow(self):
+        # coincident samples put the bandwidth on its floor, so all but a
+        # few nodes of each kernel underflow to exactly zero
+        samples = [4.0, 4.0, 4.0, 4.0001, 140.0]
+        density = bounded_density_1d(samples, 0.0, 150.0).density
+        assert np.count_nonzero(density == 0.0) > 400
+        np.testing.assert_array_equal(density, density_1d_direct(samples, 0.0, 150.0))
+
+    def test_donor_statistics(self, monkeypatch):
+        import geoprofile.priors as priors
+
+        series, labels = _awkward_donors()
+        samples = {}
+        estimate = priors._estimate
+
+        def record(kind, values):
+            samples[kind] = list(values)
+            return estimate(kind, values)
+
+        monkeypatch.setattr(priors, "_estimate", record)
+        built = build_prior_set(Dataset(tuple(series)), "x", labels, Grid())
+
+        donors = [s for s in series if s.offender_id != "x"]
+        expected = {kind: [] for kind in PRIORS}
+        for s in donors:
+            stats = donor_stats_direct(s)
+            group = labels[s.offender_id].kind.value if stats["resident"] else "NONRES"
+            for kind, row in PRIORS.items():
+                value = stats[row.statistic]
+                if group in row.groups and value is not None:
+                    expected[kind].append(value)
+        assert samples == expected
+        anchors = [(s.anchor.easting, s.anchor.northing) for s in donors]
+        np.testing.assert_array_equal(built.anchor.weights, kde2d_direct(anchors, Grid()))
+        assert [is_nonresident(s) for s in series] == [
+            not donor_stats_direct(s)["resident"] for s in series
+        ]
+
+
+def _awkward_donors():
+    """Donors with 1 to 130 sites, crimes on the anchor, exactly 10 km out
+    and far away, labelled M1 and M2 in turn; "x" is left out."""
+    rng = np.random.default_rng(2600)
+    series, labels = [], {}
+    counts = [1, 2, 3, 2, 1, *range(3, 131, 3), 128, 129, 130, 8, 9, 16]
+    for i, n in enumerate(counts):
+        # on a 1/64 km lattice, so a site 10 km south differs by exactly 10
+        anchor = tuple(np.round(rng.uniform((320.0, 4340.0), (380.0, 4390.0)) * 64.0) / 64.0)
+        radius = (1.5, 6.0, 18.0)[i % 3]
+        ang = rng.uniform(0.0, TWO_PI, size=n)
+        rad = rng.uniform(0.7, 1.3, size=n) * radius
+        offsets = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+        if i % 4 == 1:
+            offsets[0] = 0.0  # a crime on the anchor has no bearing
+        if i % 7 == 2:
+            offsets[-1] = (0.0, -10.0)  # exactly NONRESIDENT_MIN_KM away
+        oid = "x" if i == 5 else f"d{i}"
+        series.append(_series(oid, anchor, offsets))
+        labels[oid] = SubtypeLabel((SubtypeKind.M1, SubtypeKind.M2)[i % 2])
+    # a lone site on the anchor: no bearing at all, so no angle statistics
+    series.append(_series("on_anchor", (350.0, 4360.0), [(0.0, 0.0)]))
+    labels["on_anchor"] = SubtypeLabel(SubtypeKind.M2)
+    return series, labels
