@@ -10,6 +10,7 @@ unknown at classification time, so residency itself is not decided here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,19 @@ def _nearest(d: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array, bit for bit, from one sort: the middle
+    value, or the mean of the two middle values for an even length; NaN
+    if any value is NaN (the sort puts NaN last)."""
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):
+        return math.nan
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _components(d: np.ndarray, cutoff: float) -> list[frozenset[int]]:
     """Clusters of a pairwise matrix at the cutoff, as ``detect_clusters``."""
     if cutoff <= 0.0:
@@ -145,7 +159,7 @@ def classify(
     clusters = _components(d, cluster_cutoff_km)
     coverage = sum(len(c) for c in clusters) / len(xy)
     if (
-        float(np.median(_nearest(d))) <= nn_threshold_km
+        _median(_nearest(d)) <= nn_threshold_km
         and len(clusters) == 1
         and len(clusters[0]) / len(xy) >= single_cluster_coverage
     ):

@@ -213,8 +213,9 @@ def cmd_classify(config: RunConfig, args) -> int:
     return 0
 
 
-def _cell_centers(grid: Grid) -> list[list[float]]:
-    """Row-major cell centers as Python floats, so ``repr`` prints plain numbers.
+def _cell_centers(grid: Grid) -> tuple[list[float], list[float]]:
+    """Column eastings and row northings as Python floats, so ``repr``
+    prints plain numbers.
 
     Centers grow monotonically with row and column, so checking the two
     corner cells rejects any grid with a center outside the zone's UTM
@@ -222,16 +223,17 @@ def _cell_centers(grid: Grid) -> list[list[float]]:
     """
     cell_center(grid, 0, 0)
     cell_center(grid, grid.nrows - 1, grid.ncols - 1)
-    return grid.centers.tolist()
+    return grid.east_centers.tolist(), grid.north_centers.tolist()
 
 
 def write_surface_csv(surface: PosteriorSurface, path) -> None:
-    grid = surface.grid
+    eastings, northings = _cell_centers(surface.grid)
+    # each center is formatted once, not once per cell
+    heads = [f",{col},{easting!r}," for col, easting in enumerate(eastings)]
     lines = ["row,col,easting,northing,mass"]
-    masses = surface.mass.ravel().tolist()
-    for k, (easting, northing) in enumerate(_cell_centers(grid)):
-        row, col = divmod(k, grid.ncols)
-        lines.append(f"{row},{col},{easting!r},{northing!r},{masses[k]!r}")
+    for row, (northing, masses) in enumerate(zip(northings, surface.mass.tolist())):
+        tail = f"{northing!r},"
+        lines += [f"{row}{head}{tail}{mass!r}" for head, mass in zip(heads, masses)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -248,18 +250,16 @@ def write_surface_pgm(surface: PosteriorSurface, path) -> None:
 def write_surface_sidecar(
     surface: PosteriorSurface, offender_id: str, method: MethodId, subtype: str, path
 ) -> None:
-    grid = surface.grid
-    centers = _cell_centers(grid)
+    eastings, northings = _cell_centers(surface.grid)
     top = []
     for rank, (row, col) in enumerate(rank_cells(surface)[:20], start=1):
-        easting, northing = centers[row * grid.ncols + col]
         top.append(
             {
                 "rank": rank,
                 "row": row,
                 "col": col,
-                "easting": easting,
-                "northing": northing,
+                "easting": eastings[col],
+                "northing": northings[row],
                 "mass": float(surface.mass[row, col]),
             }
         )
@@ -354,11 +354,10 @@ def cmd_evaluate(config: RunConfig, args) -> int:
 
 
 def cmd_emit_grid(config: RunConfig, args) -> int:
-    grid = config.grid
+    eastings, northings = _cell_centers(config.grid)
     lines = ["row,col,easting,northing"]
-    for k, (easting, northing) in enumerate(_cell_centers(grid)):
-        row, col = divmod(k, grid.ncols)
-        lines.append(f"{row},{col},{easting!r},{northing!r}")
+    for row, northing in enumerate(northings):
+        lines += [f"{row},{col},{easting!r},{northing!r}" for col, easting in enumerate(eastings)]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

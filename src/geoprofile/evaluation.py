@@ -93,8 +93,8 @@ def _ranking(surface: PosteriorSurface) -> np.ndarray:
 
 def rank_cells(surface: PosteriorSurface) -> list[tuple[int, int]]:
     """All cells, best first; deterministic under ties."""
-    ncols = surface.grid.ncols
-    return [divmod(int(k), ncols) for k in _ranking(surface)]
+    rows, cols = np.divmod(_ranking(surface), surface.grid.ncols)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def search_fraction(

@@ -167,7 +167,7 @@ def kde2d(points, grid: Grid, bandwidth: tuple[float, float] | None = None) -> A
     """Gaussian product-kernel density of donor anchors at the cell centers.
 
     Per-axis Silverman bandwidth sigma_j * n^(-1/6) unless overridden;
-    coincident donors fall back to a 1 m floor so the surface stays finite.
+    either is floored at half a cell so the surface stays finite.
     """
     xy = as_xy(points)
     if len(xy) < 2:
@@ -181,14 +181,23 @@ def kde2d(points, grid: Grid, bandwidth: tuple[float, float] | None = None) -> A
     # donors underflow every center to exactly zero
     h = np.maximum(h, [grid.dx / 2.0, grid.dy / 2.0])
 
-    centers = grid.centers
-    de = (centers[:, 0][:, None] - xy[None, :, 0]) / h[0]
-    dn = (centers[:, 1][:, None] - xy[None, :, 1]) / h[1]
-    weights = np.exp(-0.5 * (de * de + dn * dn)).sum(axis=1)
+    # Row-factored, and bit-identical to exp(-0.5 * (de² + dn²)) summed over
+    # the donors of each cell: scaling by 0.5 is exact, so the two halves
+    # add to the same exponent, and each cell still sums one contiguous
+    # N-vector in numpy's pairwise order.
+    de = (grid.east_centers[:, None] - xy[None, :, 0]) / h[0]
+    dn = (grid.north_centers[:, None] - xy[None, :, 1]) / h[1]
+    half_e = -0.5 * (de * de)  # (ncols, N)
+    half_n = -0.5 * (dn * dn)  # (nrows, N)
+    kernel = np.empty_like(half_e)
+    weights = np.empty((grid.nrows, grid.ncols))
+    for row, half_row in enumerate(half_n):
+        np.exp(np.add(half_e, half_row, out=kernel), out=kernel)
+        weights[row] = kernel.sum(axis=1)
     total = weights.sum()
     if total <= 0.0:
         raise InsufficientDataError("all donor mass fell outside the grid")
-    return AnchorPrior(grid, (weights / total).reshape(grid.nrows, grid.ncols))
+    return AnchorPrior(grid, weights / total)
 
 
 def flat_anchor_prior(grid: Grid) -> AnchorPrior:
@@ -220,7 +229,10 @@ def bounded_density_1d(
     nodes = np.linspace(lo, hi, TABLE_NODES)
     mirrored = np.concatenate([samples, 2.0 * lo - samples, 2.0 * hi - samples])
     u = (nodes[:, None] - mirrored[None, :]) / h
-    density = np.exp(-0.5 * u * u).sum(axis=1)
+    exponent = -0.5 * u * u
+    # exp is exactly 0.0 below about -745.13, and numpy's underflow path
+    # costs 15-100x a plain lane, so lanes at or below -746 stay 0.0 unread
+    density = np.exp(exponent, out=np.zeros_like(exponent), where=exponent > -746.0).sum(axis=1)
     density /= np.trapezoid(density, nodes)
     return ParamPrior(kind=kind, lo=lo, hi=hi, nodes=nodes, density=density)
 
@@ -262,24 +274,55 @@ def is_nonresident(series) -> bool:
     """
     if series.anchor is None:
         raise ValueError("residency needs a known anchor")
-    return not _donor_stats(series)["resident"]
+    return not _donor_stats([series])[0]["resident"]
 
 
-def _donor_stats(series) -> dict:
-    """Residency and the statistics ``PRIORS`` names; None if too few sites."""
-    xy = series.xy
-    anchor = np.array([series.anchor.easting, series.anchor.northing])
-    d = xy - anchor
+_STATISTICS = ("mean_dist", "mean_angle", "std_radii", "std_angles")
+
+
+def _ragged_rows(counts: np.ndarray):
+    """Per distinct count n: the rows with n entries, and the (k, n) index of
+    their entries in a flat array that holds every row back to back."""
+    starts = np.cumsum(counts) - counts
+    for n in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == n)
+        yield n, rows, starts[rows, None] + np.arange(n)
+
+
+def _donor_stats(donors) -> list[dict]:
+    """Per donor, residency and the statistics ``PRIORS`` names; None where
+    there are too few sites. Bearings leave out crimes on the anchor.
+
+    All donors go through one pass: every reduction runs along the rows of
+    a (k, n) stack of the donors with n sites (or n bearings), so each
+    value is the one a donor's own length-n array would give.
+    """
+    counts = np.array([s.n for s in donors])
+    anchors = np.array([(s.anchor.easting, s.anchor.northing) for s in donors])
+    d = np.concatenate([s.xy for s in donors]) - np.repeat(anchors, counts, axis=0)
     radii = np.hypot(d[:, 0], d[:, 1])
     nonzero = radii > 0.0
     angles = np.arctan2(d[nonzero, 1], d[nonzero, 0]) % TWO_PI
-    return {
-        "resident": bool(radii.min() <= NONRESIDENT_MIN_KM),
-        "mean_dist": float(radii.mean()),
-        "mean_angle": float(angles.mean()) if len(angles) else None,
-        "std_radii": float(np.std(radii, ddof=1)) if len(radii) > 1 else None,
-        "std_angles": float(np.std(angles, ddof=1)) if len(angles) > 1 else None,
-    }
+    owner = np.repeat(np.arange(len(donors)), counts)
+    bearings = np.bincount(owner[nonzero], minlength=len(donors))
+
+    # object columns, so a statistic a donor lacks stays None
+    stats = {name: np.full(len(donors), None, dtype=object) for name in _STATISTICS}
+    stats["resident"] = np.empty(len(donors), dtype=bool)
+    for n, rows, index in _ragged_rows(counts):
+        stack = radii[index]
+        stats["resident"][rows] = stack.min(axis=1) <= NONRESIDENT_MIN_KM
+        stats["mean_dist"][rows] = stack.mean(axis=1)
+        if n > 1:
+            stats["std_radii"][rows] = stack.std(axis=1, ddof=1)
+    for n, rows, index in _ragged_rows(bearings):
+        stack = angles[index]
+        if n > 0:
+            stats["mean_angle"][rows] = stack.mean(axis=1)
+        if n > 1:
+            stats["std_angles"][rows] = stack.std(axis=1, ddof=1)
+    columns = {name: values.tolist() for name, values in stats.items()}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _estimate(kind: PriorKind, samples: list[float]) -> ParamPrior:
@@ -308,29 +351,25 @@ def build_prior_set(
     """
     if excluded_offender not in ds.offender_ids():
         raise KeyError(f"unknown offender id {excluded_offender!r}")
-    anchors = []
+    donors = [s for s in ds.series if s.offender_id != excluded_offender]
+    if len(donors) < 2:
+        raise InsufficientDataError(
+            "leave-one-out donor set too small to build an anchor prior"
+        )
+    if any(s.anchor is None for s in donors):
+        raise InsufficientDataError("every donor series needs a known anchor")
     samples: dict[PriorKind, list[float]] = {kind: [] for kind in PRIORS}
-    for series in ds.series:
-        if series.offender_id == excluded_offender:
-            continue
-        if series.anchor is None:
-            raise InsufficientDataError("every donor series needs a known anchor")
-        anchors.append(series.anchor)
-        stats = _donor_stats(series)
+    for series, stats in zip(donors, _donor_stats(donors)):
         label = subtype_labels[series.offender_id]
         group = label.kind.value if stats["resident"] else "NONRES"
         for kind, row in PRIORS.items():
             value = stats[row.statistic]
             if group in row.groups and value is not None:
                 samples[kind].append(value)
-    if len(anchors) < 2:
-        raise InsufficientDataError(
-            "leave-one-out donor set too small to build an anchor prior"
-        )
 
     params = {kind: _estimate(kind, vals) for kind, vals in samples.items()}
     return PriorSet(
-        anchor=kde2d(anchors, grid),
+        anchor=kde2d([s.anchor for s in donors], grid),
         params=MappingProxyType(params),
-        source_offender_count=len(anchors),
+        source_offender_count=len(donors),
     )

@@ -170,6 +170,35 @@ class TestSharedMatrix:
         assert classify(sites).kind is SubtypeKind.M1
 
 
+class TestMedian:
+    """``_median`` gives ``np.median``'s value bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_numpy(self, n):
+        rng = np.random.default_rng(4000 + n)
+        values = rng.gamma(2.0, 1.5, size=n)
+        values[: n // 3] = values[n - 1]  # ties, the largest among them
+        rng.shuffle(values)
+        assert classify_module._median(values) == float(np.median(values))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_all_tied(self, n):
+        values = np.full(n, 0.1 + 0.2)
+        assert classify_module._median(values) == float(np.median(values))
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_nan(self, n):
+        values = np.arange(1.0, n + 1.0)
+        values[n // 2] = math.nan
+        assert math.isnan(float(np.median(values)))
+        assert math.isnan(classify_module._median(values))
+
+    def test_input_kept(self):
+        values = np.array([3.0, 1.0, 2.0, 5.0])
+        classify_module._median(values)
+        np.testing.assert_array_equal(values, [3.0, 1.0, 2.0, 5.0])
+
+
 class TestSubtypeLabel:
     def test_m3_requires_clusters(self):
         with pytest.raises(ValueError):
