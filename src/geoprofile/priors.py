@@ -277,9 +277,6 @@ def is_nonresident(series) -> bool:
     return not _donor_stats([series])[0]["resident"]
 
 
-_STATISTICS = ("mean_dist", "mean_angle", "std_radii", "std_angles")
-
-
 def _ragged_rows(counts: np.ndarray):
     """Per distinct count n: the rows with n entries, and the (k, n) index of
     their entries in a flat array that holds every row back to back."""
@@ -306,9 +303,10 @@ def _donor_stats(donors) -> list[dict]:
     owner = np.repeat(np.arange(len(donors)), counts)
     bearings = np.bincount(owner[nonzero], minlength=len(donors))
 
-    # object columns, so a statistic a donor lacks stays None
-    stats = {name: np.full(len(donors), None, dtype=object) for name in _STATISTICS}
-    stats["resident"] = np.empty(len(donors), dtype=bool)
+    stats = {"resident": np.empty(len(donors), dtype=bool)}
+    for name in ("mean_dist", "mean_angle", "std_radii", "std_angles"):
+        # an object column, so a statistic a donor lacks stays None
+        stats[name] = np.full(len(donors), None, dtype=object)
     for n, rows, index in _ragged_rows(counts):
         stack = radii[index]
         stats["resident"][rows] = stack.min(axis=1) <= NONRESIDENT_MIN_KM

@@ -193,11 +193,6 @@ class TestMedian:
         assert math.isnan(float(np.median(values)))
         assert math.isnan(classify_module._median(values))
 
-    def test_input_kept(self):
-        values = np.array([3.0, 1.0, 2.0, 5.0])
-        classify_module._median(values)
-        np.testing.assert_array_equal(values, [3.0, 1.0, 2.0, 5.0])
-
 
 class TestSubtypeLabel:
     def test_m3_requires_clusters(self):
