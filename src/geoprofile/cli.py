@@ -357,7 +357,9 @@ def cmd_emit_grid(config: RunConfig, args) -> int:
     eastings, northings = _cell_centers(config.grid)
     lines = ["row,col,easting,northing"]
     for row, northing in enumerate(northings):
-        lines += [f"{row},{col},{easting!r},{northing!r}" for col, easting in enumerate(eastings)]
+        lines += [
+            f"{row},{col},{easting!r},{northing!r}" for col, easting in enumerate(eastings)
+        ]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

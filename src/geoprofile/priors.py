@@ -232,7 +232,8 @@ def bounded_density_1d(
     exponent = -0.5 * u * u
     # exp is exactly 0.0 below about -745.13, and numpy's underflow path
     # costs 15-100x a plain lane, so lanes at or below -746 stay 0.0 unread
-    density = np.exp(exponent, out=np.zeros_like(exponent), where=exponent > -746.0).sum(axis=1)
+    density = np.exp(exponent, out=np.zeros_like(exponent), where=exponent > -746.0)
+    density = density.sum(axis=1)
     density /= np.trapezoid(density, nodes)
     return ParamPrior(kind=kind, lo=lo, hi=hi, nodes=nodes, density=density)
 
@@ -314,9 +315,10 @@ def _donor_stats(donors) -> list[dict]:
         if n > 1:
             stats["std_radii"][rows] = stack.std(axis=1, ddof=1)
     for n, rows, index in _ragged_rows(bearings):
+        if n == 0:
+            continue
         stack = angles[index]
-        if n > 0:
-            stats["mean_angle"][rows] = stack.mean(axis=1)
+        stats["mean_angle"][rows] = stack.mean(axis=1)
         if n > 1:
             stats["std_angles"][rows] = stack.std(axis=1, ddof=1)
     columns = {name: values.tolist() for name, values in stats.items()}
