@@ -402,7 +402,7 @@ class TestRunMethod:
         with pytest.raises(ValueError):
             run_method(series, MethodId.ROSSMO, SubtypeLabel(SubtypeKind.M1), PRIORS, GRID)
 
-    @pytest.mark.parametrize("kind", [SubtypeKind.M1, SubtypeKind.M3])
+    @pytest.mark.parametrize("kind", [SubtypeKind.M1, SubtypeKind.M2, SubtypeKind.M3])
     def test_component_posteriors_computed_once(self, kind, monkeypatch):
         import geoprofile.engine as engine
 
@@ -413,9 +413,14 @@ class TestRunMethod:
         else:
             rng = np.random.default_rng(303)
             series, label = _two_cluster_series(rng, (345.0, 4355.0), (358.0, 4368.0))
-            # two shared cluster components; one buffer model per variant
-            # (variant b's is NONRES) plus the non-resident surface
-            expected = {Family.M1: 2, Family.M2: 1, Family.NONRES: 2}
+            # one buffer model per variant (variant b's is NONRES) plus the
+            # non-resident surface; an M3 label adds two shared cluster
+            # components
+            expected = {Family.M2: 1, Family.NONRES: 2}
+            if kind is SubtypeKind.M2:
+                label = SubtypeLabel(SubtypeKind.M2)
+            else:
+                expected[Family.M1] = 2
         calls = Counter()
         original = engine.posterior_surface
 

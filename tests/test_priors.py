@@ -212,8 +212,9 @@ class TestBuildPriorSet:
     def test_unknown_excluded_offender(self):
         rng = np.random.default_rng(83)
         ds, labels = _population(rng)
-        with pytest.raises(KeyError, match="nope"):
+        with pytest.raises(KeyError) as excinfo:
             build_prior_set(ds, "nope", labels, Grid())
+        assert excinfo.value.args == ("unknown offender id 'nope'",)
 
     def test_donor_groups_route_statistics(self, monkeypatch):
         import geoprofile.priors as priors
