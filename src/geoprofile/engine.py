@@ -340,46 +340,12 @@ def m3_surface(
     """Clustered residents: one no-buffer model per cluster plus one buffer model.
 
     Each cluster contributes a no-buffer surface whose evidence is just
-    that cluster's sites; the buffer surface (the ring family, as in the
-    *a* methods) sees all sites. The R component models weigh equally.
+    that cluster's sites; the buffer surface (the ring family of the ``1a``
+    row) sees all sites. The R component models weigh equally.
     """
     if label.kind is not SubtypeKind.M3:
         raise ValueError("m3_surface requires an M3 label with clusters")
-    return _resident_surfaces(series, label, priors, grid, [_RING])[0]
-
-
-def _resident_surfaces(
-    series: CrimeSeries,
-    label: SubtypeLabel,
-    priors: PriorSet,
-    grid: Grid,
-    buffers: Sequence[ModelSpec],
-    quadrature: Mapping[str, int] | None = None,
-) -> list[PosteriorSurface]:
-    """Resident surface per buffer model, each component posterior computed once.
-
-    An M1 label has no buffer zone, so every buffer model gets the same
-    surface, and an M3 label's per-cluster no-buffer components are shared
-    by every buffer model. An M3 surface weighs its cluster and buffer
-    components equally.
-    """
-    if not buffers:
-        return []
-    m1_spec = ModelSpec(Family.M1, quadrature=quadrature)
-    if label.kind is SubtypeKind.M1:
-        return [posterior_surface(series, m1_spec, priors, grid)] * len(buffers)
-    surfaces = [
-        posterior_surface(series, replace(buffer, quadrature=quadrature), priors, grid)
-        for buffer in buffers
-    ]
-    if label.kind is SubtypeKind.M2:
-        return surfaces
-    clusters = [
-        posterior_surface(series.restrict(cluster), m1_spec, priors, grid)
-        for cluster in label.clusters
-    ]
-    weights = [1.0 / (len(clusters) + 1)] * (len(clusters) + 1)
-    return [multimodel_combine([*clusters, surface], weights) for surface in surfaces]
+    return run_method(series, MethodId.ONE_A, label, priors, grid)
 
 
 def method_surfaces(
@@ -391,23 +357,40 @@ def method_surfaces(
     nonres_weight: float = NONRES_WEIGHT_FROM_FREQUENCIES,
     quadrature: Mapping[str, int] | None = None,
 ) -> dict[MethodId, PosteriorSurface]:
-    """Surfaces for several methods at once, sharing component posteriors."""
+    """Surfaces for several methods at once, each component posterior computed once.
+
+    The resident surface follows the label. An M1 label has no buffer
+    zone, so every method shares one M1 surface. Otherwise each buffer
+    model family gets one surface on all sites. An M3 label blends each
+    of those equally with one M1 surface per cluster, fitted to that
+    cluster's sites and shared by every buffer model. The non-resident
+    surface is computed once, and only if some method weighs it.
+    """
     if any(m not in METHODS for m in methods):
         raise ValueError("the hit-score baseline is not a posterior method")
     rows = {m: METHODS[m] for m in methods}
+    if not rows:
+        return {}
+
+    def surface(spec: ModelSpec, part: CrimeSeries = series) -> PosteriorSurface:
+        return posterior_surface(part, replace(spec, quadrature=quadrature), priors, grid)
+
+    m1 = ModelSpec(Family.M1)
     # one buffer model per family: a spec holding prior_kinds cannot be hashed
     buffers = {row.buffer.family: row.buffer for row in rows.values()}
-    resident = _resident_surfaces(series, label, priors, grid, [*buffers.values()], quadrature)
-    resident = dict(zip(buffers, resident))
+    if label.kind is SubtypeKind.M1:
+        resident = dict.fromkeys(buffers, surface(m1))
+    else:
+        resident = {family: surface(buffer) for family, buffer in buffers.items()}
+    if label.kind is SubtypeKind.M3:
+        clusters = [surface(m1, series.restrict(cluster)) for cluster in label.clusters]
+        equal = [1.0 / (len(clusters) + 1)] * (len(clusters) + 1)
+        resident = {f: multimodel_combine([*clusters, s], equal) for f, s in resident.items()}
     weights = {
         m: nonres_weight if row.nonres_weight is None else row.nonres_weight
         for m, row in rows.items()
     }
-    nonres = None
-    if any(weights.values()):
-        nonres = posterior_surface(
-            series, ModelSpec(Family.NONRES, quadrature=quadrature), priors, grid
-        )
+    nonres = surface(ModelSpec(Family.NONRES)) if any(weights.values()) else None
     out = {}
     for method, w in weights.items():
         base = resident[rows[method].buffer.family]

@@ -29,7 +29,7 @@ from geoprofile.engine import (
 )
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, locate_cell
-from geoprofile.priors import build_prior_set, is_nonresident
+from geoprofile.priors import InsufficientDataError, build_prior_set, is_nonresident
 from geoprofile.rossmo import hit_score_surface
 
 __all__ = [
@@ -192,9 +192,10 @@ def compare_methods(
     """Full pipeline over a dataset: classify, leave-one-out priors,
     per-method surfaces, search fractions, accumulation curves.
 
-    Per-offender domain failures (anchor outside the grid, too few donors
-    for a prior, out-of-range parameters, a degenerate surface) are
-    recorded and skipped; any other exception is a defect and propagates.
+    Per-offender domain failures are recorded and skipped: no anchor, an
+    anchor outside the grid, too few donors for the leave-one-out priors,
+    a posterior that underflows in every cell, a hit score that is not
+    finite. Any other exception is a defect and propagates.
     A repeated method is scored once. A ``nonres_weight`` outside [0, 1]
     and a bad ``quadrature`` (a parameter no family has, a count below 1)
     are the caller's errors and raise before any offender is scored.
@@ -246,14 +247,14 @@ def compare_methods(
                     nonres_weight,
                     quadrature,
                 )
-            except (ValueError, DegenerateSurfaceError) as exc:
+            except (InsufficientDataError, DegenerateSurfaceError) as exc:
                 logger.warning("offender %s: posterior methods failed: %s", oid, exc)
                 for m in bayes_methods:
                     report.failures.append(FailureRecord(oid, m.value, str(exc)))
         if MethodId.ROSSMO in methods:
             try:
                 surfaces[MethodId.ROSSMO] = hit_score_surface(series, grid)
-            except ValueError as exc:
+            except ValueError as exc:  # decay scores that overflow leave no finite surface
                 logger.warning("offender %s: hit-score baseline failed: %s", oid, exc)
                 report.failures.append(
                     FailureRecord(oid, MethodId.ROSSMO.value, str(exc))

@@ -275,7 +275,7 @@ def is_nonresident(series) -> bool:
     """
     if series.anchor is None:
         raise ValueError("residency needs a known anchor")
-    return not _donor_stats([series])[0]["resident"]
+    return not _donor_stats([series])["resident"][0]
 
 
 def _ragged_rows(counts: np.ndarray):
@@ -287,9 +287,10 @@ def _ragged_rows(counts: np.ndarray):
         yield n, rows, starts[rows, None] + np.arange(n)
 
 
-def _donor_stats(donors) -> list[dict]:
-    """Per donor, residency and the statistics ``PRIORS`` names; None where
-    there are too few sites. Bearings leave out crimes on the anchor.
+def _donor_stats(donors) -> dict[str, np.ndarray]:
+    """Columns in donor order: the bool ``resident`` and the statistics
+    ``PRIORS`` names, NaN where a donor has too few sites. Bearings leave
+    out crimes on the anchor.
 
     All donors go through one pass: every reduction runs along the rows of
     a (k, n) stack of the donors with n sites (or n bearings), so each
@@ -306,8 +307,7 @@ def _donor_stats(donors) -> list[dict]:
 
     stats = {"resident": np.empty(len(donors), dtype=bool)}
     for name in ("mean_dist", "mean_angle", "std_radii", "std_angles"):
-        # an object column, so a statistic a donor lacks stays None
-        stats[name] = np.full(len(donors), None, dtype=object)
+        stats[name] = np.full(len(donors), np.nan)
     for n, rows, index in _ragged_rows(counts):
         stack = radii[index]
         stats["resident"][rows] = stack.min(axis=1) <= NONRESIDENT_MIN_KM
@@ -321,11 +321,10 @@ def _donor_stats(donors) -> list[dict]:
         stats["mean_angle"][rows] = stack.mean(axis=1)
         if n > 1:
             stats["std_angles"][rows] = stack.std(axis=1, ddof=1)
-    columns = {name: values.tolist() for name, values in stats.items()}
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return stats
 
 
-def _estimate(kind: PriorKind, samples: list[float]) -> ParamPrior:
+def _estimate(kind: PriorKind, samples: np.ndarray) -> ParamPrior:
     if len(samples) < 3:
         logger.warning(
             "no usable donors for %s prior (%d sample(s)); falling back to flat",
@@ -344,13 +343,12 @@ def build_prior_set(
 ) -> PriorSet:
     """Priors from every offender except the examined one.
 
-    Each donor feeds every kind whose ``PRIORS`` row names its group, in
-    donor order. A kind with fewer than 3 donor samples falls back to a
-    flat prior with a warning. An unknown ``excluded_offender`` raises
-    KeyError.
+    Each donor feeds, in donor order, every kind whose ``PRIORS`` row
+    names its group and whose statistic it has. A kind with fewer than 3
+    donor samples falls back to a flat prior with a warning. An unknown
+    ``excluded_offender`` raises KeyError.
     """
-    if excluded_offender not in ds.offender_ids():
-        raise KeyError(f"unknown offender id {excluded_offender!r}")
+    ds.get(excluded_offender)  # KeyError for an unknown id
     donors = [s for s in ds.series if s.offender_id != excluded_offender]
     if len(donors) < 2:
         raise InsufficientDataError(
@@ -358,16 +356,13 @@ def build_prior_set(
         )
     if any(s.anchor is None for s in donors):
         raise InsufficientDataError("every donor series needs a known anchor")
-    samples: dict[PriorKind, list[float]] = {kind: [] for kind in PRIORS}
-    for series, stats in zip(donors, _donor_stats(donors)):
-        label = subtype_labels[series.offender_id]
-        group = label.kind.value if stats["resident"] else "NONRES"
-        for kind, row in PRIORS.items():
-            value = stats[row.statistic]
-            if group in row.groups and value is not None:
-                samples[kind].append(value)
-
-    params = {kind: _estimate(kind, vals) for kind, vals in samples.items()}
+    stats = _donor_stats(donors)
+    labels = [subtype_labels[s.offender_id].kind.value for s in donors]
+    group = np.where(stats["resident"], labels, "NONRES")
+    params = {}
+    for kind, row in PRIORS.items():
+        values = stats[row.statistic]
+        params[kind] = _estimate(kind, values[np.isin(group, row.groups) & ~np.isnan(values)])
     return PriorSet(
         anchor=kde2d([s.anchor for s in donors], grid),
         params=MappingProxyType(params),

@@ -266,9 +266,42 @@ class TestCompareMethods:
         monkeypatch.setattr(evaluation, "method_surfaces", broken)
         with pytest.raises(TypeError, match="broken call"):
             compare_methods(mini_dataset, [MethodId.ONE_A], Scope.ALL, grid=GRID)
+
+        def defect(*args, **kwargs):
+            raise ValueError("simulated defect")
+
+        # a ValueError is not a domain failure of the posterior step either
+        monkeypatch.setattr(evaluation, "method_surfaces", defect)
+        with pytest.raises(ValueError, match="simulated defect"):
+            compare_methods(mini_dataset, [MethodId.ONE_A], Scope.ALL, grid=GRID)
         monkeypatch.setattr(evaluation, "hit_score_surface", broken)
         with pytest.raises(TypeError, match="broken call"):
             compare_methods(mini_dataset, [MethodId.ROSSMO], Scope.ALL, grid=GRID)
+
+    def test_too_few_donors_recorded_per_method(self, mini_dataset):
+        # one donor cannot make an anchor prior; the hit score needs none
+        ds = Dataset(mini_dataset.series[:2])
+        report = compare_methods(ds, list(MethodId), Scope.ALL, grid=GRID)
+        posterior = [m for m in MethodId if m is not MethodId.ROSSMO]
+        assert sorted((f.offender_id, f.method) for f in report.failures) == sorted(
+            (s.offender_id, m.value) for s in ds.series for m in posterior
+        )
+        assert all("donor set too small" in f.message for f in report.failures)
+        assert [(r.offender_id, r.method) for r in report.results] == [
+            (s.offender_id, MethodId.ROSSMO) for s in ds.series
+        ]
+
+    # numpy warns on the overflow; outside the test suite it does not raise
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_hit_score_recorded(self):
+        # crimes 1e-300 km apart on the equator, one on the only cell
+        # center: a buffer radius of 5e-301 km overflows the decay scores
+        sites = tuple(UtmPoint(18, 500.0, y) for y in (0.0, 1e-300, 2e-300))
+        ds = Dataset((CrimeSeries("eq", sites, UtmPoint(18, 500.0, 0.1)),))
+        grid = Grid(west=499.5, east=500.5, south=-0.5, north=0.5, nrows=1, ncols=1)
+        report = compare_methods(ds, [MethodId.ROSSMO], Scope.ALL, grid=grid)
+        assert report.results == []
+        assert [(f.offender_id, f.method) for f in report.failures] == [("eq", "rossmo")]
 
 
 class TestResidency:
