@@ -4,7 +4,11 @@ These integrate densities numerically without using any closed-form
 normalizer, so they stay independent of the code paths they check.
 """
 
+import math
+
 import numpy as np
+
+from geoprofile import geodesy
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,3 +147,25 @@ def surface_csv_direct(surface):
         row, col = divmod(k, grid.ncols)
         lines.append(f"{row},{col},{easting!r},{northing!r},{masses[k]!r}")
     return "\n".join(lines) + "\n"
+
+
+def latlon_to_utm_direct(lat, lon, zone):
+    """UTM easting and northing in km of one point in ``zone``: the Krueger
+    series one ``math`` call at a time, as the plain formulation of
+    ``geoprofile.geodesy.latlon_to_utm``."""
+    phi = math.radians(lat)
+    # wrap to (-pi, pi] so zones far from the point still project
+    lam = math.remainder(math.radians(lon - geodesy.central_meridian(zone)), TWO_PI)
+    sphi = math.sin(phi)
+    t = math.sinh(math.atanh(sphi) - geodesy._E * math.atanh(geodesy._E * sphi))
+    xi = math.atan2(t, math.cos(lam))
+    eta = math.asinh(math.sin(lam) / math.hypot(t, math.cos(lam)))
+    x, y = xi, eta
+    for j, a in enumerate(geodesy._ALPHA, start=1):
+        x += a * math.sin(2 * j * xi) * math.cosh(2 * j * eta)
+        y += a * math.cos(2 * j * xi) * math.sinh(2 * j * eta)
+    k = geodesy.SCALE * geodesy._RECT_RADIUS_M / 1000.0
+    northing = k * x
+    if lat < 0.0:
+        northing += geodesy.FALSE_NORTHING_SOUTH_KM
+    return k * y + geodesy.FALSE_EASTING_KM, northing

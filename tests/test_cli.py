@@ -14,7 +14,7 @@ from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid
 from geoprofile.models import M1Params, M2Params
 from geoprofile.synthetic import SyntheticScenario, sample_series, series_to_utm_csv
-from oracles import surface_csv_direct
+from oracles import latlon_to_utm_direct, surface_csv_direct
 
 CANONICAL_HEADER = (
     "offender_id,crime_id,ucr_code,crime_lat,crime_lon,anchor_lat,anchor_lon"
@@ -81,6 +81,29 @@ class TestConvert:
         fields = out[1].split(",")
         assert fields[7] == "18"
         assert 300.0 < float(fields[8]) < 400.0
+
+    def test_coordinates_within_tolerance(self, tmp_path, capsys):
+        # the Krueger series to 1e-9 km, in the configured zone 18 even
+        # for points whose nominal zone is 17 or 19
+        rng = np.random.default_rng(12)
+        points = rng.uniform((38.0, -79.0), (40.0, -71.0), size=(12, 2)).tolist()
+        rows = [
+            f"o{i // 4},{i},0624,{lat!r},{lon!r},{points[i // 4 * 4][0]!r},"
+            f"{points[i // 4 * 4][1]!r}"
+            for i, (lat, lon) in enumerate(points)
+        ]
+        assert main(["convert", str(_geo_csv(tmp_path, rows))]) == 0
+        out = _csv_rows(capsys.readouterr().out)[1:]
+        assert len(out) == 12
+        for fields in out:
+            assert fields[7] == "18"
+            for lat, lon, easting, northing in (
+                (fields[3], fields[4], fields[8], fields[9]),
+                (fields[5], fields[6], fields[10], fields[11]),
+            ):
+                want = latlon_to_utm_direct(float(lat), float(lon), 18)
+                assert abs(float(easting) - want[0]) <= 1e-9
+                assert abs(float(northing) - want[1]) <= 1e-9
 
     def test_empty_file(self, tmp_path, capsys):
         src = _geo_csv(tmp_path, [])

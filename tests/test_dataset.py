@@ -209,6 +209,21 @@ class TestGroupIntoSeries:
         with pytest.raises(DataError, match="anchor"):
             read_dataset(_csv(*rows))
 
+    def test_polar_crime_names_its_offender(self):
+        rows = [_row("a", f"c{i}", 39.30 + 0.001 * i, -76.61) for i in range(3)]
+        rows += [_row("b", f"d{i}", 39.20, -76.51) for i in range(2)]
+        rows += [_row("b", "d2", 85.0, -76.51), _row("c", "e0", 39.2, -76.5)]
+        with pytest.raises(DataError, match="offender b: latitude 85.0 outside"):
+            read_dataset(_csv(*rows))
+
+    def test_easting_outside_forced_zone_names_its_offender(self):
+        # 24 degrees west of zone 18's central meridian is west of easting 0
+        rows = [_row("a", f"c{i}", 39.30 + 0.001 * i, -76.61) for i in range(3)]
+        rows += [_row("b", f"d{i}", 39.20, -76.51) for i in range(3)]
+        rows[4] = _row("b", "d1", 39.20, -99.0)
+        with pytest.raises(DataError, match="offender b: easting -.* km outside"):
+            read_dataset(_csv(*rows))
+
     def test_roundtrip_preserves_series(self):
         rng = np.random.default_rng(31)
         rows = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tm
+from oracles import latlon_to_utm_direct
 from geoprofile.geodesy import (
     GeoPoint,
     OutOfRangeError,
@@ -106,6 +107,33 @@ class TestForwardProjection:
     def test_southern_hemisphere_false_northing(self):
         p = latlon_to_utm(GeoPoint(-33.9, 18.4))
         assert p.northing > 6000.0  # false northing applied
+
+
+def _sample(rng, lo, hi, size, forced):
+    return [(lat, lon, forced) for lat, lon in rng.uniform(lo, hi, (size, 2)).tolist()]
+
+
+# (lat, lon, forced zone): the forced zone 18 around Baltimore, the nominal
+# zone anywhere in the UTM domain, and the southern hemisphere
+_RNG = np.random.default_rng(20261018)
+KRUEGER_SAMPLE = (
+    _sample(_RNG, (38.0, -79.0), (40.0, -71.0), 200, 18)
+    + _sample(_RNG, (-84.0, -180.0), (84.0, 180.0), 200, None)
+    + _sample(_RNG, (-84.0, -180.0), (0.0, 180.0), 100, None)
+)
+
+
+class TestKruegerSeries:
+    """The projection agrees with the series evaluated one ``math`` call at
+    a time within 1e-9 km, the tolerance that ``convert`` output keeps."""
+
+    def test_against_plain_formulation(self):
+        for lat, lon, forced in KRUEGER_SAMPLE:
+            p = latlon_to_utm(GeoPoint(lat, lon), forced_zone=forced)
+            assert p.zone == (forced or utm_zone(lon))
+            easting, northing = latlon_to_utm_direct(lat, lon, p.zone)
+            assert abs(p.easting - easting) <= 1e-9
+            assert abs(p.northing - northing) <= 1e-9
 
 
 @settings(max_examples=50, deadline=None)

@@ -137,15 +137,26 @@ class TestHitScoreSurface:
 class TestBitIdentity:
     """``hit_score_surface`` reproduces the plain formulation bit for bit."""
 
-    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize(
+        "n", [*range(2, 18), 33, 127, 128, 129, 255, 256, 300]
+    )
     def test_random_series(self, n):
-        # n runs across numpy's 8-element pairwise-summation block, so a
-        # change in the order of a cell's row sum shows
+        # n runs across numpy's summation blocks (sequential below 8, eight
+        # accumulators up to 128, halves above), so a change in the order of
+        # a cell's row sum shows
         rng = np.random.default_rng(1000 + n)
         series = _series(rng.uniform((332.0, 4347.0), (368.0, 4378.0), size=(n, 2)))
         params = RossmoParams(b=buffer_radius(series))
         np.testing.assert_array_equal(
             hit_score_surface(series, GRID).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    def test_single_crime(self):
+        series = _series([(351.7, 4362.2)])
+        params = RossmoParams(b=1.3)
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID, params).mass,
             hit_score_direct(series, GRID, params),
         )
 
