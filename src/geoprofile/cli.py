@@ -178,11 +178,13 @@ def _write_text(path, text: str) -> None:
 
 def cmd_convert(config: RunConfig, args) -> int:
     records = parse_records(Path(args.input).read_text(encoding="utf-8"))
-    zone = config.grid.zone
+    # one projection pass: each record's crime site, then its anchor
+    projected = latlon_to_utm(
+        [p for r in records for p in (r.crime_site, r.anchor)],
+        forced_zone=config.grid.zone,
+    )
     rows = []
-    for r in records:
-        crime = latlon_to_utm(r.crime_site, forced_zone=zone)
-        anchor = latlon_to_utm(r.anchor, forced_zone=zone)
+    for r, crime, anchor in zip(records, projected[::2], projected[1::2]):
         rows.append(
             (
                 r.offender_id,

@@ -241,13 +241,15 @@ def _same_place(a, b) -> bool:
     return a == b
 
 
-def _in_zone(point, zone: int) -> UtmPoint | None:
-    """Project a geographic point into ``zone``; a planar one must be in it."""
-    if isinstance(point, GeoPoint):
-        return latlon_to_utm(point, forced_zone=zone)
-    if point is not None and point.zone != zone:
-        raise OutOfRangeError(f"zone {point.zone} is not the configured zone {zone}")
-    return point
+def _on_zone(points: list, zone: int) -> list:
+    """``points``, all of one layout, on ``zone``: geographic ones projected
+    into it by one ``latlon_to_utm`` call, planar ones checked to be in it."""
+    if points and isinstance(points[0], GeoPoint):
+        return latlon_to_utm(points, forced_zone=zone)
+    for point in points:
+        if point is not None and point.zone != zone:
+            raise OutOfRangeError(f"zone {point.zone} is not the configured zone {zone}")
+    return points
 
 
 def _group(rows, zone: int) -> Dataset:
@@ -256,7 +258,8 @@ def _group(rows, zone: int) -> Dataset:
     for offender_id, _, _, site, anchor in rows:
         by_offender.setdefault(offender_id, []).append((site, anchor))
 
-    series = []
+    # each kept offender's sites, then its anchor
+    kept = []
     for offender_id, points in by_offender.items():
         anchor = points[0][1]
         if any(a is not anchor and not _same_place(a, anchor) for _, a in points):
@@ -267,10 +270,23 @@ def _group(rows, zone: int) -> Dataset:
                 offender_id, len(points), MIN_SERIES_LENGTH,
             )
             continue
-        try:
-            sites = tuple(_in_zone(site, zone) for site, _ in points)
-            anchor = _in_zone(anchor, zone)
-        except OutOfRangeError as exc:
-            raise DataError(f"offender {offender_id}: {exc}") from exc
-        series.append(CrimeSeries(offender_id, sites, anchor))
+        kept.append((offender_id, [*(site for site, _ in points), anchor]))
+
+    try:
+        on_zone = _on_zone([p for _, points in kept for p in points], zone)
+    except OutOfRangeError:
+        # name the first offender with a point off the zone
+        for offender_id, points in kept:
+            try:
+                _on_zone(points, zone)
+            except OutOfRangeError as exc:
+                raise DataError(f"offender {offender_id}: {exc}") from exc
+        raise
+
+    series = []
+    stop = 0
+    for offender_id, points in kept:
+        start, stop = stop, stop + len(points)
+        sites, anchor = on_zone[start : stop - 1], on_zone[stop - 1]
+        series.append(CrimeSeries(offender_id, tuple(sites), anchor))
     return Dataset(tuple(series))

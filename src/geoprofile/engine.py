@@ -147,7 +147,8 @@ def check_quadrature(quadrature: Mapping[str, int] | None) -> None:
 
 
 class DegenerateSurfaceError(RuntimeError):
-    """Every cell underflowed; the posterior carries no information."""
+    """The surface carries no information: a posterior that underflowed in
+    every cell, or hit scores without a finite positive sum."""
 
 
 @dataclass(frozen=True)

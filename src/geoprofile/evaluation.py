@@ -194,8 +194,8 @@ def compare_methods(
 
     Per-offender domain failures are recorded and skipped: no anchor, an
     anchor outside the grid, too few donors for the leave-one-out priors,
-    a posterior that underflows in every cell, a hit score that is not
-    finite. Any other exception is a defect and propagates.
+    a posterior that underflows in every cell, hit scores without a finite
+    positive sum. Any other exception is a defect and propagates.
     A repeated method is scored once. A ``nonres_weight`` outside [0, 1]
     and a bad ``quadrature`` (a parameter no family has, a count below 1)
     are the caller's errors and raise before any offender is scored.
@@ -254,7 +254,7 @@ def compare_methods(
         if MethodId.ROSSMO in methods:
             try:
                 surfaces[MethodId.ROSSMO] = hit_score_surface(series, grid)
-            except ValueError as exc:  # decay scores that overflow leave no finite surface
+            except DegenerateSurfaceError as exc:
                 logger.warning("offender %s: hit-score baseline failed: %s", oid, exc)
                 report.failures.append(
                     FailureRecord(oid, MethodId.ROSSMO.value, str(exc))

@@ -2,14 +2,19 @@
 
 Forward transverse Mercator on the WGS84 ellipsoid via the Krueger
 series in the third flattening n (conformal latitude, then a trig series
-to the n^6 terms), so in-zone accuracy is far below a meter. Results are
-kept in kilometers: every travel-distance parameter downstream is in km.
+to the n^6 terms), so in-zone accuracy is far below a meter. The series
+is written once, over numpy arrays: a call projects all of its points in
+one pass. Results are kept in kilometers: every travel-distance
+parameter downstream is in km.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "GeoPoint",
@@ -100,39 +105,65 @@ def central_meridian(zone: int) -> float:
     return zone * 6.0 - 183.0
 
 
-def latlon_to_utm(p: GeoPoint, forced_zone: int | None = None) -> UtmPoint:
-    """Project a geographic point to UTM kilometers.
+def _krueger(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
+    """Easting and northing in km of points in their zones: the Krueger
+    series, one numpy pass over all the points."""
+    phi = np.radians(lat)
+    lam = np.radians(lon - central_meridian(zone))
+    # wrap to [-pi, pi] as math.remainder does, so forced zones far from
+    # the point still project: fmod is exact, and so is moving a remainder
+    # past pi by one turn
+    lam = np.fmod(lam, 2.0 * math.pi)
+    lam[lam > math.pi] -= 2.0 * math.pi
+    lam[lam < -math.pi] += 2.0 * math.pi
 
-    With ``forced_zone`` the projection uses that zone's central meridian
-    even for points that nominally belong to a neighbouring zone, so one
-    jurisdiction can share a single planar frame.
-    """
-    if abs(p.lat) > 84.0:
-        raise OutOfRangeError(f"latitude {p.lat} outside UTM domain [-84, 84]")
-    if forced_zone is not None and not 1 <= forced_zone <= 60:
-        raise OutOfRangeError(f"forced zone {forced_zone} outside [1, 60]")
-    zone = forced_zone if forced_zone is not None else utm_zone(p.lon)
-
-    phi = math.radians(p.lat)
-    lam = math.radians(p.lon - central_meridian(zone))
-    # wrap to (-pi, pi] so forced zones far from the point still project
-    lam = math.remainder(lam, 2.0 * math.pi)
-
-    sphi = math.sin(phi)
+    sphi = np.sin(phi)
     # conformal latitude, expressed through its tangent
-    t = math.sinh(math.atanh(sphi) - _E * math.atanh(_E * sphi))
-    xi = math.atan2(t, math.cos(lam))
-    eta = math.asinh(math.sin(lam) / math.hypot(t, math.cos(lam)))
+    t = np.sinh(np.arctanh(sphi) - _E * np.arctanh(_E * sphi))
+    xi = np.arctan2(t, np.cos(lam))
+    eta = np.arcsinh(np.sin(lam) / np.hypot(t, np.cos(lam)))
 
-    x = xi
-    y = eta
+    x = xi.copy()
+    y = eta.copy()
     for j, a in enumerate(_ALPHA, start=1):
-        x += a * math.sin(2 * j * xi) * math.cosh(2 * j * eta)
-        y += a * math.cos(2 * j * xi) * math.sinh(2 * j * eta)
+        x += a * np.sin(2 * j * xi) * np.cosh(2 * j * eta)
+        y += a * np.cos(2 * j * xi) * np.sinh(2 * j * eta)
 
     k = SCALE * _RECT_RADIUS_M / 1000.0
     easting = k * y + FALSE_EASTING_KM
     northing = k * x
-    if p.lat < 0.0:
-        northing += FALSE_NORTHING_SOUTH_KM
-    return UtmPoint(zone=zone, easting=easting, northing=northing)
+    northing[lat < 0.0] += FALSE_NORTHING_SOUTH_KM
+    return easting, northing
+
+
+def latlon_to_utm(
+    p: GeoPoint | Sequence[GeoPoint], forced_zone: int | None = None
+) -> UtmPoint | list[UtmPoint]:
+    """Project a geographic point to UTM kilometers; a sequence of points
+    gives the list of their projections, from one pass of the series.
+
+    With ``forced_zone`` the projection uses that zone's central meridian
+    even for points that nominally belong to a neighbouring zone, so one
+    jurisdiction can share a single planar frame. A point outside the UTM
+    domain raises OutOfRangeError, the first such point of a sequence.
+    """
+    if isinstance(p, GeoPoint):
+        return latlon_to_utm((p,), forced_zone)[0]
+    if forced_zone is not None and not 1 <= forced_zone <= 60:
+        raise OutOfRangeError(f"forced zone {forced_zone} outside [1, 60]")
+    lat = np.array([q.lat for q in p], dtype=float)
+    lon = np.array([q.lon for q in p], dtype=float)
+    if forced_zone is None:
+        zones = [utm_zone(q.lon) for q in p]
+    else:
+        zones = [forced_zone] * len(lat)
+    # points past 84 degrees raise below; clipped, they keep the series finite
+    easting, northing = _krueger(
+        np.clip(lat, -84.0, 84.0), lon, np.array(zones, dtype=float)
+    )
+    out = []
+    for q, zone, e, n in zip(p, zones, easting.tolist(), northing.tolist()):
+        if abs(q.lat) > 84.0:
+            raise OutOfRangeError(f"latitude {q.lat} outside UTM domain [-84, 84]")
+        out.append(UtmPoint(zone, e, n))
+    return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from geoprofile.classify import nn_distances
 from geoprofile.dataset import CrimeSeries
-from geoprofile.engine import PosteriorSurface
+from geoprofile.engine import DegenerateSurfaceError, PosteriorSurface
 from geoprofile.grid import Grid
 
 __all__ = [
@@ -65,15 +65,47 @@ def rossmo_decay(d, p: RossmoParams):
     if np.any(d_arr < 0.0):
         raise ValueError("distance must be >= 0")
     flat = d_arr.ravel()
-    # the far branch everywhere, then the few distances inside the buffer
-    # patched over it; those may first divide by zero (a crime on a cell
-    # center) or overflow (a denormal power)
-    out = flat**p.h
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(p.k, out, out=out)
     near = np.flatnonzero(flat <= p.b)
-    out[near] = p.k * p.b ** (p.g - p.h) / (2.0 * p.b - flat[near]) ** p.g
+    # the far branch everywhere, then the few distances inside the buffer
+    # patched over it; either may divide by zero (a crime on a cell center,
+    # a power that underflows) or overflow (a denormal power), which leaves
+    # inf for the caller to judge
+    with np.errstate(divide="ignore", over="ignore"):
+        out = flat**p.h
+        np.divide(p.k, out, out=out)
+        out[near] = p.k * p.b ** (p.g - p.h) / (2.0 * p.b - flat[near]) ** p.g
     return float(out[0]) if np.ndim(d) == 0 else out.reshape(d_arr.shape)
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of ``x``, bit for bit as numpy's
+    ``sum(axis=1)`` adds the same values laid out as the rows of ``x.T``.
+
+    numpy's pairwise summation of a contiguous row: sequential below 8
+    values; up to 128, eight accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above
+    that, the two halves split at a multiple of 8, each summed the same
+    way. Here each of those adds is one column add, in place in ``x``;
+    the sums land in ``x[0]``, which is returned.
+    """
+    n = len(x)
+    if n < 8:
+        for i in range(1, n):
+            x[0] += x[i]
+    elif n <= 128:
+        blocks = n - n % 8
+        for i in range(8, blocks, 8):
+            x[:8] += x[i : i + 8]
+        x[0:8:2] += x[1:8:2]
+        x[0:8:4] += x[2:8:4]
+        x[0] += x[4]
+        for i in range(blocks, n):
+            x[0] += x[i]
+    else:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_sum(x[:half])
+        x[0] += _pairwise_sum(x[half:])
+    return x[0]
 
 
 def hit_score_surface(
@@ -97,13 +129,18 @@ def hit_score_surface(
                 fallback,
             )
             params = RossmoParams(b=fallback)
-    # |de| per column plus |dn| per row on (nrows, ncols, n): row-major
-    # cells, each holding its crimes in series order. Filling every row with
-    # the |de| block, then adding |dn|, beats one broadcast add.
+    # crime-major distances, (n, nrows, ncols), so each crime's scores are
+    # one contiguous row of cells: |de| per column, then |dn| per row added
+    # (filling, then adding, beats one broadcast add)
     xy = series.xy
-    d = np.empty((grid.nrows, grid.ncols, len(xy)))
-    d[...] = np.abs(grid.east_centers[:, None] - xy[:, 0])
-    d += np.abs(grid.north_centers[:, None, None] - xy[:, 1])
-    scores = rossmo_decay(d.reshape(grid.ncells, len(xy)), params).sum(axis=1)
+    d = np.empty((len(xy), grid.nrows, grid.ncols))
+    d[...] = np.abs(grid.east_centers - xy[:, :1])[:, None, :]
+    d += np.abs(grid.north_centers - xy[:, 1:])[:, :, None]
+    # each cell's crimes summed in the order of numpy's row sum
+    scores = _pairwise_sum(rossmo_decay(d.reshape(len(xy), grid.ncells), params))
     total = scores.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        raise DegenerateSurfaceError(
+            f"hit scores sum to {total}; surface carries no information"
+        )
     return PosteriorSurface(grid, (scores / total).reshape(grid.nrows, grid.ncols))

@@ -277,6 +277,10 @@ class TestCompareMethods:
         monkeypatch.setattr(evaluation, "hit_score_surface", broken)
         with pytest.raises(TypeError, match="broken call"):
             compare_methods(mini_dataset, [MethodId.ROSSMO], Scope.ALL, grid=GRID)
+        # nor of the hit score
+        monkeypatch.setattr(evaluation, "hit_score_surface", defect)
+        with pytest.raises(ValueError, match="simulated defect"):
+            compare_methods(mini_dataset, [MethodId.ROSSMO], Scope.ALL, grid=GRID)
 
     def test_too_few_donors_recorded_per_method(self, mini_dataset):
         # one donor cannot make an anchor prior; the hit score needs none
@@ -291,8 +295,6 @@ class TestCompareMethods:
             (s.offender_id, MethodId.ROSSMO) for s in ds.series
         ]
 
-    # numpy warns on the overflow; outside the test suite it does not raise
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_hit_score_recorded(self):
         # crimes 1e-300 km apart on the equator, one on the only cell
         # center: a buffer radius of 5e-301 km overflows the decay scores
@@ -302,6 +304,7 @@ class TestCompareMethods:
         report = compare_methods(ds, [MethodId.ROSSMO], Scope.ALL, grid=grid)
         assert report.results == []
         assert [(f.offender_id, f.method) for f in report.failures] == [("eq", "rossmo")]
+        assert "hit scores sum to inf" in report.failures[0].message
 
 
 class TestResidency:

@@ -135,6 +135,27 @@ class TestKruegerSeries:
             assert abs(p.easting - easting) <= 1e-9
             assert abs(p.northing - northing) <= 1e-9
 
+    @pytest.mark.parametrize("forced", [18, None])
+    def test_sequence_against_plain_formulation(self, forced):
+        sample = [(lat, lon) for lat, lon, f in KRUEGER_SAMPLE if f == forced]
+        projected = latlon_to_utm([GeoPoint(lat, lon) for lat, lon in sample], forced)
+        assert len(projected) == len(sample)
+        for p, (lat, lon) in zip(projected, sample):
+            assert p.zone == (forced or utm_zone(lon))
+            easting, northing = latlon_to_utm_direct(lat, lon, p.zone)
+            assert abs(p.easting - easting) <= 1e-9
+            assert abs(p.northing - northing) <= 1e-9
+
+    def test_sequence_raises_for_its_first_bad_point(self):
+        good, polar, west = GeoPoint(39.0, -76.6), GeoPoint(85.0, -76.6), GeoPoint(39.0, -99.0)
+        with pytest.raises(OutOfRangeError, match="easting"):
+            latlon_to_utm([good, west, polar], forced_zone=18)
+        with pytest.raises(OutOfRangeError, match="latitude 85.0"):
+            latlon_to_utm([good, polar, west], forced_zone=18)
+
+    def test_empty_sequence(self):
+        assert latlon_to_utm([], forced_zone=18) == []
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from geoprofile.dataset import CrimeSeries
+from geoprofile.engine import DegenerateSurfaceError
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, cell_center
 from geoprofile.rossmo import (
     RossmoParams,
+    _pairwise_sum,
     buffer_radius,
     hit_score_surface,
     rossmo_decay,
@@ -126,12 +128,32 @@ class TestHitScoreSurface:
         surface = hit_score_surface(series, GRID)
         assert np.all(np.isfinite(surface.mass))
 
+    def test_underflowed_buffer_is_degenerate(self):
+        # crimes 1e-300 km apart, one on the only cell center: every decay
+        # score divides by a power that underflows to 0, quietly
+        series = _series([(500.0, y) for y in (0.0, 1e-300, 2e-300)])
+        grid = Grid(west=499.5, east=500.5, south=-0.5, north=0.5, nrows=1, ncols=1)
+        with pytest.raises(DegenerateSurfaceError, match="hit scores sum to inf"):
+            hit_score_surface(series, grid)
+
     def test_coincident_fallback_warns(self, caplog):
         series = _series([(350.0, 4360.0)] * 4)
         with caplog.at_level("WARNING"):
             surface = hit_score_surface(series, GRID)
         assert "falls back" in caplog.text
         assert np.all(np.isfinite(surface.mass))
+
+
+def test_pairwise_sum_replays_numpy_row_sum():
+    # numpy's reduction order, replayed by column adds, for every series
+    # length up to past two 128-value blocks; magnitudes 1e-3 to 1e3 make
+    # any change of order show in the last bits
+    rng = np.random.default_rng(300)
+    values = 10.0 ** rng.uniform(-3.0, 3.0, size=(7000, 300))
+    for n in range(1, 301):
+        rows = np.ascontiguousarray(values[:, :n])
+        got = _pairwise_sum(np.ascontiguousarray(rows.T))
+        assert np.array_equal(got, rows.sum(axis=1)), n
 
 
 class TestBitIdentity:
