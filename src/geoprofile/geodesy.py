@@ -3,9 +3,9 @@
 Forward transverse Mercator on the WGS84 ellipsoid via the Krueger
 series in the third flattening n (conformal latitude, then a trig series
 to the n^6 terms), so in-zone accuracy is far below a meter. The series
-is written once, over numpy arrays: a call projects all of its points in
-one pass. Results are kept in kilometers: every travel-distance
-parameter downstream is in km.
+is written once, over numpy arrays: one call projects a whole file's
+points, a block of them per pass. Results are kept in kilometers: every
+travel-distance parameter downstream is in km.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ _E = math.sqrt(_F * (2.0 - _F))
 SCALE = 0.9996
 FALSE_EASTING_KM = 500.0
 FALSE_NORTHING_SOUTH_KM = 10000.0
+
+# points per array pass of the Krueger series: blocks this small keep its
+# temporary arrays small enough for the allocator to reuse their memory,
+# where one pass over a whole file leaves megabytes of it resident
+_BLOCK_POINTS = 2048
 
 # Krueger series in n = f / (2 - f); coefficients through n^6.
 _N = _F / (2.0 - _F)
@@ -140,7 +145,7 @@ def latlon_to_utm(
     p: GeoPoint | Sequence[GeoPoint], forced_zone: int | None = None
 ) -> UtmPoint | list[UtmPoint]:
     """Project a geographic point to UTM kilometers; a sequence of points
-    gives the list of their projections, from one pass of the series.
+    gives the list of their projections, the series evaluated over arrays.
 
     With ``forced_zone`` the projection uses that zone's central meridian
     even for points that nominally belong to a neighbouring zone, so one
@@ -151,19 +156,21 @@ def latlon_to_utm(
         return latlon_to_utm((p,), forced_zone)[0]
     if forced_zone is not None and not 1 <= forced_zone <= 60:
         raise OutOfRangeError(f"forced zone {forced_zone} outside [1, 60]")
-    lat = np.array([q.lat for q in p], dtype=float)
-    lon = np.array([q.lon for q in p], dtype=float)
-    if forced_zone is None:
-        zones = [utm_zone(q.lon) for q in p]
-    else:
-        zones = [forced_zone] * len(lat)
-    # points past 84 degrees raise below; clipped, they keep the series finite
-    easting, northing = _krueger(
-        np.clip(lat, -84.0, 84.0), lon, np.array(zones, dtype=float)
-    )
     out = []
-    for q, zone, e, n in zip(p, zones, easting.tolist(), northing.tolist()):
-        if abs(q.lat) > 84.0:
-            raise OutOfRangeError(f"latitude {q.lat} outside UTM domain [-84, 84]")
-        out.append(UtmPoint(zone, e, n))
+    for start in range(0, len(p), _BLOCK_POINTS):
+        block = p[start : start + _BLOCK_POINTS]
+        lat = np.array([q.lat for q in block], dtype=float)
+        lon = np.array([q.lon for q in block], dtype=float)
+        if forced_zone is None:
+            zones = [utm_zone(q.lon) for q in block]
+        else:
+            zones = [forced_zone] * len(block)
+        # points past 84 degrees raise below; clipped, they keep the series finite
+        easting, northing = _krueger(
+            np.clip(lat, -84.0, 84.0), lon, np.array(zones, dtype=float)
+        )
+        for q, zone, e, n in zip(block, zones, easting.tolist(), northing.tolist()):
+            if abs(q.lat) > 84.0:
+                raise OutOfRangeError(f"latitude {q.lat} outside UTM domain [-84, 84]")
+            out.append(UtmPoint(zone, e, n))
     return out

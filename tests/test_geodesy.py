@@ -153,6 +153,19 @@ class TestKruegerSeries:
         with pytest.raises(OutOfRangeError, match="latitude 85.0"):
             latlon_to_utm([good, polar, west], forced_zone=18)
 
+    def test_sequence_longer_than_a_block(self):
+        # the series runs over blocks of points; a long file crosses them
+        rng = np.random.default_rng(7)
+        sample = rng.uniform((38.0, -79.0), (40.0, -71.0), size=(5000, 2)).tolist()
+        points = [GeoPoint(lat, lon) for lat, lon in sample]
+        for p, (lat, lon) in zip(latlon_to_utm(points, forced_zone=18), sample):
+            easting, northing = latlon_to_utm_direct(lat, lon, 18)
+            assert abs(p.easting - easting) <= 1e-9
+            assert abs(p.northing - northing) <= 1e-9
+        points[4321] = GeoPoint(-84.5, -76.6)
+        with pytest.raises(OutOfRangeError, match="latitude -84.5"):
+            latlon_to_utm(points, forced_zone=18)
+
     def test_empty_sequence(self):
         assert latlon_to_utm([], forced_zone=18) == []
 
