@@ -258,35 +258,37 @@ def _group(rows, zone: int) -> Dataset:
     for offender_id, _, _, site, anchor in rows:
         by_offender.setdefault(offender_id, []).append((site, anchor))
 
-    # each kept offender's sites, then its anchor
-    kept = []
-    for offender_id, points in by_offender.items():
-        anchor = points[0][1]
-        if any(a is not anchor and not _same_place(a, anchor) for _, a in points):
+    # every kept offender's sites, then its anchor, in one list; spans
+    # holds each offender's slice of it
+    points, spans = [], []
+    for offender_id, pairs in by_offender.items():
+        anchor = pairs[0][1]
+        if any(a is not anchor and not _same_place(a, anchor) for _, a in pairs):
             raise DataError(f"offender {offender_id}: inconsistent anchor coordinates")
-        if len(points) < MIN_SERIES_LENGTH:
+        if len(pairs) < MIN_SERIES_LENGTH:
             logger.warning(
                 "excluding offender %s: only %d crime(s), need %d",
-                offender_id, len(points), MIN_SERIES_LENGTH,
+                offender_id, len(pairs), MIN_SERIES_LENGTH,
             )
             continue
-        kept.append((offender_id, [*(site for site, _ in points), anchor]))
+        start = len(points)
+        points.extend(site for site, _ in pairs)
+        points.append(anchor)
+        spans.append((offender_id, start, len(points)))
 
     try:
-        on_zone = _on_zone([p for _, points in kept for p in points], zone)
+        on_zone = _on_zone(points, zone)
     except OutOfRangeError:
         # name the first offender with a point off the zone
-        for offender_id, points in kept:
+        for offender_id, start, stop in spans:
             try:
-                _on_zone(points, zone)
+                _on_zone(points[start:stop], zone)
             except OutOfRangeError as exc:
                 raise DataError(f"offender {offender_id}: {exc}") from exc
         raise
 
-    series = []
-    stop = 0
-    for offender_id, points in kept:
-        start, stop = stop, stop + len(points)
-        sites, anchor = on_zone[start : stop - 1], on_zone[stop - 1]
-        series.append(CrimeSeries(offender_id, tuple(sites), anchor))
+    series = [
+        CrimeSeries(offender_id, tuple(on_zone[start : stop - 1]), on_zone[stop - 1])
+        for offender_id, start, stop in spans
+    ]
     return Dataset(tuple(series))
