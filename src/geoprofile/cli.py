@@ -178,7 +178,7 @@ def _write_text(path, text: str) -> None:
 
 def cmd_convert(config: RunConfig, args) -> int:
     records = parse_records(Path(args.input).read_text(encoding="utf-8"))
-    # one projection pass: each record's crime site, then its anchor
+    # one projection call: each record's crime site, then its anchor
     projected = latlon_to_utm(
         [p for r in records for p in (r.crime_site, r.anchor)],
         forced_zone=config.grid.zone,

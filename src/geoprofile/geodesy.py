@@ -35,8 +35,8 @@ FALSE_EASTING_KM = 500.0
 FALSE_NORTHING_SOUTH_KM = 10000.0
 
 # points per array pass of the Krueger series: blocks this small keep its
-# temporary arrays small enough for the allocator to reuse their memory,
-# where one pass over a whole file leaves megabytes of it resident
+# temporary arrays small enough for the allocator to reuse their memory;
+# one pass over a 19,000-point file left more of it resident
 _BLOCK_POINTS = 2048
 
 # Krueger series in n = f / (2 - f); coefficients through n^6.
@@ -112,7 +112,7 @@ def central_meridian(zone: int) -> float:
 
 def _krueger(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
     """Easting and northing in km of points in their zones: the Krueger
-    series, one numpy pass over all the points."""
+    series, one numpy pass over the given points."""
     phi = np.radians(lat)
     lam = np.radians(lon - central_meridian(zone))
     # wrap to [-pi, pi] as math.remainder does, so forced zones far from
