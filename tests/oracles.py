@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from geoprofile import geodesy
+from geoprofile import engine, geodesy
 
 TWO_PI = 2.0 * np.pi
 
@@ -169,3 +169,52 @@ def latlon_to_utm_direct(lat, lon, zone):
     if lat < 0.0:
         northing += geodesy.FALSE_NORTHING_SOUTH_KM
     return k * y + geodesy.FALSE_EASTING_KM, northing
+
+
+def _sum_stats_direct(x, count):
+    """(cells, 4) per-cell [sum x^2, sum x, count, 1], summed along rows."""
+    cells = len(x)
+    return np.column_stack(
+        [(x * x).sum(axis=1), x.sum(axis=1), np.broadcast_to(count, cells), np.ones(cells)]
+    )
+
+
+def _log_quad_direct(stats, coeffs):
+    """Floored node log-sum-exp of one (cells, nodes) array, summed along rows."""
+    vals = stats @ coeffs
+    peak = vals.max(axis=1)
+    vals -= np.where(np.isfinite(peak), peak, 0.0)[:, None]
+    np.maximum(vals, engine.LOG_SUM_EXP_FLOOR, out=vals)
+    np.exp(vals, out=vals)
+    return np.log(vals.sum(axis=1)) + peak - math.log(coeffs.shape[1])
+
+
+def log_marginal_likelihood_direct(series, spec, priors, grid):
+    """Per-cell log quadrature sum, flattened row-major, laid out cell-major.
+
+    The plain formulation of ``geoprofile.engine._log_marginal_likelihood``:
+    offsets ``(ncells, n, 2)`` from every cell center, each cell's crimes
+    summed along the rows of a ``(ncells, n)`` array and each cell's nodes
+    along the rows of a ``(ncells, nodes)`` array, so the result is the bit
+    pattern that the engine must keep.
+    """
+    xy = series.xy
+    n = len(xy)
+    d = grid.centers[:, None, :] - xy[None, :, :]
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    on_anchor = r < engine.ANCHOR_COINCIDENCE_KM
+    log_mass = 0.0
+    for block in engine.FAMILIES[spec.family]:
+        if block.scalar == "r":
+            stats = _sum_stats_direct(np.where(on_anchor, engine.ANCHOR_NUDGE_KM, r), n)
+        else:
+            phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
+            phi = np.where(on_anchor | (phi >= TWO_PI), 0.0, phi)
+            stats = _sum_stats_direct(phi, n - on_anchor.sum(axis=1))
+        nodes = np.meshgrid(
+            *(engine._quadrature_nodes(spec, p.name, priors) for p in block.params),
+            indexing="ij",
+        )
+        mu, s, log_norm = block.gaussian(*(x.ravel() for x in nodes))
+        log_mass += _log_quad_direct(stats, engine._gaussian_coeffs(n, mu, s, log_norm))
+    return log_mass

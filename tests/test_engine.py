@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from geoprofile.classify import SubtypeKind, SubtypeLabel
-from geoprofile.dataset import CrimeSeries
+from geoprofile.dataset import CrimeSeries, Dataset
 from geoprofile.engine import (
     DegenerateSurfaceError,
     Family,
     MethodId,
     ModelSpec,
     PosteriorSurface,
+    _log_marginal_likelihood,
     _log_quad,
     _normalize_log_mass,
     m3_surface,
@@ -23,7 +24,8 @@ from geoprofile.engine import (
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, locate_cell
 from geoprofile.models import M1Params, M2Params, NonResParams, m1_density, m2_density, nonres_density
-from geoprofile.priors import PriorKind, flat_prior_set
+from geoprofile.priors import PriorKind, build_prior_set, flat_prior_set
+from oracles import log_marginal_likelihood_direct
 
 GRID = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=35, ncols=40)
 PRIORS = flat_prior_set(GRID)
@@ -548,6 +550,116 @@ class TestLogQuad:
         np.testing.assert_array_equal(
             _log_quad(stats, coeffs), self._reference(stats, coeffs)
         )
+
+
+def _loo_priors(grid):
+    """Leave-one-out priors as the pipeline builds them, from mixed donors:
+    compact residents, ring residents and far commuters with a bearing."""
+    rng = np.random.default_rng(500)
+    donors, labels = [], {}
+    for i in range(15):
+        anchor = rng.uniform((335.0, 4350.0), (365.0, 4375.0))
+        radius = (0.8, 5.0, 18.0)[i % 3]
+        angles = rng.uniform(0.0, 2.0 * math.pi, 6) if i % 3 < 2 else rng.normal(0.8, 0.2, 6)
+        radii = rng.normal(radius, 0.2 * radius, 6).clip(0.1)
+        offsets = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        donors.append(_series(anchor + offsets, anchor=anchor, offender=f"o{i}"))
+        labels[f"o{i}"] = SubtypeLabel(SubtypeKind.M1 if i % 3 == 0 else SubtypeKind.M2)
+    return build_prior_set(Dataset(tuple(donors)), "o0", labels, grid)
+
+
+class TestLayoutOracle:
+    """``_log_marginal_likelihood`` against its cell-major formulation in
+    ``tests/oracles.py``, bit for bit, across numpy's summation blocks over
+    crimes and over nodes, every family and prior kind, crimes on and in
+    line with cell centres, and grids of unequal, single-row and
+    single-column cells."""
+
+    UNEVEN = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=28, ncols=50)
+    ROW = Grid(west=330.0, east=370.0, south=4360.0, north=4361.5, nrows=1, ncols=60)
+    COLUMN = Grid(west=349.0, east=350.25, south=4345.0, north=4380.0, nrows=45, ncols=1)
+    SPECS = (ModelSpec(Family.M1), ModelSpec(Family.M2), ModelSpec(Family.NONRES), _DIRECTIONAL)
+
+    @staticmethod
+    def _check(series, spec, priors, grid):
+        got = _log_marginal_likelihood(series, spec, priors, grid)
+        np.testing.assert_array_equal(
+            got, log_marginal_likelihood_direct(series, spec, priors, grid)
+        )
+        return got
+
+    @staticmethod
+    def _aligned_sites(grid, rng, n):
+        """Random sites, then one on a cell centre and one exactly due east,
+        west, north and south of a centre (zero offsets of either sign)."""
+        col, row = rng.integers(grid.ncols), rng.integers(grid.nrows)
+        e, nn = grid.east_centers[col], grid.north_centers[row]
+        lo = (grid.west + 0.1, grid.south + 0.1)
+        hi = (grid.east - 0.1, grid.north - 0.1)
+        aligned = [(e, nn), (e + 1.7, nn), (e - 2.3, nn), (e, nn + 1.1), (e, nn - 0.6)]
+        return np.vstack([rng.uniform(lo, hi, size=(n, 2)), aligned])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 33, 127, 128, 129])
+    def test_series_lengths(self, n):
+        loo = _loo_priors(GRID)
+        rng = np.random.default_rng(700 + n)
+        series = _series(rng.uniform((332.0, 4347.0), (368.0, 4378.0), size=(n, 2)))
+        for priors in (PRIORS, loo):
+            for spec in self.SPECS:
+                self._check(series, spec, priors, GRID)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(Family.M1, fixed_overrides={"alpha": 2.0}),
+            ModelSpec(Family.M1, quadrature={"alpha": 7}),
+            ModelSpec(Family.M1, quadrature={"alpha": 8}),
+            ModelSpec(Family.M1, quadrature={"alpha": 9}),
+            ModelSpec(Family.M1, quadrature={"alpha": 300}),
+            ModelSpec(Family.M2, quadrature={"alpha": 16, "sigma": 8}),
+            ModelSpec(Family.M2, quadrature={"alpha": 43, "sigma": 3}),
+            ModelSpec(Family.M2, fixed_overrides={"alpha": 4.0, "sigma": 1.0}),
+            ModelSpec(Family.NONRES, quadrature={"alpha": 16, "sigma1": 16, "theta": 32}),
+            ModelSpec(
+                Family.NONRES,
+                quadrature={"alpha": 128, "sigma1": 32, "theta": 128, "sigma2": 32},
+            ),
+            ModelSpec(
+                Family.NONRES,
+                fixed_overrides={"alpha": 12.0, "sigma1": 2.0, "theta": 1.0, "sigma2": 0.5},
+            ),
+        ],
+        ids=["1", "7", "8", "9", "300", "128", "129", "1x1", "256x256", "4096x4096", "1x1x1"],
+    )
+    def test_node_tensors(self, spec):
+        rng = np.random.default_rng(710)
+        loo = _loo_priors(self.UNEVEN)
+        flat = flat_prior_set(self.UNEVEN)
+        for grid in (self.ROW, self.COLUMN):
+            series = _series(self._aligned_sites(grid, rng, 9))
+            self._check(series, spec, flat, grid)
+        series = _series(self._aligned_sites(self.UNEVEN, rng, 9))
+        for priors in (flat, loo):
+            self._check(series, spec, priors, self.UNEVEN)
+
+    @pytest.mark.parametrize("n", [1, 8, 17])
+    def test_sites_on_and_in_line_with_cell_centres(self, n):
+        rng = np.random.default_rng(720 + n)
+        for grid in (Grid(), self.UNEVEN, self.ROW, self.COLUMN):
+            series = _series(self._aligned_sites(grid, rng, n))
+            for spec in self.SPECS:
+                got = self._check(series, spec, flat_prior_set(grid), grid)
+                assert np.all(np.isfinite(got))
+
+    def test_all_cells_underflowed_raises(self):
+        # log 4 alpha^2 overflows, so every cell is -inf at the one node
+        priors = flat_prior_set(GRID, {PriorKind.DISTANCE_M1: (0.0, 1e201)})
+        spec = ModelSpec(Family.M1, fixed_overrides={"alpha": 1e200})
+        series = _series([(350.0, 4360.0), (351.0, 4361.0)])
+        with np.errstate(over="ignore"):
+            assert np.all(self._check(series, spec, priors, GRID) == -np.inf)
+            with pytest.raises(DegenerateSurfaceError, match="underflowed in every cell"):
+                posterior_surface(series, spec, priors, GRID)
 
 
 class TestQuadratureOracle:

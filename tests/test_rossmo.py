@@ -146,14 +146,16 @@ class TestHitScoreSurface:
 
 def test_pairwise_sum_replays_numpy_row_sum():
     # numpy's reduction order, replayed by column adds, for every series
-    # length up to past two 128-value blocks; magnitudes 1e-3 to 1e3 make
-    # any change of order show in the last bits
+    # length up to past two 128-value blocks, then on fewer cells for node
+    # tensors whose halves split again (up to 4096 nodes); magnitudes 1e-3
+    # to 1e3 make any change of order show in the last bits
     rng = np.random.default_rng(300)
-    values = 10.0 ** rng.uniform(-3.0, 3.0, size=(7000, 300))
-    for n in range(1, 301):
-        rows = np.ascontiguousarray(values[:, :n])
-        got = _pairwise_sum(np.ascontiguousarray(rows.T))
-        assert np.array_equal(got, rows.sum(axis=1)), n
+    for cells, lengths in ((7000, range(1, 301)), (64, (511, 512, 513, 1024, 4096))):
+        values = 10.0 ** rng.uniform(-3.0, 3.0, size=(cells, max(lengths)))
+        for n in lengths:
+            rows = np.ascontiguousarray(values[:, :n])
+            got = _pairwise_sum(np.ascontiguousarray(rows.T))
+            assert np.array_equal(got, rows.sum(axis=1)), n
 
 
 class TestBitIdentity:
