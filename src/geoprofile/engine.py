@@ -206,11 +206,43 @@ def _quadrature_nodes(spec: ModelSpec, param: str, priors: PriorSet) -> np.ndarr
     return nodes
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of ``x``, bit for bit as numpy's
+    ``sum(axis=1)`` adds the same values laid out as the rows of ``x.T``.
+
+    numpy's pairwise summation of a contiguous row: sequential below 8
+    values; up to 128, eight accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above
+    that, the two halves split at a multiple of 8, each summed the same
+    way. Here each of those adds is one column add, in place in ``x``;
+    the sums land in ``x[0]``, which is returned.
+    """
+    n = len(x)
+    if n < 8:
+        for i in range(1, n):
+            x[0] += x[i]
+    elif n <= 128:
+        blocks = n - n % 8
+        for i in range(8, blocks, 8):
+            x[:8] += x[i : i + 8]
+        x[0:8:2] += x[1:8:2]
+        x[0:8:4] += x[2:8:4]
+        x[0] += x[4]
+        for i in range(blocks, n):
+            x[0] += x[i]
+    else:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_sum(x[:half])
+        x[0] += _pairwise_sum(x[half:])
+    return x[0]
+
+
 def _sum_stats(x: np.ndarray, count) -> np.ndarray:
-    """(cells, 4) per-cell [sum x^2, sum x, count, 1] of a per-crime scalar."""
-    cells = len(x)
+    """(cells, 4) per-cell [sum x^2, sum x, count, 1] of a per-crime scalar
+    laid out (crimes, cells); ``x`` is summed in place."""
+    cells = x.shape[1]
     return np.column_stack(
-        [(x * x).sum(axis=1), x.sum(axis=1), np.broadcast_to(count, cells), np.ones(cells)]
+        [_pairwise_sum(x * x), _pairwise_sum(x), np.broadcast_to(count, cells), np.ones(cells)]
     )
 
 
@@ -226,15 +258,19 @@ def _gaussian_coeffs(n: int, mu, s, log_norm) -> np.ndarray:
 
 
 def _log_quad(stats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """log of the equal-weight node average of exp(stats @ coeffs), per cell."""
-    vals = stats @ coeffs
-    peak = vals.max(axis=1)
+    """log of the equal-weight node average of exp(stats @ coeffs), per cell.
+
+    The exponents are laid out (nodes, cells), so every pass runs along
+    contiguous cells and the node sum replays numpy's row-sum order.
+    """
+    vals = coeffs.T @ stats.T
+    peak = vals.max(axis=0)
     # a cell that underflowed at every node is shifted by 0, not by -inf
     # (which would give NaN); adding back its -inf peak keeps it -inf
-    vals -= np.where(np.isfinite(peak), peak, 0.0)[:, None]
+    vals -= np.where(np.isfinite(peak), peak, 0.0)
     np.maximum(vals, LOG_SUM_EXP_FLOOR, out=vals)
     np.exp(vals, out=vals)
-    return np.log(vals.sum(axis=1)) + peak - math.log(coeffs.shape[1])
+    return np.log(_pairwise_sum(vals)) + peak - math.log(coeffs.shape[1])
 
 
 def _log_marginal_likelihood(
@@ -244,8 +280,15 @@ def _log_marginal_likelihood(
     the family's block log-quadratures, in FAMILIES order."""
     xy = series.xy
     n = len(xy)
-    d = grid.centers[:, None, :] - xy[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=-1))
+    # crime-major offsets of each crime from the cell centres' columns and
+    # rows: x - c is exactly -(c - x), so squares and bearings match the
+    # cell-major formulation in tests/oracles.py bit for bit
+    ex = xy[:, :1] - grid.east_centers
+    ny = xy[:, 1:] - grid.north_centers
+    r = np.empty((n, grid.nrows, grid.ncols))
+    r[...] = (ex * ex)[:, None, :]
+    r += (ny * ny)[:, :, None]
+    r = np.sqrt(r, out=r).reshape(n, grid.ncells)
     on_anchor = r < ANCHOR_COINCIDENCE_KM
     log_mass = 0.0
     for block in FAMILIES[spec.family]:
@@ -255,9 +298,12 @@ def _log_marginal_likelihood(
             # A crime site exactly on a candidate anchor has no bearing; it is
             # treated as sitting a nominal 1e-6 km away in the preferred
             # direction, which zeroes its bearing residual for every node.
-            phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
-            phi = np.where(on_anchor | (phi >= TWO_PI), 0.0, phi)
-            stats = _sum_stats(phi, n - on_anchor.sum(axis=1))
+            phi = np.arctan2(ny[:, :, None], ex[:, None, :]).reshape(n, grid.ncells)
+            # the turn to [0, 2 pi) as np.mod gives it: -pi on the branch cut
+            # becomes pi and a zero becomes +0.0
+            phi += np.where(phi < 0.0, TWO_PI, 0.0)
+            phi[on_anchor | (phi >= TWO_PI)] = 0.0
+            stats = _sum_stats(phi, n - on_anchor.sum(axis=0))
         nodes = np.meshgrid(
             *(_quadrature_nodes(spec, p.name, priors) for p in block.params),
             indexing="ij",

@@ -18,7 +18,7 @@ import numpy as np
 
 from geoprofile.classify import nn_distances
 from geoprofile.dataset import CrimeSeries
-from geoprofile.engine import DegenerateSurfaceError, PosteriorSurface
+from geoprofile.engine import DegenerateSurfaceError, PosteriorSurface, _pairwise_sum
 from geoprofile.grid import Grid
 
 __all__ = [
@@ -75,37 +75,6 @@ def rossmo_decay(d, p: RossmoParams):
         np.divide(p.k, out, out=out)
         out[near] = p.k * p.b ** (p.g - p.h) / (2.0 * p.b - flat[near]) ** p.g
     return float(out[0]) if np.ndim(d) == 0 else out.reshape(d_arr.shape)
-
-
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sums over the first axis of ``x``, bit for bit as numpy's
-    ``sum(axis=1)`` adds the same values laid out as the rows of ``x.T``.
-
-    numpy's pairwise summation of a contiguous row: sequential below 8
-    values; up to 128, eight accumulators combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above
-    that, the two halves split at a multiple of 8, each summed the same
-    way. Here each of those adds is one column add, in place in ``x``;
-    the sums land in ``x[0]``, which is returned.
-    """
-    n = len(x)
-    if n < 8:
-        for i in range(1, n):
-            x[0] += x[i]
-    elif n <= 128:
-        blocks = n - n % 8
-        for i in range(8, blocks, 8):
-            x[:8] += x[i : i + 8]
-        x[0:8:2] += x[1:8:2]
-        x[0:8:4] += x[2:8:4]
-        x[0] += x[4]
-        for i in range(blocks, n):
-            x[0] += x[i]
-    else:
-        half = n // 2 - (n // 2) % 8
-        _pairwise_sum(x[:half])
-        x[0] += _pairwise_sum(x[half:])
-    return x[0]
 
 
 def hit_score_surface(

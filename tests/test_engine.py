@@ -15,6 +15,7 @@ from geoprofile.engine import (
     _log_marginal_likelihood,
     _log_quad,
     _normalize_log_mass,
+    _pairwise_sum,
     m3_surface,
     method_surfaces,
     multimodel_combine,
@@ -486,6 +487,20 @@ class TestMethodWiring:
             expected = multimodel_combine([resident, nonres], [1.0 - weight, weight])
         got = run_method(series, method, label, PRIORS, GRID, nonres_weight=0.3)
         np.testing.assert_array_equal(got.mass, expected.mass)
+
+
+def test_pairwise_sum_replays_numpy_row_sum():
+    # numpy's reduction order, replayed by column adds, for every series
+    # length up to past two 128-value blocks, then on fewer cells for node
+    # tensors whose halves split again (up to 4096 nodes); magnitudes 1e-3
+    # to 1e3 make any change of order show in the last bits
+    rng = np.random.default_rng(300)
+    for cells, lengths in ((7000, range(1, 301)), (64, (511, 512, 513, 1024, 4096))):
+        values = 10.0 ** rng.uniform(-3.0, 3.0, size=(cells, max(lengths)))
+        for n in lengths:
+            rows = np.ascontiguousarray(values[:, :n])
+            got = _pairwise_sum(np.ascontiguousarray(rows.T))
+            assert np.array_equal(got, rows.sum(axis=1)), n
 
 
 class TestLogQuad:

@@ -9,7 +9,6 @@ from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, cell_center
 from geoprofile.rossmo import (
     RossmoParams,
-    _pairwise_sum,
     buffer_radius,
     hit_score_surface,
     rossmo_decay,
@@ -142,20 +141,6 @@ class TestHitScoreSurface:
             surface = hit_score_surface(series, GRID)
         assert "falls back" in caplog.text
         assert np.all(np.isfinite(surface.mass))
-
-
-def test_pairwise_sum_replays_numpy_row_sum():
-    # numpy's reduction order, replayed by column adds, for every series
-    # length up to past two 128-value blocks, then on fewer cells for node
-    # tensors whose halves split again (up to 4096 nodes); magnitudes 1e-3
-    # to 1e3 make any change of order show in the last bits
-    rng = np.random.default_rng(300)
-    for cells, lengths in ((7000, range(1, 301)), (64, (511, 512, 513, 1024, 4096))):
-        values = 10.0 ** rng.uniform(-3.0, 3.0, size=(cells, max(lengths)))
-        for n in lengths:
-            rows = np.ascontiguousarray(values[:, :n])
-            got = _pairwise_sum(np.ascontiguousarray(rows.T))
-            assert np.array_equal(got, rows.sum(axis=1)), n
 
 
 class TestBitIdentity:
