@@ -25,6 +25,13 @@ square, so the node sweep is a dense array operation, not a per-cell loop.
 A family's tensor sum over all its nodes factorizes exactly into the
 product of its block sums, so the blocks' log-quadratures add.
 
+Grid cells are the contiguous axis throughout: the per-crime scalars are
+laid out (crimes, cells), built from each crime's offsets to the grid's
+columns and rows, and the node exponents (nodes, cells). Each cell's
+crimes and nodes are summed by column adds that replay numpy's row-sum
+order (``_pairwise_sum``), so every surface is bit for bit the cell-major
+formulation, ``log_marginal_likelihood_direct`` in tests/oracles.py.
+
 The methods are data too: METHODS gives each posterior method its
 resident buffer-zone model and the weight of its non-resident surface.
 """

@@ -606,7 +606,8 @@ class TestLayoutOracle:
     @staticmethod
     def _aligned_sites(grid, rng, n):
         """Random sites, then one on a cell centre and one exactly due east,
-        west, north and south of a centre (zero offsets of either sign)."""
+        west, north and south of it: zero offsets, +0.0 crime-major and
+        -0.0 cell-major, and bearings on the branch cut."""
         col, row = rng.integers(grid.ncols), rng.integers(grid.nrows)
         e, nn = grid.east_centers[col], grid.north_centers[row]
         lo = (grid.west + 0.1, grid.south + 0.1)
