@@ -4,11 +4,16 @@ These integrate densities numerically without using any closed-form
 normalizer, so they stay independent of the code paths they check.
 """
 
+import csv
+import io
+import logging
 import math
+from operator import itemgetter
 
 import numpy as np
 
-from geoprofile import engine, geodesy
+from geoprofile import dataset, engine, geodesy
+from geoprofile.geodesy import GeoPoint, OutOfRangeError, UtmPoint
 
 TWO_PI = 2.0 * np.pi
 
@@ -218,3 +223,130 @@ def log_marginal_likelihood_direct(series, spec, priors, grid):
         mu, s, log_norm = block.gaussian(*(x.ravel() for x in nodes))
         log_mass += _log_quad_direct(stats, engine._gaussian_coeffs(n, mu, s, log_norm))
     return log_mass
+
+
+def _geo_point(lat, lon):
+    return GeoPoint(float(lat), float(lon))
+
+
+def _utm_point(zone, easting, northing):
+    return UtmPoint(int(zone), float(easting), float(northing))
+
+
+def _utm_anchor(zone, easting, northing):
+    if not (easting.strip() or northing.strip()):
+        return None
+    return _utm_point(zone, easting, northing)
+
+
+def _row_point(row_num, names, make, cells):
+    try:
+        return make(*cells)
+    except ValueError as exc:
+        raise dataset.RowError(
+            f"row {row_num}: {','.join(names)}={','.join(cells)!r}: {exc}"
+        ) from None
+
+
+_DIRECT_LAYOUTS = {
+    tuple(dataset.CSV_HEADER): (
+        (_geo_point, itemgetter(3, 4)),
+        (_geo_point, itemgetter(5, 6)),
+    ),
+    tuple(dataset.UTM_CSV_HEADER): (
+        (_utm_point, itemgetter(3, 4, 5)),
+        (_utm_anchor, itemgetter(3, 6, 7)),
+    ),
+}
+
+
+def _direct_rows(text):
+    """``(offender_id, site, anchor)`` per data row, one point object per
+    cell group, checked row by row."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise dataset.SchemaError("empty file: expected a header row") from None
+    header = tuple(h.strip().lstrip("\ufeff") for h in header)
+    if header not in _DIRECT_LAYOUTS:
+        expected = " or ".join(",".join(h) for h in _DIRECT_LAYOUTS)
+        raise dataset.SchemaError(
+            f"header mismatch: expected {expected}, got {','.join(header)}"
+        )
+    (make_site, site_of), (make_anchor, anchor_of) = _DIRECT_LAYOUTS[header]
+    site_names, anchor_names = site_of(header), anchor_of(header)
+    for row_num, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise dataset.RowError(
+                f"row {row_num}: expected {len(header)} fields, got {len(row)}"
+            )
+        offender_id = row[0].strip()
+        if not offender_id:
+            raise dataset.RowError(f"row {row_num}: empty offender_id")
+        site = _row_point(row_num, site_names, make_site, site_of(row))
+        anchor = _row_point(row_num, anchor_names, make_anchor, anchor_of(row))
+        yield offender_id, site, anchor
+
+
+def _direct_same_place(a, b):
+    if isinstance(a, GeoPoint):
+        return max(abs(a.lat - b.lat), abs(a.lon - b.lon)) <= dataset.ANCHOR_CONSISTENCY_DEG
+    return a == b
+
+
+def _direct_on_zone(points, zone):
+    if points and isinstance(points[0], GeoPoint):
+        return geodesy.latlon_to_utm(points, forced_zone=zone)
+    for point in points:
+        if point is not None and point.zone != zone:
+            raise OutOfRangeError(f"zone {point.zone} is not the configured zone {zone}")
+    return points
+
+
+def read_dataset_direct(text, zone=18):
+    """``geoprofile.dataset.read_dataset`` written row by row: every row
+    parsed and checked into point objects, grouped by offender in a dict,
+    then all kept points put on ``zone`` by one sequence
+    ``latlon_to_utm`` call. Ids, ``xy`` bits, anchors, the warnings for
+    dropped offenders and the text of every error are what the loader
+    must keep."""
+    by_offender = {}
+    for offender_id, site, anchor in _direct_rows(text):
+        by_offender.setdefault(offender_id, []).append((site, anchor))
+
+    points, spans = [], []
+    for offender_id, pairs in by_offender.items():
+        anchor = pairs[0][1]
+        if any(not _direct_same_place(a, anchor) for _, a in pairs):
+            raise dataset.DataError(f"offender {offender_id}: inconsistent anchor coordinates")
+        if len(pairs) < dataset.MIN_SERIES_LENGTH:
+            logging.getLogger("geoprofile.dataset").warning(
+                "excluding offender %s: only %d crime(s), need %d",
+                offender_id, len(pairs), dataset.MIN_SERIES_LENGTH,
+            )
+            continue
+        start = len(points)
+        points.extend(site for site, _ in pairs)
+        points.append(anchor)
+        spans.append((offender_id, start, len(points)))
+
+    try:
+        on_zone = _direct_on_zone(points, zone)
+    except OutOfRangeError:
+        for offender_id, start, stop in spans:
+            try:
+                _direct_on_zone(points[start:stop], zone)
+            except OutOfRangeError as exc:
+                raise dataset.DataError(f"offender {offender_id}: {exc}") from exc
+        raise
+    return dataset.Dataset(
+        tuple(
+            dataset.CrimeSeries(
+                offender_id, tuple(on_zone[start : stop - 1]), on_zone[stop - 1]
+            )
+            for offender_id, start, stop in spans
+        )
+    )

@@ -14,6 +14,7 @@ from geoprofile.dataset import (
     read_dataset,
 )
 from geoprofile.geodesy import UtmPoint
+from oracles import read_dataset_direct
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -276,3 +277,157 @@ class TestTypes:
             CrimeSeries(
                 "x", (UtmPoint(18, 350.0, 4360.0), UtmPoint(17, 350.0, 4360.0))
             )
+
+
+# bad cells, each a (field index, value) per layout; None where the layout
+# has no such cell
+BAD_CELLS = {
+    "short row": None,
+    "long row": None,
+    "empty id": {"geographic": (0, "  "), "planar": (0, "")},
+    "site text": {"geographic": (3, "oops"), "planar": (5, "4360,5")},
+    "site NaN": {"geographic": (4, "nan"), "planar": (4, "nan")},
+    "site range": {"geographic": (3, "91.0"), "planar": (4, "1000.0")},
+    "site infinite": {"geographic": (4, "-inf"), "planar": (5, "inf")},
+    "zone text": {"planar": (3, "18.0")},
+    "zone range": {"planar": (3, "61")},
+    "other zone": {"planar": (3, "17")},
+    "anchor text": {"geographic": (6, "x"), "planar": (7, "x")},
+    "anchor range": {"geographic": (6, "180.0"), "planar": (6, "0.0")},
+    "anchor half blank": None,
+    "anchor moved": {"geographic": (6, "-76.5"), "planar": (6, "351.25")},
+    "polar site": {"geographic": (3, "84.5")},
+    "far site": {"geographic": (4, "-99.0")},
+    "blank row": None,
+}
+
+
+def _population_rows(layout, rows=3000, seed=5):
+    """``rows`` data rows of offenders with 1-14 crimes each, the short
+    ones dropped on load; one planar offender in seven has blank anchors."""
+    rng = np.random.default_rng(seed)
+    out = []
+    k = 0
+    while len(out) < rows:
+        n = int(rng.integers(1, 15))
+        oid = f"o{k:04d}"
+        if layout == "geographic":
+            alat, alon = rng.uniform(39.2, 39.6), rng.uniform(-77.0, -76.4)
+            for i in range(n):
+                lat, lon = alat + rng.normal(0.0, 0.03), alon + rng.normal(0.0, 0.04)
+                out.append(f"{oid},c{i},0624,{lat!r},{lon!r},{alat!r},{alon!r}")
+        else:
+            ae, an = rng.uniform(320.0, 380.0), rng.uniform(4345.0, 4385.0)
+            anchor = ",," if k % 7 == 3 else f",{ae!r},{an!r}"
+            for i in range(n):
+                e, no = ae + rng.normal(0.0, 3.0), an + rng.normal(0.0, 3.0)
+                out.append(f"{oid},c{i},0624,18,{e!r},{no!r}{anchor}")
+        k += 1
+    return out[:rows]
+
+
+def _with_bad_cell(layout, rows, kind, row_num):
+    rows = list(rows)
+    index = row_num - 2
+    if kind == "short row":
+        rows[index] = rows[index].rsplit(",", 1)[0]
+    elif kind == "long row":
+        rows[index] += ",extra"
+    elif kind == "blank row":
+        # blank rows are skipped but still counted; a bad cell after them
+        # must name its row in the file
+        rows[index:index] = ["", " , ,,, ", ",,,,,,,,"]
+        rows[index + 3] = _with_field(rows[index + 3], 4, "oops")
+    elif kind == "anchor half blank":
+        # one anchor cell blank and one not; planar anchors may be all blank
+        fields = rows[index].split(",")
+        if layout == "geographic":
+            fields[5] = ""
+        elif fields[7].strip():
+            fields[7] = ""
+        else:
+            fields[6] = "350.0"
+        rows[index] = ",".join(fields)
+    else:
+        rows[index] = _with_field(rows[index], *BAD_CELLS[kind][layout])
+    return rows
+
+
+def _outcome(read, text, caplog, **kwargs):
+    """What reading ``text`` gives: the error's type and text, or the
+    series as comparable values; and the warnings logged meanwhile."""
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        try:
+            ds = read(text, **kwargs)
+        except (SchemaError, RowError, DataError) as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (
+                ds.total_crimes,
+                [
+                    (s.offender_id, s.n, s.xy.shape, s.xy.tobytes(), s.anchor)
+                    for s in ds.series
+                ],
+            )
+    return result, [r.getMessage() for r in caplog.records]
+
+
+class TestDirectOracle:
+    """``read_dataset`` gives what the row-by-row ``read_dataset_direct``
+    gives: the same series, warnings and error text."""
+
+    def _check(self, text, caplog, **kwargs):
+        got = _outcome(read_dataset, text, caplog, **kwargs)
+        assert got == _outcome(read_dataset_direct, text, caplog, **kwargs)
+        return got
+
+    def test_population(self, layout, caplog):
+        (result, warnings) = self._check(_file(layout, _population_rows(layout)), caplog)
+        total, series = result
+        assert total == 3000 - sum(int(w.split()[4]) for w in warnings)
+        assert len(series) > 200 and warnings
+
+    def test_configured_zone(self, layout, caplog):
+        self._check(_file(layout, _population_rows(layout, 400)), caplog, zone=17)
+
+    @pytest.mark.parametrize("row_num", [2, 1500, 2500])
+    @pytest.mark.parametrize(
+        "layout, kind",
+        [
+            (layout, kind)
+            for kind, cells in sorted(BAD_CELLS.items())
+            for layout in sorted(LAYOUTS)
+            if cells is None or layout in cells
+        ],
+    )
+    def test_bad_cell(self, layout, kind, row_num, caplog):
+        rows = _with_bad_cell(layout, _population_rows(layout), kind, row_num)
+        result, _ = self._check(_file(layout, rows), caplog)
+        assert result[0] in (RowError, DataError)
+        if result[0] is RowError:
+            assert result[1].startswith(f"row {row_num + 3 * (kind == 'blank row')}:")
+
+    def test_two_bad_rows_name_the_first(self, layout, caplog):
+        rows = _population_rows(layout)
+        rows[2200] = rows[2200].rsplit(",", 1)[0]
+        rows[2300] = _with_field(rows[2300], 4, "oops")
+        rows[2100] = _with_field(rows[2100], 0, "")
+        result, _ = self._check(_file(layout, rows), caplog)
+        assert result == (RowError, "row 2102: empty offender_id")
+
+    def test_byte_order_mark_and_crlf(self, layout, caplog):
+        rows = _population_rows(layout, 50)
+        text = "﻿" + _file(layout, rows).replace("\n", "\r\n")
+        self._check(text, caplog)
+
+    def test_padded_cells(self, layout, caplog):
+        rows = [",".join(f" {f} " for f in r.split(",")) for r in _population_rows(layout, 60)]
+        self._check(_file(layout, rows), caplog)
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n", "offender_id,crime_id\n1,2\n", "a,b,c,d,e,f,g\n"]
+    )
+    def test_schema(self, text, caplog):
+        result, _ = self._check(text, caplog)
+        assert result[0] is SchemaError
