@@ -2,11 +2,16 @@
 
 A file's header row tells its layout: geographic (``CSV_HEADER``, WGS84
 decimal degrees) or planar (``UTM_CSV_HEADER``, UTM kilometres; both
-anchor cells may be blank). Rows of either get the same checks, and one
-grouping step puts every point on one shared UTM zone, so the whole
-jurisdiction lives on a single planar frame (geographic points are
+anchor cells may be blank). The rows are read in one ``csv`` pass, a
+block at a time, into columns of numbers, and rows of either layout get
+the same checks over the block's arrays. The first row that fails one is
+checked again on its own, so its error names that row and its cells.
+One grouping step then puts every point on one shared UTM zone, so the
+whole jurisdiction lives on a single planar frame (geographic points are
 projected into it, planar points must already be in it), drops offenders
-with fewer than three crimes and rejects conflicting anchors.
+with fewer than three crimes and rejects conflicting anchors. Each
+series keeps its sites as a block of one coordinate array; no point
+object is built per crime.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -56,6 +62,11 @@ UTM_CSV_HEADER = CSV_HEADER[:3] + [
 MIN_SERIES_LENGTH = 3
 ANCHOR_CONSISTENCY_DEG = 1e-9
 
+# data rows per block of the columnar parse: a block's strings are turned
+# into numbers and dropped before the next block is read, so a file's rows
+# are never all held as strings at once
+_BLOCK_ROWS = 1024
+
 
 class SchemaError(ValueError):
     """The file header matches neither CSV layout."""
@@ -82,40 +93,65 @@ class CrimeRecord:
             raise ValueError("offender_id must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CrimeSeries:
     """One offender's crime sites on the planar frame.
 
-    The anchor is ground truth carried along for evaluation only; no
+    ``xy`` holds the sites as a read-only (n, 2) easting/northing array in
+    km, every one in UTM ``zone``; ``sites`` gives them as points. The
+    anchor is ground truth carried along for evaluation only; no
     estimation code may read it.
     """
 
     offender_id: str
-    sites: tuple[UtmPoint, ...]
-    anchor: UtmPoint | None = None
+    xy: np.ndarray
+    zone: int
+    anchor: UtmPoint | None
 
-    def __post_init__(self) -> None:
-        if not self.sites:
+    def __init__(self, offender_id: str, sites, anchor: UtmPoint | None = None) -> None:
+        sites = tuple(sites)
+        if not sites:
             raise ValueError("a crime series needs at least one site")
-        zones = {s.zone for s in self.sites}
-        if self.anchor is not None:
-            zones.add(self.anchor.zone)
+        zones = {s.zone for s in sites}
+        if anchor is not None:
+            zones.add(anchor.zone)
         if len(zones) != 1:
             raise ValueError(f"sites span multiple UTM zones: {sorted(zones)}")
+        xy = np.array([(s.easting, s.northing) for s in sites])
+        xy.flags.writeable = False
+        _fill(self, offender_id, xy, sites[0].zone, anchor)
+        self.__dict__["sites"] = sites
 
     @property
     def n(self) -> int:
-        return len(self.sites)
+        return len(self.xy)
 
     @cached_property
-    def xy(self) -> np.ndarray:
-        """(n, 2) easting/northing array in km."""
-        return np.array([(s.easting, s.northing) for s in self.sites])
+    def sites(self) -> tuple[UtmPoint, ...]:
+        """The sites as ``UtmPoint``s, built from ``xy`` on first use."""
+        return tuple(UtmPoint(self.zone, e, n) for e, n in self.xy.tolist())
 
     def restrict(self, indices) -> "CrimeSeries":
         """Sub-series with only the given site indices (order preserved)."""
-        picked = tuple(self.sites[i] for i in sorted(indices))
-        return CrimeSeries(self.offender_id, picked, self.anchor)
+        picked = sorted(indices)
+        if not picked:
+            raise ValueError("a crime series needs at least one site")
+        xy = self.xy[picked]
+        xy.flags.writeable = False
+        return _series(self.offender_id, xy, self.zone, self.anchor)
+
+
+def _fill(series: CrimeSeries, offender_id: str, xy: np.ndarray, zone: int, anchor) -> None:
+    # the fields of a frozen dataclass, set past its __setattr__
+    series.__dict__.update(offender_id=offender_id, xy=xy, zone=zone, anchor=anchor)
+
+
+def _series(offender_id: str, xy: np.ndarray, zone: int, anchor) -> CrimeSeries:
+    """A series from a read-only (n, 2) array of coordinates already
+    checked to lie in ``zone``, with no point built."""
+    series = object.__new__(CrimeSeries)
+    _fill(series, offender_id, xy, zone, anchor)
+    return series
 
 
 @dataclass(frozen=True)
@@ -166,7 +202,89 @@ def _utm_anchor(zone: str, easting: str, northing: str) -> UtmPoint | None:
     return _utm(zone, easting, northing)
 
 
-# header -> (make, columns) of the crime site and of the anchor
+def _check_row(row_num: int, row: list[str], header: tuple[str, ...]) -> None:
+    """Check one data row on its own, in order: field count, offender id,
+    crime site, anchor. Raise RowError, naming the row, at its first
+    failure."""
+    if len(row) != len(header):
+        raise RowError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
+    if not row[0].strip():
+        raise RowError(f"row {row_num}: empty offender_id")
+    for make, cells_of in _LAYOUTS[header]:
+        _point(row_num, cells_of(header), make, cells_of(row))
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _floats(cells) -> np.ndarray:
+    """``float`` of every cell, NaN where it raises; NaN fails every range
+    check, as the cell would fail its row's."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.array([_float_or_nan(c) for c in cells], dtype=float)
+
+
+def _repeated_floats(cells) -> np.ndarray:
+    """``_floats`` of a column whose cells repeat, as an offender's anchor
+    does on each of its rows: every distinct cell is parsed once."""
+    distinct = list(dict.fromkeys(cells))
+    value = dict(zip(distinct, _floats(distinct).tolist()))
+    return np.fromiter(map(value.__getitem__, cells), float, len(cells))
+
+
+def _zones(cells) -> np.ndarray:
+    """``int`` of every zone cell, 0 where it raises or lies outside [1, 60]."""
+    value = {}
+    for cell in set(cells):
+        try:
+            zone = int(cell)
+        except ValueError:
+            zone = 0
+        value[cell] = zone if 1 <= zone <= 60 else 0
+    return np.fromiter(map(value.__getitem__, cells), np.int64, len(cells))
+
+
+def _on_globe(p: np.ndarray) -> np.ndarray:
+    """Rows of (lat, lon) that ``GeoPoint`` accepts."""
+    lat, lon = p[:, 0], p[:, 1]
+    return (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon < 180.0)
+
+
+def _in_utm(p: np.ndarray) -> np.ndarray:
+    """Rows of (easting, northing) that ``UtmPoint`` accepts."""
+    e, n = p[:, 0], p[:, 1]
+    return (e > 0.0) & (e < 1000.0) & (n >= 0.0) & (n < 10000.0)
+
+
+def _geographic(columns):
+    """``(site, anchor, zone, ok)`` of a block of geographic rows: (k, 2)
+    lat/lon arrays, no zone column, and the rows that pass every check."""
+    site = np.column_stack([_floats(columns[3]), _floats(columns[4])])
+    anchor = np.column_stack([_repeated_floats(columns[5]), _repeated_floats(columns[6])])
+    return site, anchor, None, _on_globe(site) & _on_globe(anchor)
+
+
+def _planar(columns):
+    """``(site, anchor, zone, ok)`` of a block of planar rows: (k, 2)
+    easting/northing arrays, an anchor NaN where both of its cells are
+    blank, the zone of each row, and the rows that pass every check."""
+    zone = _zones(columns[3])
+    site = np.column_stack([_floats(columns[4]), _floats(columns[5])])
+    anchor = np.column_stack([_repeated_floats(columns[6]), _repeated_floats(columns[7])])
+    blank = np.zeros(len(zone), dtype=bool)
+    for i in np.flatnonzero(np.isnan(anchor).any(axis=1)).tolist():
+        blank[i] = not (columns[6][i].strip() or columns[7][i].strip())
+    return site, anchor, zone, (zone > 0) & _in_utm(site) & (blank | _in_utm(anchor))
+
+
+# header -> (make, columns) of the crime site and of the anchor, which check
+# one row, and the checks of a block of rows over arrays
 _LAYOUTS = {
     tuple(CSV_HEADER): ((_geo, itemgetter(3, 4)), (_geo, itemgetter(5, 6))),
     tuple(UTM_CSV_HEADER): (
@@ -174,17 +292,11 @@ _LAYOUTS = {
         (_utm_anchor, itemgetter(3, 6, 7)),
     ),
 }
+_BLOCK_CHECKS = {tuple(CSV_HEADER): _geographic, tuple(UTM_CSV_HEADER): _planar}
 
 
-def _read_rows(text: str, headers) -> Iterator[tuple]:
-    """``(offender_id, crime_id, ucr_code, crime_site, anchor)`` for each data
-    row of CSV ``text`` whose header is one of ``headers``; a bad row raises
-    RowError.
-
-    Plain tuples, not CrimeRecords: building a frozen dataclass per row
-    costs about a third of what parsing the row does.
-    """
-    reader = csv.reader(io.StringIO(text))
+def _header(reader, headers) -> tuple[str, ...]:
+    """The header row of a CSV reader, which must be one of ``headers``."""
     try:
         header = next(reader)
     except StopIteration:
@@ -193,33 +305,115 @@ def _read_rows(text: str, headers) -> Iterator[tuple]:
     if header not in headers:
         expected = " or ".join(",".join(h) for h in headers)
         raise SchemaError(f"header mismatch: expected {expected}, got {','.join(header)}")
-    (make_site, site_of), (make_anchor, anchor_of) = _LAYOUTS[header]
-    site_names, anchor_names = site_of(header), anchor_of(header)
-    # one point per distinct anchor cells, so an offender's rows share it
-    anchors = {}
-    for row_num, row in enumerate(reader, start=2):
+    return header
+
+
+def _well_formed(block, nums, width: int):
+    """The block's rows before its first malformed one, blank rows left
+    out, with their row numbers; and that row with its number, or None. A
+    malformed row has the wrong field count or an empty offender id."""
+    rows, kept = [], []
+    for num, row in zip(nums, block):
         if not "".join(row).strip():
             continue
-        if len(row) != len(header):
-            raise RowError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-        offender_id = row[0].strip()
-        if not offender_id:
-            raise RowError(f"row {row_num}: empty offender_id")
-        site = _point(row_num, site_names, make_site, site_of(row))
-        cells = anchor_of(row)
-        if cells not in anchors:
-            anchors[cells] = _point(row_num, anchor_names, make_anchor, cells)
-        yield offender_id, row[1].strip(), row[2].strip(), site, anchors[cells]
+        if len(row) != width or not row[0].strip():
+            return rows, kept, (num, row)
+        rows.append(row)
+        kept.append(num)
+    return rows, kept, None
+
+
+def _blocks(reader, header: tuple[str, ...]):
+    """The data rows of a CSV reader past ``header``, a block at a time, as
+    ``(ids, columns, site, anchor, zone)``: stripped offender ids, the
+    block's cells column by column, and the arrays of its layout's block
+    check. Blank rows are skipped. The first row, in file order, that
+    fails any check raises RowError from ``_check_row``."""
+    check = _BLOCK_CHECKS[header]
+    width = len(header)
+    row_num = 2
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        nums = range(row_num, row_num + len(block))
+        row_num += len(block)
+        ids = malformed = None
+        if set(map(len, block)) == {width}:
+            columns = list(zip(*block))
+            ids = list(map(str.strip, columns[0]))
+        if ids is None or "" in ids:
+            block, nums, malformed = _well_formed(block, nums, width)
+            columns = list(zip(*block))
+            ids = list(map(str.strip, columns[0])) if block else []
+        if block:
+            site, anchor, zone, ok = check(columns)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                _check_row(nums[i], block[i], header)
+                raise AssertionError(f"row {nums[i]} fails a block check only")
+        if malformed is not None:
+            _check_row(*malformed, header)
+        if block:
+            yield ids, columns, site, anchor, zone
 
 
 def parse_records(text: str) -> list[CrimeRecord]:
     """Read canonical geographic CSV into records; a malformed row raises RowError."""
-    return [CrimeRecord(*row) for row in _read_rows(text, (tuple(CSV_HEADER),))]
+    reader = csv.reader(io.StringIO(text))
+    header = _header(reader, (tuple(CSV_HEADER),))
+    records = []
+    for ids, columns, site, anchor, _ in _blocks(reader, header):
+        for offender_id, crime_id, ucr_code, (lat, lon), (alat, alon) in zip(
+            ids,
+            map(str.strip, columns[1]),
+            map(str.strip, columns[2]),
+            site.tolist(),
+            anchor.tolist(),
+        ):
+            records.append(
+                CrimeRecord(
+                    offender_id, crime_id, ucr_code, GeoPoint(lat, lon), GeoPoint(alat, alon)
+                )
+            )
+    return records
 
 
 def read_dataset(text: str, zone: int = DEFAULT_ZONE) -> Dataset:
     """Either CSV layout, told apart by its header, as series in ``zone``."""
-    return _group(_read_rows(text, _LAYOUTS), zone)
+    ids, *columns = _columns(text)
+    return _group(ids, *columns, zone) if ids else Dataset(())
+
+
+def _columns(text: str):
+    """``(ids, codes, site, anchor, row_zone)`` of the data rows of CSV
+    ``text`` in either layout: the offenders in the order of their first
+    rows; per row, the index of its offender's first row; the arrays of
+    ``_blocks``, joined; and a planar file's zones, None for a geographic
+    file. The reader and its buffer are freed when this returns."""
+    reader = csv.reader(io.StringIO(text))
+    header = _header(reader, _LAYOUTS)
+    first_rows: dict[str, int] = {}
+    codes, sites, anchors, zones = [], [], [], []
+    rows = 0
+    for ids, _, site, anchor, row_zone in _blocks(reader, header):
+        codes.append(
+            np.fromiter(
+                map(first_rows.setdefault, ids, range(rows, rows + len(ids))),
+                np.intp,
+                len(ids),
+            )
+        )
+        rows += len(ids)
+        sites.append(site)
+        anchors.append(anchor)
+        zones.append(row_zone)
+    if not rows:
+        return [], None, None, None, None
+    return (
+        list(first_rows),
+        np.concatenate(codes),
+        np.concatenate(sites),
+        np.concatenate(anchors),
+        None if zones[0] is None else np.concatenate(zones),
+    )
 
 
 def csv_text(header, rows) -> str:
@@ -233,62 +427,87 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def _same_place(a, b) -> bool:
-    """Geographic anchors agree within ANCHOR_CONSISTENCY_DEG; planar ones,
-    written by ``repr``, must be equal."""
-    if isinstance(a, GeoPoint):
-        return max(abs(a.lat - b.lat), abs(a.lon - b.lon)) <= ANCHOR_CONSISTENCY_DEG
-    return a == b
+def _group(ids, codes, site, anchor, row_zone, zone: int) -> Dataset:
+    """Series on ``zone`` from the columns of every row: ``codes`` gives the
+    index of the first row of each row's offender, ``ids`` the offenders in
+    the order of their first rows. ``row_zone`` is the zone column of a
+    planar file and None for a geographic one, whose points are projected."""
+    first, offender, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    # each row's anchor against its offender's first one
+    if row_zone is None:
+        delta = np.abs(anchor - anchor[codes])
+        same = np.maximum(delta[:, 0], delta[:, 1]) <= ANCHOR_CONSISTENCY_DEG
+    else:
+        known = ~np.isnan(anchor[:, 0])
+        same = (known == known[codes]) & (
+            ~known
+            | ((row_zone == row_zone[codes]) & (anchor == anchor[codes]).all(axis=1))
+        )
+    inconsistent = np.zeros(len(first), dtype=bool)
+    inconsistent[offender[~same]] = True
+    short = counts < MIN_SERIES_LENGTH
+    for j in np.flatnonzero(inconsistent | short).tolist():
+        if inconsistent[j]:
+            raise DataError(f"offender {ids[j]}: inconsistent anchor coordinates")
+        logger.warning(
+            "excluding offender %s: only %d crime(s), need %d",
+            ids[j], int(counts[j]), MIN_SERIES_LENGTH,
+        )
 
+    # every kept offender's sites, in file order, then its anchor, in one
+    # array; ends holds the index of each kept offender's anchor
+    kept = ~short
+    rows = np.argsort(codes, kind="stable")
+    rows = rows[kept[offender[rows]]]
+    lengths = counts[kept]
+    ends = np.cumsum(lengths + 1) - 1
+    heads = first[kept]
+    points = np.empty((len(rows) + len(ends), 2))
+    is_site = np.ones(len(points), dtype=bool)
+    is_site[ends] = False
+    points[is_site] = site[rows]
+    points[ends] = anchor[heads]
+    kept_ids = [oid for oid, keep in zip(ids, kept.tolist()) if keep]
+    starts = (ends - lengths).tolist()
 
-def _on_zone(points: list, zone: int) -> list:
-    """``points``, all of one layout, on ``zone``: geographic ones projected
-    into it by one ``latlon_to_utm`` call, planar ones checked to be in it."""
-    if points and isinstance(points[0], GeoPoint):
-        return latlon_to_utm(points, forced_zone=zone)
-    for point in points:
-        if point is not None and point.zone != zone:
-            raise OutOfRangeError(f"zone {point.zone} is not the configured zone {zone}")
-    return points
-
-
-def _group(rows, zone: int) -> Dataset:
-    """Group the row tuples of ``_read_rows`` by offender, all on ``zone``."""
-    by_offender: dict[str, list[tuple]] = {}
-    for offender_id, _, _, site, anchor in rows:
-        by_offender.setdefault(offender_id, []).append((site, anchor))
-
-    # every kept offender's sites, then its anchor, in one list; spans
-    # holds each offender's slice of it
-    points, spans = [], []
-    for offender_id, pairs in by_offender.items():
-        anchor = pairs[0][1]
-        if any(a is not anchor and not _same_place(a, anchor) for _, a in pairs):
-            raise DataError(f"offender {offender_id}: inconsistent anchor coordinates")
-        if len(pairs) < MIN_SERIES_LENGTH:
-            logger.warning(
-                "excluding offender %s: only %d crime(s), need %d",
-                offender_id, len(pairs), MIN_SERIES_LENGTH,
+    if row_zone is None:
+        xy = _projected(points, kept_ids, starts, ends.tolist(), zone)
+    else:
+        point_zone = np.full(len(points), zone)
+        point_zone[is_site] = row_zone[rows]
+        known = ~np.isnan(anchor[heads, 0])
+        point_zone[ends[known]] = row_zone[heads[known]]
+        off = np.flatnonzero(point_zone != zone)
+        if len(off):
+            j = int(np.searchsorted(ends, off[0]))
+            raise DataError(
+                f"offender {kept_ids[j]}: zone {int(point_zone[off[0]])} "
+                f"is not the configured zone {zone}"
             )
-            continue
-        start = len(points)
-        points.extend(site for site, _ in pairs)
-        points.append(anchor)
-        spans.append((offender_id, start, len(points)))
+        xy = points
 
+    xy.flags.writeable = False
+    series = []
+    for offender_id, start, end, (easting, northing) in zip(
+        kept_ids, starts, ends.tolist(), xy[ends].tolist()
+    ):
+        anchor_point = None if math.isnan(easting) else UtmPoint(zone, easting, northing)
+        series.append(_series(offender_id, xy[start:end], zone, anchor_point))
+    return Dataset(tuple(series))
+
+
+def _projected(points: np.ndarray, ids, starts, ends, zone: int) -> np.ndarray:
+    """Lat/lon ``points`` projected onto ``zone`` by one ``latlon_to_utm``
+    call; a point outside the zone's range names the first offender, in
+    ``ids`` order, whose span ``starts[j]:ends[j] + 1`` holds one."""
+    if not len(points):
+        return points
     try:
-        on_zone = _on_zone(points, zone)
+        return latlon_to_utm(points, forced_zone=zone)
     except OutOfRangeError:
-        # name the first offender with a point off the zone
-        for offender_id, start, stop in spans:
+        for offender_id, start, end in zip(ids, starts, ends):
             try:
-                _on_zone(points[start:stop], zone)
+                latlon_to_utm(points[start : end + 1], forced_zone=zone)
             except OutOfRangeError as exc:
                 raise DataError(f"offender {offender_id}: {exc}") from exc
         raise
-
-    series = [
-        CrimeSeries(offender_id, tuple(on_zone[start : stop - 1]), on_zone[stop - 1])
-        for offender_id, start, stop in spans
-    ]
-    return Dataset(tuple(series))

@@ -141,11 +141,34 @@ def _krueger(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
     return easting, northing
 
 
+def _project(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
+    """Easting and northing in km of one block of points in their zones;
+    the first point outside the UTM domain raises OutOfRangeError."""
+    # points past 84 degrees raise below; clipped, they keep the series finite
+    easting, northing = _krueger(np.clip(lat, -84.0, 84.0), lon, zone)
+    ok = (
+        (np.abs(lat) <= 84.0)
+        & (easting > 0.0)
+        & (easting < 1000.0)
+        & (northing >= 0.0)
+        & (northing < 10000.0)
+    )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if abs(lat[i]) > 84.0:
+            raise OutOfRangeError(f"latitude {float(lat[i])} outside UTM domain [-84, 84]")
+        # the point's own check raises the range error of its coordinates
+        UtmPoint(int(zone[i]), float(easting[i]), float(northing[i]))
+    return easting, northing
+
+
 def latlon_to_utm(
-    p: GeoPoint | Sequence[GeoPoint], forced_zone: int | None = None
-) -> UtmPoint | list[UtmPoint]:
+    p: GeoPoint | Sequence[GeoPoint] | np.ndarray, forced_zone: int | None = None
+) -> UtmPoint | list[UtmPoint] | np.ndarray:
     """Project a geographic point to UTM kilometers; a sequence of points
     gives the list of their projections, the series evaluated over arrays.
+    An (n, 2) array of latitudes and longitudes gives the (n, 2) array of
+    their eastings and northings on ``forced_zone``, which it needs.
 
     With ``forced_zone`` the projection uses that zone's central meridian
     even for points that nominally belong to a neighbouring zone, so one
@@ -156,6 +179,19 @@ def latlon_to_utm(
         return latlon_to_utm((p,), forced_zone)[0]
     if forced_zone is not None and not 1 <= forced_zone <= 60:
         raise OutOfRangeError(f"forced zone {forced_zone} outside [1, 60]")
+    if isinstance(p, np.ndarray):
+        if forced_zone is None:
+            raise ValueError("an array of points needs a forced zone")
+        out = np.empty((len(p), 2))
+        for start in range(0, len(p), _BLOCK_POINTS):
+            block = p[start : start + _BLOCK_POINTS]
+            # contiguous columns, as the sequence branch builds them
+            easting, northing = _project(
+                block[:, 0].copy(), block[:, 1].copy(), np.full(len(block), float(forced_zone))
+            )
+            out[start : start + len(block), 0] = easting
+            out[start : start + len(block), 1] = northing
+        return out
     out = []
     for start in range(0, len(p), _BLOCK_POINTS):
         block = p[start : start + _BLOCK_POINTS]
@@ -165,12 +201,6 @@ def latlon_to_utm(
             zones = [utm_zone(q.lon) for q in block]
         else:
             zones = [forced_zone] * len(block)
-        # points past 84 degrees raise below; clipped, they keep the series finite
-        easting, northing = _krueger(
-            np.clip(lat, -84.0, 84.0), lon, np.array(zones, dtype=float)
-        )
-        for q, zone, e, n in zip(block, zones, easting.tolist(), northing.tolist()):
-            if abs(q.lat) > 84.0:
-                raise OutOfRangeError(f"latitude {q.lat} outside UTM domain [-84, 84]")
-            out.append(UtmPoint(zone, e, n))
+        easting, northing = _project(lat, lon, np.array(zones, dtype=float))
+        out.extend(map(UtmPoint, zones, easting.tolist(), northing.tolist()))
     return out

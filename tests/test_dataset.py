@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geoprofile.dataset import (
+    _BLOCK_ROWS,
     CSV_HEADER,
     UTM_CSV_HEADER,
     CrimeSeries,
@@ -391,7 +392,8 @@ class TestDirectOracle:
     def test_configured_zone(self, layout, caplog):
         self._check(_file(layout, _population_rows(layout, 400)), caplog, zone=17)
 
-    @pytest.mark.parametrize("row_num", [2, 1500, 2500])
+    # the third row number opens the loader's second block of rows
+    @pytest.mark.parametrize("row_num", [2, 1500, _BLOCK_ROWS + 2, 2500])
     @pytest.mark.parametrize(
         "layout, kind",
         [
