@@ -10,7 +10,6 @@ unknown at classification time, so residency itself is not decided here.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +22,17 @@ __all__ = [
     "nn_distances",
     "detect_clusters",
     "classify",
+    "classify_all",
 ]
 
 NN_THRESHOLD_KM = 2.0
 CLUSTER_CUTOFF_KM = 2.0
 SINGLE_CLUSTER_COVERAGE = 0.8
 MULTI_CLUSTER_COVERAGE = 0.6
+
+# pairwise entries (series x sites x sites) per batch of ``classify_all``,
+# which bounds a batch's (k, n, n, 2) coordinate differences at 4 MB
+_BATCH_ENTRIES = 1 << 18
 
 
 class SubtypeKind(enum.Enum):
@@ -65,7 +69,8 @@ def as_xy(sites) -> np.ndarray:
 
 
 def _pairwise(xy: np.ndarray, metric: str) -> np.ndarray:
-    diff = xy[:, None, :] - xy[None, :, :]
+    """Distances between the sites of an (..., n, 2) array, (..., n, n)."""
+    diff = xy[..., None, :] - xy[..., None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff**2).sum(axis=-1))
     if metric == "manhattan":
@@ -74,45 +79,93 @@ def _pairwise(xy: np.ndarray, metric: str) -> np.ndarray:
 
 
 def _nearest(d: np.ndarray) -> np.ndarray:
-    """Row minima of a pairwise matrix over the other sites; ``d`` is kept."""
+    """Row minima of (..., n, n) pairwise matrices over the other sites;
+    ``d`` is kept."""
     d = d.copy()
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+    _diagonal(d)[...] = np.inf
+    return d.min(axis=-1)
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-D array, bit for bit, from one sort: the middle
-    value, or the mean of the two middle values for an even length; NaN
-    if any value is NaN (the sort puts NaN last)."""
-    ordered = np.sort(values)
-    if np.isnan(ordered[-1]):
-        return math.nan
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2)
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonals of contiguous (..., n, n) matrices."""
+    n = a.shape[-1]
+    return a.reshape(-1, n * n)[:, :: n + 1]
 
 
-def _components(d: np.ndarray, cutoff: float) -> list[frozenset[int]]:
-    """Clusters of a pairwise matrix at the cutoff, as ``detect_clusters``."""
+def _median(values: np.ndarray) -> np.ndarray:
+    """``np.median`` along the last axis, bit for bit, from one sort: the
+    middle value, or the mean of the two middle values for an even length;
+    NaN if any value is NaN (the sort puts NaN last)."""
+    ordered = np.sort(values, axis=-1)
+    mid = ordered.shape[-1] // 2
+    if ordered.shape[-1] % 2:
+        middle = ordered[..., mid]
+    else:
+        middle = (ordered[..., mid - 1] + ordered[..., mid]) / 2
+    return np.where(np.isnan(ordered[..., -1]), np.nan, middle)
+
+
+def _components(d: np.ndarray, cutoff: float) -> np.ndarray:
+    """Single-linkage components of (..., n, n) pairwise matrices at the
+    cutoff, as closed reachability: entry (i, j) is True exactly when sites
+    i and j lie in one component."""
     if cutoff <= 0.0:
         raise ValueError("cutoff must be > 0")
-    adjacent = (d <= cutoff).tolist()
-    seen = [False] * len(adjacent)
+    linked = d <= cutoff
+    _diagonal(linked)[...] = True  # a NaN site still reaches itself
+    # squaring doubles the length of the paths the matrix holds, so a few
+    # squarings close it; 0/1 products sum exactly in floating point
+    while True:
+        paths = linked.astype(float)
+        grown = np.matmul(paths, paths) > 0.0
+        if np.array_equal(grown, linked):
+            return linked
+        linked = grown
+
+
+def _clusters(linked: np.ndarray) -> list[frozenset[int]]:
+    """The components of 2 or more sites of one series, from its closed
+    reachability, in order of each component's smallest site index."""
     clusters = []
-    for start in range(len(adjacent)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members = [start]
-        for i in members:  # grows while it is read: a breadth-first search
-            for j, near in enumerate(adjacent[i]):
-                if near and not seen[j]:
-                    seen[j] = True
-                    members.append(j)
-        if len(members) >= 2:
+    for site, row in enumerate(linked.tolist()):
+        members = [j for j, near in enumerate(row) if near]
+        if members[0] == site and len(members) >= 2:
             clusters.append(frozenset(members))
     return clusters
+
+
+def _labels(
+    d: np.ndarray,
+    *,
+    nn_threshold_km: float = NN_THRESHOLD_KM,
+    cluster_cutoff_km: float = CLUSTER_CUTOFF_KM,
+    single_cluster_coverage: float = SINGLE_CLUSTER_COVERAGE,
+    multi_cluster_coverage: float = MULTI_CLUSTER_COVERAGE,
+) -> list[SubtypeLabel]:
+    """Subtype labels of k series of n sites each from their (k, n, n)
+    pairwise matrices; see ``classify`` for the rules."""
+    n = d.shape[-1]
+    linked = _components(d, cluster_cutoff_km)
+    # each site's component size, and whether it is the component's first site
+    size = linked.sum(axis=-1)
+    first = linked.argmax(axis=-1) == np.arange(n)
+    n_clusters = (first & (size >= 2)).sum(axis=-1)
+    coverage = (size >= 2).sum(axis=-1) / n
+    m1 = (
+        (_median(_nearest(d)) <= nn_threshold_km)
+        & (n_clusters == 1)
+        & (coverage >= single_cluster_coverage)
+    )
+    m3 = (n_clusters >= 2) & (coverage >= multi_cluster_coverage)
+    labels = []
+    for series_linked, is_m1, is_m3 in zip(linked, m1.tolist(), m3.tolist()):
+        if is_m1:
+            labels.append(SubtypeLabel(SubtypeKind.M1))
+        elif is_m3:
+            labels.append(SubtypeLabel(SubtypeKind.M3, tuple(_clusters(series_linked))))
+        else:
+            labels.append(SubtypeLabel(SubtypeKind.M2))
+    return labels
 
 
 def nn_distances(sites, metric: str = "euclidean") -> np.ndarray:
@@ -133,7 +186,14 @@ def detect_clusters(sites, cutoff: float = CLUSTER_CUTOFF_KM) -> list[frozenset[
     xy = as_xy(sites)
     if len(xy) < 2:
         raise ValueError("need at least 2 sites to detect clusters")
-    return _components(_pairwise(xy, "euclidean"), cutoff)
+    return _clusters(_components(_pairwise(xy, "euclidean"), cutoff))
+
+
+def _sites_to_classify(sites) -> np.ndarray:
+    xy = as_xy(sites)
+    if len(xy) < 3:
+        raise ValueError("need at least 3 sites to classify")
+    return xy
 
 
 def classify(
@@ -152,18 +212,33 @@ def classify(
     else gets the buffer-zone subtype. The median is used rather than the
     mean so one far-flung site cannot flip the label.
     """
-    xy = as_xy(sites)
-    if len(xy) < 3:
-        raise ValueError("need at least 3 sites to classify")
-    d = _pairwise(xy, "euclidean")
-    clusters = _components(d, cluster_cutoff_km)
-    coverage = sum(len(c) for c in clusters) / len(xy)
-    if (
-        _median(_nearest(d)) <= nn_threshold_km
-        and len(clusters) == 1
-        and len(clusters[0]) / len(xy) >= single_cluster_coverage
-    ):
-        return SubtypeLabel(SubtypeKind.M1)
-    if len(clusters) >= 2 and coverage >= multi_cluster_coverage:
-        return SubtypeLabel(SubtypeKind.M3, tuple(clusters))
-    return SubtypeLabel(SubtypeKind.M2)
+    d = _pairwise(_sites_to_classify(sites), "euclidean")
+    return _labels(
+        d[None],
+        nn_threshold_km=nn_threshold_km,
+        cluster_cutoff_km=cluster_cutoff_km,
+        single_cluster_coverage=single_cluster_coverage,
+        multi_cluster_coverage=multi_cluster_coverage,
+    )[0]
+
+
+def classify_all(xys, **options) -> list[SubtypeLabel]:
+    """``[classify(xy, **options) for xy in xys]``, label for label.
+
+    Series of one length are labelled together, a batch of them per pass:
+    their pairwise matrices are stacked, so the nearest-neighbour medians
+    and the single-linkage components of the batch are array operations.
+    """
+    xys = [_sites_to_classify(xy) for xy in xys]
+    by_length: dict[int, list[int]] = {}
+    for i, xy in enumerate(xys):
+        by_length.setdefault(len(xy), []).append(i)
+    labels: list[SubtypeLabel] = [None] * len(xys)
+    for n, members in by_length.items():
+        step = max(1, _BATCH_ENTRIES // (n * n))
+        for start in range(0, len(members), step):
+            batch = members[start : start + step]
+            d = _pairwise(np.stack([xys[i] for i in batch]), "euclidean")
+            for i, label in zip(batch, _labels(d, **options)):
+                labels[i] = label
+    return labels

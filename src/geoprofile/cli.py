@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geoprofile.classify import classify
+from geoprofile.classify import classify, classify_all
 from geoprofile.dataset import (
     CSV_HEADER,
     UTM_CSV_HEADER,
@@ -207,10 +207,11 @@ def cmd_convert(config: RunConfig, args) -> int:
 
 def cmd_classify(config: RunConfig, args) -> int:
     ds = load_dataset(config.dataset, zone=config.grid.zone)
-    rows = []
-    for series in ds.series:
-        label = classify(series.xy, **config.classifier_options)
-        rows.append((series.offender_id, label.kind.value, len(label.clusters)))
+    labels = classify_all([s.xy for s in ds.series], **config.classifier_options)
+    rows = [
+        (series.offender_id, label.kind.value, len(label.clusters))
+        for series, label in zip(ds.series, labels)
+    ]
     _write_text(args.out, csv_text(("offender_id", "label", "n_clusters"), rows))
     return 0
 
@@ -290,9 +291,12 @@ def cmd_profile(config: RunConfig, args) -> int:
         # the hit score needs no labels; the sidecar needs only this one
         label = classify(series.xy, **config.classifier_options)
     else:
-        labels = {
-            s.offender_id: classify(s.xy, **config.classifier_options) for s in ds.series
-        }
+        labels = dict(
+            zip(
+                ds.offender_ids(),
+                classify_all([s.xy for s in ds.series], **config.classifier_options),
+            )
+        )
         label = labels[oid]
         priors = build_prior_set(ds, oid, labels, config.grid)
     # every surface before any file, so an error writes nothing

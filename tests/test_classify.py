@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,15 @@ from geoprofile.classify import (
     SubtypeKind,
     SubtypeLabel,
     classify,
+    classify_all,
     detect_clusters,
     nn_distances,
 )
+from geoprofile.dataset import read_dataset
+
+# the benchmark's seeded populations, from the repository root
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import inputs  # noqa: E402
 
 # the package re-exports the function ``classify``, which hides the module
 classify_module = importlib.import_module("geoprofile.classify")
@@ -208,3 +216,80 @@ class TestSubtypeLabel:
     def test_tiny_cluster_rejected(self):
         with pytest.raises(ValueError):
             SubtypeLabel(SubtypeKind.M3, (frozenset({0}),))
+
+
+class TestClassifyAll:
+    """``classify_all`` labels every series as ``classify`` labels each."""
+
+    @staticmethod
+    def _check(xys, **options):
+        labels = classify_all(xys, **options)
+        assert labels == [classify(xy, **options) for xy in xys]
+        return labels
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_planar_population(self, seed):
+        xys = [np.array(o.crimes) for o in inputs.planar_population(seed, 300)]
+        labels = self._check(xys)
+        assert {label.kind for label in labels} == set(SubtypeKind)
+
+    def test_latlon_population(self):
+        ds = read_dataset(inputs.latlon_csv(inputs.latlon_population(1, 2100)))
+        self._check([s.xy for s in ds.series])
+
+    # (name, sites): each a case the rules decide at an edge
+    EDGES = [
+        ("coincident", [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (5.0, 5.0)]),
+        ("all coincident", [(3.0, 3.0)] * 5),
+        ("NaN site", [(0.0, 0.0), (math.nan, 0.0), (1.0, 0.0), (0.5, 0.5)]),
+        ("NaN pair", [(0.0, 0.0), (math.nan, 1.0), (0.3, 0.0), (9.0, 9.0), (math.nan, 4.0)]),
+        ("pair 2.0 km apart", [(0.0, 0.0), (2.0, 0.0), (10.0, 10.0)]),
+        ("chain", [(1.9 * i, 0.0) for i in range(6)]),
+        ("median at threshold", [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (6.0, 0.0)]),
+        (
+            "two clusters",
+            [(0.0, 0.0), (0.4, 0.1), (0.1, 0.5), (12.0, 0.0), (12.4, 0.2), (6.0, 9.0)],
+        ),
+        (
+            "two chains and strays",
+            [(1.5 * i, 0.0) for i in range(4)]
+            + [(30.0 + 1.5 * i, 5.0) for i in range(3)]
+            + [(60.0, 60.0), (-40.0, 20.0)],
+        ),
+    ]
+
+    @pytest.mark.parametrize("name, sites", EDGES, ids=[name for name, _ in EDGES])
+    def test_edge_alone(self, name, sites):
+        self._check([np.array(sites)])
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"nn_threshold_km": 1.0, "cluster_cutoff_km": 3.0},
+            {"single_cluster_coverage": 0.5, "multi_cluster_coverage": 0.9},
+            {"nn_threshold_km": 2.0 + 1e-12, "cluster_cutoff_km": 1.9},
+        ],
+    )
+    def test_edges_in_one_batch(self, options):
+        # every edge case among others of its length, 3 and 129 sites in one
+        # call, and enough 129-site series to fill more than one batch
+        rng = np.random.default_rng(77)
+        xys = [np.array(sites) for _, sites in self.EDGES]
+        xys += [rng.uniform(0.0, 6.0, size=(n, 2)) for n in (3, 4, 5, 6, 9) for _ in range(4)]
+        xys += [rng.uniform(0.0, 40.0, size=(129, 2)) for _ in range(20)]
+        assert 20 * 129 * 129 > classify_module._BATCH_ENTRIES
+        xys += [rng.uniform(0.0, 3.0, size=(3, 2))]
+        rng.shuffle(xys)
+        self._check(xys, **options)
+
+    def test_empty(self):
+        assert classify_all([]) == []
+
+    def test_too_few_sites(self):
+        with pytest.raises(ValueError, match="at least 3 sites"):
+            classify_all([np.zeros((4, 2)), np.zeros((2, 2))])
+
+    def test_bad_cutoff(self):
+        with pytest.raises(ValueError, match="cutoff must be > 0"):
+            classify_all([np.zeros((4, 2))], cluster_cutoff_km=0.0)
