@@ -154,6 +154,17 @@ def surface_csv_direct(surface):
     return "\n".join(lines) + "\n"
 
 
+def surface_pgm_direct(surface):
+    """A surface's 8-bit ASCII PGM text, each value formatted by ``str`` of
+    its numpy integer, as ``geoprofile.cli.write_surface_pgm`` must write it."""
+    grid = surface.grid
+    scaled = np.rint(surface.mass / surface.mass.max() * 255.0).astype(int)
+    lines = ["P2", f"{grid.ncols} {grid.nrows}", "255"]
+    for row in range(grid.nrows - 1, -1, -1):
+        lines.append(" ".join(str(v) for v in scaled[row]))
+    return "\n".join(lines) + "\n"
+
+
 def latlon_to_utm_direct(lat, lon, zone):
     """UTM easting and northing in km of one point in ``zone``: the Krueger
     series one ``math`` call at a time, as the plain formulation of

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from geoprofile.classify import classify
-from geoprofile.cli import load_config, load_dataset, main, rank_cells, write_surface_csv
+from geoprofile.cli import (
+    load_config,
+    load_dataset,
+    main,
+    rank_cells,
+    write_surface_csv,
+    write_surface_pgm,
+)
 from geoprofile.dataset import CSV_HEADER, CrimeSeries, csv_text, read_dataset
 from geoprofile.engine import Family, MethodId, PosteriorSurface
 from geoprofile.evaluation import ALL_THRESHOLDS, Scope, _ranking
@@ -14,7 +21,7 @@ from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid
 from geoprofile.models import M1Params, M2Params
 from geoprofile.synthetic import SyntheticScenario, sample_series, series_to_utm_csv
-from oracles import latlon_to_utm_direct, surface_csv_direct
+from oracles import latlon_to_utm_direct, surface_csv_direct, surface_pgm_direct
 
 CANONICAL_HEADER = (
     "offender_id,crime_id,ucr_code,crime_lat,crime_lon,anchor_lat,anchor_lon"
@@ -565,6 +572,19 @@ class TestWriterFormulations:
         path = tmp_path / "surface.csv"
         write_surface_csv(surface, path)
         assert path.read_bytes() == surface_csv_direct(surface).encode("utf-8")
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_surface_pgm_bytes(self, tmp_path, name):
+        grid = self.GRIDS[name]
+        # a peaked surface, so values span 0 to 255 and many round to 0
+        mass = np.random.default_rng(3002).gamma(0.3, size=(grid.nrows, grid.ncols)) ** 3
+        surface = PosteriorSurface(grid, mass / mass.sum())
+        path = tmp_path / "surface.pgm"
+        write_surface_pgm(surface, path)
+        text = surface_pgm_direct(surface)
+        assert path.read_bytes() == text.encode("utf-8")
+        values = {int(v) for line in text.splitlines()[3:] for v in line.split()}
+        assert 0 in values and 255 in values
 
     def test_rank_cells_plateau(self):
         grid = self.GRIDS["odd"]
