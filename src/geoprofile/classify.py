@@ -82,14 +82,9 @@ def _nearest(d: np.ndarray) -> np.ndarray:
     """Row minima of (..., n, n) pairwise matrices over the other sites;
     ``d`` is kept."""
     d = d.copy()
-    _diagonal(d)[...] = np.inf
+    n = d.shape[-1]
+    d[..., range(n), range(n)] = np.inf
     return d.min(axis=-1)
-
-
-def _diagonal(a: np.ndarray) -> np.ndarray:
-    """A writable view of the diagonals of contiguous (..., n, n) matrices."""
-    n = a.shape[-1]
-    return a.reshape(-1, n * n)[:, :: n + 1]
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -111,8 +106,9 @@ def _components(d: np.ndarray, cutoff: float) -> np.ndarray:
     i and j lie in one component."""
     if cutoff <= 0.0:
         raise ValueError("cutoff must be > 0")
+    n = d.shape[-1]
     linked = d <= cutoff
-    _diagonal(linked)[...] = True  # a NaN site still reaches itself
+    linked[..., range(n), range(n)] = True  # a NaN site still reaches itself
     # squaring doubles the length of the paths the matrix holds, so a few
     # squarings close it; 0/1 products sum exactly in floating point
     while True:

@@ -283,8 +283,8 @@ def _planar(columns):
     return site, anchor, zone, (zone > 0) & _in_utm(site) & (blank | _in_utm(anchor))
 
 
-# header -> (make, columns) of the crime site and of the anchor, which check
-# one row, and the checks of a block of rows over arrays
+# header -> (make, columns) of the crime site and of the anchor: the checks
+# of one row
 _LAYOUTS = {
     tuple(CSV_HEADER): ((_geo, itemgetter(3, 4)), (_geo, itemgetter(5, 6))),
     tuple(UTM_CSV_HEADER): (
@@ -292,6 +292,7 @@ _LAYOUTS = {
         (_utm_anchor, itemgetter(3, 6, 7)),
     ),
 }
+# header -> the checks of a block of rows, over arrays
 _BLOCK_CHECKS = {tuple(CSV_HEADER): _geographic, tuple(UTM_CSV_HEADER): _planar}
 
 

@@ -170,6 +170,39 @@ class TestKruegerSeries:
         assert latlon_to_utm([], forced_zone=18) == []
 
 
+class TestArrayProjection:
+    """An (n, 2) lat/lon array projects to the bits of the sequence branch."""
+
+    def test_matches_sequence_across_blocks(self):
+        rng = np.random.default_rng(8)
+        latlon = rng.uniform((38.0, -79.0), (40.0, -71.0), size=(5000, 2))
+        got = latlon_to_utm(latlon, forced_zone=18)
+        points = latlon_to_utm([GeoPoint(lat, lon) for lat, lon in latlon.tolist()], 18)
+        expected = np.array([(p.easting, p.northing) for p in points])
+        assert got.shape == (5000, 2)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((85.0, -76.6), "latitude 85.0 outside"), ((39.0, -99.0), "easting -.* km outside")],
+    )
+    def test_first_bad_point_past_a_block(self, bad, message):
+        latlon = np.tile([39.3, -76.6], (3000, 1))
+        latlon[2500] = bad
+        latlon[2900] = (-85.0, -76.6)
+        with pytest.raises(OutOfRangeError, match=message):
+            latlon_to_utm(latlon, forced_zone=18)
+
+    def test_needs_a_forced_zone(self):
+        with pytest.raises(ValueError, match="forced zone"):
+            latlon_to_utm(np.array([[39.3, -76.6]]))
+        with pytest.raises(OutOfRangeError, match="forced zone 61"):
+            latlon_to_utm(np.array([[39.3, -76.6]]), forced_zone=61)
+
+    def test_empty(self):
+        assert latlon_to_utm(np.empty((0, 2)), forced_zone=18).shape == (0, 2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     lat=st.floats(min_value=38.0, max_value=40.0),
