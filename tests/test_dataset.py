@@ -286,7 +286,7 @@ BAD_CELLS = {
     "short row": None,
     "long row": None,
     "empty id": {"geographic": (0, "  "), "planar": (0, "")},
-    "site text": {"geographic": (3, "oops"), "planar": (5, "4360,5")},
+    "site text": {"geographic": (3, "oops"), "planar": (5, "4360.5.1")},
     "site NaN": {"geographic": (4, "nan"), "planar": (4, "nan")},
     "site range": {"geographic": (3, "91.0"), "planar": (4, "1000.0")},
     "site infinite": {"geographic": (4, "-inf"), "planar": (5, "inf")},
