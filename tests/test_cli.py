@@ -14,7 +14,7 @@ from geoprofile.cli import (
     write_surface_csv,
     write_surface_pgm,
 )
-from geoprofile.dataset import CSV_HEADER, CrimeSeries, csv_text, read_dataset
+from geoprofile.dataset import CSV_HEADER, UTM_CSV_HEADER, CrimeSeries, csv_text, read_dataset
 from geoprofile.engine import Family, MethodId, PosteriorSurface
 from geoprofile.evaluation import ALL_THRESHOLDS, Scope, _ranking
 from geoprofile.geodesy import UtmPoint
@@ -74,6 +74,20 @@ def _csv_rows(text):
     return rows
 
 
+def _latlon_rows(seed, n_offenders=40):
+    """Rows of a seeded lat/lon population around Baltimore: each offender
+    keeps one anchor on all of its rows, and some have too few crimes to
+    be kept."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for o in range(n_offenders):
+        alat, alon = rng.uniform((39.27, -77.05), (39.58, -76.42)).tolist()
+        for k in range(int(rng.integers(2, 9))):
+            lat, lon = rng.normal((alat, alon), 0.03).tolist()
+            rows.append((f"g{o:03d}", f"c{o}_{k}", "0624", lat, lon, alat, alon))
+    return rows
+
+
 class TestConvert:
     def test_appends_planar_columns(self, tmp_path, capsys):
         src = _geo_csv(
@@ -122,6 +136,40 @@ class TestConvert:
         src = _geo_csv(tmp_path, ["77,1001,0624,oops,-76.61,39.28,-76.60"])
         assert main(["convert", str(src)]) == 1
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_output_reads_back_as_its_input(self, tmp_path, capsys, seed):
+        # the planar columns of the output, read as a planar file, give the
+        # series of the geographic input bit for bit
+        text = csv_text(CSV_HEADER, _latlon_rows(seed))
+        src = tmp_path / "geo.csv"
+        src.write_text(text)
+        assert main(["convert", str(src)]) == 0
+        rows = [row[:3] + row[7:] for row in _csv_rows(capsys.readouterr().out)]
+        assert tuple(rows[0]) == tuple(UTM_CSV_HEADER)
+        want, got = read_dataset(text), read_dataset(csv_text(rows[0], rows[1:]))
+        assert len(got.series) > 20
+        assert got.offender_ids() == want.offender_ids()
+        for a, b in zip(want.series, got.series):
+            assert a.xy.tobytes() == b.xy.tobytes()
+            assert a.anchor == b.anchor
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (
+                "a,2,0624,39.3,oops,39.28,-76.6",
+                "row 3: crime_lat,crime_lon='39.3,oops': "
+                "could not convert string to float: 'oops'",
+            ),
+            ("a,2,0624,39.3,-76.6,85.5,-76.6", "latitude 85.5 outside UTM domain [-84, 84]"),
+            ("a,2,0624,39.3,-160.0,39.28,-76.6", "easting -6021.045926550386 km outside (0, 1000)"),
+        ],
+    )
+    def test_error_text(self, tmp_path, capsys, row, message):
+        src = _geo_csv(tmp_path, ["a,1,0624,39.3,-76.6,39.28,-76.6", row])
+        assert main(["convert", str(src)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestClassify:
