@@ -6,12 +6,7 @@ evaluation utilities.
 """
 
 from geoprofile.classify import SubtypeKind, SubtypeLabel, classify, detect_clusters, nn_distances
-from geoprofile.dataset import (
-    CrimeRecord,
-    CrimeSeries,
-    Dataset,
-    parse_records,
-)
+from geoprofile.dataset import CrimeSeries, Dataset
 from geoprofile.engine import (
     Family,
     MethodId,
@@ -32,7 +27,7 @@ from geoprofile.evaluation import (
     rank_cells,
     search_fraction,
 )
-from geoprofile.geodesy import GeoPoint, UtmPoint, latlon_to_utm, utm_zone
+from geoprofile.geodesy import GeoPoint, UtmPoint, latlon_to_utm
 from geoprofile.grid import Grid, cell_center, locate_cell
 from geoprofile.models import (
     M1Params,

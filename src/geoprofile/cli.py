@@ -22,8 +22,8 @@ from geoprofile.dataset import (
     UTM_CSV_HEADER,
     Dataset,
     csv_text,
-    parse_records,
     read_dataset,
+    read_geographic,
 )
 from geoprofile.engine import (
     DegenerateSurfaceError,
@@ -31,6 +31,7 @@ from geoprofile.engine import (
     NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
     QUADRATURE_PARAMS,
+    check_nonres_weight,
     run_method,
 )
 from geoprofile.evaluation import Scope, compare_methods, rank_cells
@@ -117,7 +118,9 @@ def _set_key(config: RunConfig, key: str, value: str) -> None:
     elif key == "scope":
         config.scope = _parse_scope(value)
     elif key == "nonres_weight":
-        config.nonres_weight = float(value)
+        weight = float(value)
+        check_nonres_weight(weight)
+        config.nonres_weight = weight
     elif key == "grid":
         ncols, nrows = _parse_grid_shape(value)
         config.grid = replace(config.grid, ncols=ncols, nrows=nrows)
@@ -177,30 +180,19 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_convert(config: RunConfig, args) -> int:
-    records = parse_records(Path(args.input).read_text(encoding="utf-8"))
-    # one projection call: each record's crime site, then its anchor
-    projected = latlon_to_utm(
-        [p for r in records for p in (r.crime_site, r.anchor)],
-        forced_zone=config.grid.zone,
+    ids, crime_ids, ucr_codes, site, anchor = read_geographic(
+        Path(args.input).read_text(encoding="utf-8")
     )
-    rows = []
-    for r, crime, anchor in zip(records, projected[::2], projected[1::2]):
-        rows.append(
-            (
-                r.offender_id,
-                r.crime_id,
-                r.ucr_code,
-                r.crime_site.lat,
-                r.crime_site.lon,
-                r.anchor.lat,
-                r.anchor.lon,
-                crime.zone,
-                crime.easting,
-                crime.northing,
-                anchor.easting,
-                anchor.northing,
-            )
+    # one projection call: each row's crime site, then its anchor
+    latlon = np.hstack([site, anchor])
+    zone = config.grid.zone
+    projected = latlon_to_utm(latlon.reshape(-1, 2), zone).reshape(-1, 4)
+    rows = [
+        (offender_id, crime_id, ucr_code, *degrees, zone, *km)
+        for offender_id, crime_id, ucr_code, degrees, km in zip(
+            ids, crime_ids, ucr_codes, latlon.tolist(), projected.tolist()
         )
+    ]
     _write_text(args.out, csv_text(CSV_HEADER + UTM_CSV_HEADER[3:], rows))
     return 0
 

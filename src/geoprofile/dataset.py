@@ -33,15 +33,14 @@ from geoprofile.grid import DEFAULT_ZONE
 __all__ = [
     "CSV_HEADER",
     "UTM_CSV_HEADER",
-    "CrimeRecord",
     "CrimeSeries",
     "Dataset",
     "SchemaError",
     "RowError",
     "DataError",
     "csv_text",
-    "parse_records",
     "read_dataset",
+    "read_geographic",
 ]
 
 logger = logging.getLogger(__name__)
@@ -78,19 +77,6 @@ class RowError(ValueError):
 
 class DataError(ValueError):
     """Records are individually fine but mutually inconsistent."""
-
-
-@dataclass(frozen=True)
-class CrimeRecord:
-    offender_id: str
-    crime_id: str
-    ucr_code: str
-    crime_site: GeoPoint | UtmPoint
-    anchor: GeoPoint | UtmPoint | None
-
-    def __post_init__(self) -> None:
-        if not self.offender_id:
-            raise ValueError("offender_id must be nonempty")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -356,25 +342,22 @@ def _blocks(reader, header: tuple[str, ...]):
             yield ids, columns, site, anchor, zone
 
 
-def parse_records(text: str) -> list[CrimeRecord]:
-    """Read canonical geographic CSV into records; a malformed row raises RowError."""
+def read_geographic(text: str):
+    """``(ids, crime_ids, ucr_codes, site, anchor)`` of the data rows of
+    geographic CSV ``text``: the stripped text cells, and (n, 2) lat/lon
+    arrays of the crime sites and of the anchors. Rows are read and
+    checked as ``read_dataset`` reads them; a bad row raises RowError."""
     reader = csv.reader(io.StringIO(text))
     header = _header(reader, (tuple(CSV_HEADER),))
-    records = []
-    for ids, columns, site, anchor, _ in _blocks(reader, header):
-        for offender_id, crime_id, ucr_code, (lat, lon), (alat, alon) in zip(
-            ids,
-            map(str.strip, columns[1]),
-            map(str.strip, columns[2]),
-            site.tolist(),
-            anchor.tolist(),
-        ):
-            records.append(
-                CrimeRecord(
-                    offender_id, crime_id, ucr_code, GeoPoint(lat, lon), GeoPoint(alat, alon)
-                )
-            )
-    return records
+    ids, crime_ids, ucr_codes = [], [], []
+    sites, anchors = [np.empty((0, 2))], [np.empty((0, 2))]
+    for block_ids, columns, site, anchor, _ in _blocks(reader, header):
+        ids += block_ids
+        crime_ids += map(str.strip, columns[1])
+        ucr_codes += map(str.strip, columns[2])
+        sites.append(site)
+        anchors.append(anchor)
+    return ids, crime_ids, ucr_codes, np.concatenate(sites), np.concatenate(anchors)
 
 
 def read_dataset(text: str, zone: int = DEFAULT_ZONE) -> Dataset:

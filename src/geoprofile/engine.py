@@ -153,6 +153,12 @@ def check_quadrature(quadrature: Mapping[str, int] | None) -> None:
             raise ValueError(f"node count for {param} must be >= 1, got {count}")
 
 
+def check_nonres_weight(weight: float) -> None:
+    """Reject a non-resident weight outside [0, 1], NaN included."""
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"nonres_weight must lie in [0, 1], got {weight!r}")
+
+
 class DegenerateSurfaceError(RuntimeError):
     """The surface carries no information: a posterior that underflowed in
     every cell, or hit scores without a finite positive sum."""

@@ -26,6 +26,7 @@ from geoprofile.engine import (
     MethodId,
     NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
+    check_nonres_weight,
     check_quadrature,
     method_surfaces,
 )
@@ -202,8 +203,7 @@ def compare_methods(
     and a bad ``quadrature`` (a parameter no family has, a count below 1)
     are the caller's errors and raise before any offender is scored.
     """
-    if not 0.0 <= nonres_weight <= 1.0:
-        raise ValueError(f"nonres_weight must lie in [0, 1], got {nonres_weight!r}")
+    check_nonres_weight(nonres_weight)
     check_quadrature(quadrature)
     grid = grid or Grid()
     methods = tuple(dict.fromkeys(methods))

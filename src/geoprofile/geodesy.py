@@ -11,7 +11,6 @@ travel-distance parameter downstream is in km.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "GeoPoint",
     "UtmPoint",
     "OutOfRangeError",
-    "utm_zone",
     "latlon_to_utm",
 ]
 
@@ -95,23 +93,13 @@ class UtmPoint:
             raise OutOfRangeError(f"northing {self.northing} km outside [0, 10000)")
 
 
-def utm_zone(lon: float) -> int:
-    """UTM zone number (1..60) for a longitude in decimal degrees."""
-    if not math.isfinite(lon):
-        raise OutOfRangeError("longitude must be finite")
-    if not -180.0 <= lon < 180.0:
-        raise OutOfRangeError(f"longitude {lon} outside [-180, 180)")
-    zone = int(math.floor((lon + 180.0) / 6.0)) + 1
-    return min(max(zone, 1), 60)
-
-
 def central_meridian(zone: int) -> float:
     """Central meridian of a UTM zone, decimal degrees."""
     return zone * 6.0 - 183.0
 
 
-def _krueger(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
-    """Easting and northing in km of points in their zones: the Krueger
+def _krueger(lat: np.ndarray, lon: np.ndarray, zone: int):
+    """Easting and northing in km of points in ``zone``: the Krueger
     series, one numpy pass over the given points."""
     phi = np.radians(lat)
     lam = np.radians(lon - central_meridian(zone))
@@ -141,8 +129,8 @@ def _krueger(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
     return easting, northing
 
 
-def _project(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
-    """Easting and northing in km of one block of points in their zones;
+def _project(lat: np.ndarray, lon: np.ndarray, zone: int):
+    """Easting and northing in km of one block of points in ``zone``;
     the first point outside the UTM domain raises OutOfRangeError."""
     # points past 84 degrees raise below; clipped, they keep the series finite
     easting, northing = _krueger(np.clip(lat, -84.0, 84.0), lon, zone)
@@ -158,49 +146,27 @@ def _project(lat: np.ndarray, lon: np.ndarray, zone: np.ndarray):
         if abs(lat[i]) > 84.0:
             raise OutOfRangeError(f"latitude {float(lat[i])} outside UTM domain [-84, 84]")
         # the point's own check raises the range error of its coordinates
-        UtmPoint(int(zone[i]), float(easting[i]), float(northing[i]))
+        UtmPoint(zone, float(easting[i]), float(northing[i]))
     return easting, northing
 
 
-def latlon_to_utm(
-    p: GeoPoint | Sequence[GeoPoint] | np.ndarray, forced_zone: int | None = None
-) -> UtmPoint | list[UtmPoint] | np.ndarray:
-    """Project a geographic point to UTM kilometers; a sequence of points
-    gives the list of their projections, the series evaluated over arrays.
-    An (n, 2) array of latitudes and longitudes gives the (n, 2) array of
-    their eastings and northings on ``forced_zone``, which it needs.
+def latlon_to_utm(latlon: np.ndarray, forced_zone: int) -> np.ndarray:
+    """The (n, 2) eastings and northings in km of an (n, 2) array of
+    latitudes and longitudes, projected on ``forced_zone``.
 
-    With ``forced_zone`` the projection uses that zone's central meridian
-    even for points that nominally belong to a neighbouring zone, so one
-    jurisdiction can share a single planar frame. A point outside the UTM
-    domain raises OutOfRangeError, the first such point of a sequence.
+    The zone's central meridian is used even for points that nominally
+    belong to a neighbouring zone, so one jurisdiction can share a single
+    planar frame. The first point outside the UTM domain raises
+    OutOfRangeError.
     """
-    if isinstance(p, GeoPoint):
-        return latlon_to_utm((p,), forced_zone)[0]
-    if forced_zone is not None and not 1 <= forced_zone <= 60:
+    if not 1 <= forced_zone <= 60:
         raise OutOfRangeError(f"forced zone {forced_zone} outside [1, 60]")
-    if isinstance(p, np.ndarray):
-        if forced_zone is None:
-            raise ValueError("an array of points needs a forced zone")
-        out = np.empty((len(p), 2))
-        for start in range(0, len(p), _BLOCK_POINTS):
-            block = p[start : start + _BLOCK_POINTS]
-            # contiguous columns, as the sequence branch builds them
-            easting, northing = _project(
-                block[:, 0].copy(), block[:, 1].copy(), np.full(len(block), float(forced_zone))
-            )
-            out[start : start + len(block), 0] = easting
-            out[start : start + len(block), 1] = northing
-        return out
-    out = []
-    for start in range(0, len(p), _BLOCK_POINTS):
-        block = p[start : start + _BLOCK_POINTS]
-        lat = np.array([q.lat for q in block], dtype=float)
-        lon = np.array([q.lon for q in block], dtype=float)
-        if forced_zone is None:
-            zones = [utm_zone(q.lon) for q in block]
-        else:
-            zones = [forced_zone] * len(block)
-        easting, northing = _project(lat, lon, np.array(zones, dtype=float))
-        out.extend(map(UtmPoint, zones, easting.tolist(), northing.tolist()))
+    out = np.empty((len(latlon), 2))
+    for start in range(0, len(latlon), _BLOCK_POINTS):
+        block = latlon[start : start + _BLOCK_POINTS]
+        # contiguous columns: over strided ones numpy may take other loops,
+        # which can round differently
+        easting, northing = _project(block[:, 0].copy(), block[:, 1].copy(), forced_zone)
+        out[start : start + len(block), 0] = easting
+        out[start : start + len(block), 1] = northing
     return out

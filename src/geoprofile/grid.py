@@ -40,6 +40,8 @@ class Grid:
             raise ValueError("grid bounds must have positive extent")
         if self.nrows < 1 or self.ncols < 1:
             raise ValueError("grid needs at least one row and column")
+        if not 1 <= self.zone <= 60:
+            raise ValueError(f"grid zone {self.zone} outside [1, 60]")
 
     @property
     def dx(self) -> float:

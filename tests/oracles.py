@@ -310,7 +310,8 @@ def _direct_same_place(a, b):
 
 def _direct_on_zone(points, zone):
     if points and isinstance(points[0], GeoPoint):
-        return geodesy.latlon_to_utm(points, forced_zone=zone)
+        latlon = np.array([(p.lat, p.lon) for p in points])
+        return [UtmPoint(zone, *xy) for xy in geodesy.latlon_to_utm(latlon, zone).tolist()]
     for point in points:
         if point is not None and point.zone != zone:
             raise OutOfRangeError(f"zone {point.zone} is not the configured zone {zone}")
@@ -320,10 +321,9 @@ def _direct_on_zone(points, zone):
 def read_dataset_direct(text, zone=18):
     """``geoprofile.dataset.read_dataset`` written row by row: every row
     parsed and checked into point objects, grouped by offender in a dict,
-    then all kept points put on ``zone`` by one sequence
-    ``latlon_to_utm`` call. Ids, ``xy`` bits, anchors, the warnings for
-    dropped offenders and the text of every error are what the loader
-    must keep."""
+    then all kept points put on ``zone`` by one ``latlon_to_utm`` call.
+    Ids, ``xy`` bits, anchors, the warnings for dropped offenders and the
+    text of every error are what the loader must keep."""
     by_offender = {}
     for offender_id, site, anchor in _direct_rows(text):
         by_offender.setdefault(offender_id, []).append((site, anchor))

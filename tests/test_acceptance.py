@@ -34,7 +34,7 @@ from geoprofile.evaluation import (
     compare_methods,
     search_fraction,
 )
-from geoprofile.geodesy import GeoPoint, UtmPoint, latlon_to_utm
+from geoprofile.geodesy import UtmPoint, latlon_to_utm
 from geoprofile.grid import Grid, cell_center, locate_cell
 from geoprofile.models import (
     M1Params,
@@ -419,16 +419,14 @@ def test_c08_geodesy_reference_agreement():
     for _ in range(100):
         lat = rng.uniform(38.0, 40.0)
         lon = rng.uniform(-78.0, -72.0)
-        p = latlon_to_utm(GeoPoint(lat, lon), forced_zone=18)
+        ((easting, northing),) = latlon_to_utm(np.array([[lat, lon]]), 18).tolist()
         e_ref, n_ref = reference_tm.forward(lat, lon, 18)
         worst_m = max(
             worst_m,
-            math.hypot(p.easting * 1000.0 - e_ref, p.northing * 1000.0 - n_ref),
+            math.hypot(easting * 1000.0 - e_ref, northing * 1000.0 - n_ref),
         )
-    origin = latlon_to_utm(GeoPoint(0.0, -75.0), forced_zone=18)
-    origin_ok = (
-        abs(origin.easting - 500.0) <= 1e-9 and abs(origin.northing - 0.0) <= 1e-9
-    )
+    ((easting, northing),) = latlon_to_utm(np.array([[0.0, -75.0]]), 18).tolist()
+    origin_ok = abs(easting - 500.0) <= 1e-9 and abs(northing - 0.0) <= 1e-9
     _report(
         "criterion 8: projection agrees with the independent reference",
         worst_m < 1.0 and origin_ok,

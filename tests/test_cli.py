@@ -183,6 +183,21 @@ class TestClassify:
             assert label in {"M1", "M2", "M3"}
             int(n_clusters)
 
+    @pytest.mark.parametrize("layout", ["geographic", "planar"])
+    def test_zone_outside_range_names_the_zone(self, synthetic_csv, tmp_path, capsys, layout):
+        # rejected with the configuration, before any offender is read
+        if layout == "geographic":
+            rows = [f"g0,{k},0624,39.3{k},-76.61,39.28,-76.60" for k in range(3)]
+            dataset = _geo_csv(tmp_path, rows)
+        else:
+            dataset = synthetic_csv
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("zone = 61\n")
+        assert main(["classify", "--config", str(cfg), "--dataset", str(dataset)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {cfg}:1: grid zone 61 outside [1, 60]\n"
+
 
 class TestProfile:
     def test_writes_artifacts(self, synthetic_csv, tmp_path, capsys):
@@ -324,6 +339,23 @@ class TestProfile:
         assert code == 1
         # the message itself, not the repr a KeyError's str() gives
         assert capsys.readouterr().err == "error: unknown offender id 'nope'\n"
+
+    @pytest.mark.parametrize("method", ["1a", "2aii"])
+    @pytest.mark.parametrize("weight", ["1.5", "nan", "-0.2"])
+    def test_bad_nonres_weight_is_one_error(
+        self, synthetic_csv, tmp_path, capsys, method, weight
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nonres_weight = {weight}\n")
+        out_dir = tmp_path / "out"
+        code = main(
+            ["profile", "--config", str(cfg), "--dataset", str(synthetic_csv),
+             "--offender", "o1", "--method", method, "--out", str(out_dir)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {cfg}:1: nonres_weight must lie in [0, 1], got {float(weight)!r}"]
+        assert not out_dir.exists()
 
 
 class TestEvaluate:

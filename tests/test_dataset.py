@@ -11,8 +11,8 @@ from geoprofile.dataset import (
     RowError,
     SchemaError,
     csv_text,
-    parse_records,
     read_dataset,
+    read_geographic,
 )
 from geoprofile.geodesy import UtmPoint
 from oracles import read_dataset_direct
@@ -28,59 +28,69 @@ def _csv(*rows):
     return HEADER + "\n" + "\n".join(rows) + "\n"
 
 
-def records_to_csv(records) -> str:
-    """Serialize records back to the canonical CSV."""
+def geographic_to_csv(ids, crime_ids, ucr_codes, site, anchor) -> str:
+    """Serialize the columns of ``read_geographic`` back to the canonical CSV."""
     return csv_text(
-        CSV_HEADER,
-        (
-            (r.offender_id, r.crime_id, r.ucr_code, r.crime_site.lat, r.crime_site.lon,
-             r.anchor.lat, r.anchor.lon)
-            for r in records
-        ),
+        CSV_HEADER, zip(ids, crime_ids, ucr_codes, *site.T.tolist(), *anchor.T.tolist())
     )
 
 
 class TestParseRecords:
+    """``read_geographic``: the geographic layout's rows as columns."""
+
     def test_single_row(self):
-        text = _csv("77,1001,0624,39.30,-76.61,39.28,-76.60")
-        records = parse_records(text)
-        assert len(records) == 1
-        assert records[0].offender_id == "77"
-        assert records[0].crime_site.lat == 39.30
-        assert records[0].anchor.lon == -76.60
+        text = _csv(" 77 , 1001 ,0624 ,39.30,-76.61,39.28,-76.60")
+        ids, crime_ids, ucr_codes, site, anchor = read_geographic(text)
+        assert (ids, crime_ids, ucr_codes) == (["77"], ["1001"], ["0624"])
+        assert site.tolist() == [[39.30, -76.61]]
+        assert anchor.tolist() == [[39.28, -76.60]]
 
     def test_header_only(self):
-        assert parse_records(HEADER + "\n") == []
+        ids, crime_ids, ucr_codes, site, anchor = read_geographic(HEADER + "\n")
+        assert ids == crime_ids == ucr_codes == []
+        assert site.shape == anchor.shape == (0, 2)
 
     def test_out_of_range_latitude_names_field(self):
         text = _csv(_row("1", "a", 91.0, -76.6))
         with pytest.raises(RowError, match="crime_lat"):
-            parse_records(text)
+            read_geographic(text)
 
     def test_unparseable_coordinate_reports_row(self):
         text = _csv(_row("1", "a", 39.3, -76.6), _row("2", "b", "oops", -76.6))
         with pytest.raises(RowError, match="row 3"):
-            parse_records(text)
+            read_geographic(text)
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
-            parse_records("offender_id,crime_id,ucr_code,crime_lat\n")
+            read_geographic("offender_id,crime_id,ucr_code,crime_lat\n")
 
     def test_leading_byte_order_mark(self):
-        records = parse_records("\ufeff" + _csv(_row("5", "x", 39.3, -76.6)))
-        assert records[0].offender_id == "5"
+        ids, *_ = read_geographic("\ufeff" + _csv(_row("5", "x", 39.3, -76.6)))
+        assert ids == ["5"]
 
     def test_crlf(self):
         text = HEADER + "\r\n" + _row("5", "x", 39.3, -76.6) + "\r\n"
-        assert len(parse_records(text)) == 1
+        ids, *_ = read_geographic(text)
+        assert ids == ["5"]
 
     def test_empty_offender_rejected(self):
         with pytest.raises(RowError, match="offender_id"):
-            parse_records(_csv(_row("", "x", 39.3, -76.6)))
+            read_geographic(_csv(_row("", "x", 39.3, -76.6)))
 
     def test_planar_header_is_schema_error(self):
         with pytest.raises(SchemaError):
-            parse_records(",".join(UTM_CSV_HEADER) + "\n")
+            read_geographic(",".join(UTM_CSV_HEADER) + "\n")
+
+    def test_rows_past_a_block(self):
+        rows = [_row(f"o{i}", f"c{i}", 39.0 + i * 1e-5, -76.6) for i in range(2 * _BLOCK_ROWS + 5)]
+        ids, crime_ids, _, site, anchor = read_geographic(_csv(*rows))
+        assert ids == [f"o{i}" for i in range(len(rows))]
+        assert crime_ids[-1] == f"c{len(rows) - 1}"
+        assert site[:, 0].tolist() == [39.0 + i * 1e-5 for i in range(len(rows))]
+        assert anchor.shape == (len(rows), 2)
+        rows[-2] = _row("x", "y", 39.3, -76.6, alat=95.0)
+        with pytest.raises(RowError, match=f"row {len(rows)}: anchor_lat"):
+            read_geographic(_csv(*rows))
 
 
 # layout -> (header, row of crime k with the anchor moved east by `shift`);
@@ -245,7 +255,7 @@ class TestGroupIntoSeries:
                 )
         text = _csv(*rows)
         ds1 = read_dataset(text)
-        ds2 = read_dataset(records_to_csv(parse_records(text)))
+        ds2 = read_dataset(geographic_to_csv(*read_geographic(text)))
         assert ds1.offender_ids() == ds2.offender_ids()
         for s1, s2 in zip(ds1.series, ds2.series):
             assert s1.n == s2.n
