@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from geoprofile.geodesy import UtmPoint
-
 __all__ = [
     "SubtypeKind",
     "SubtypeLabel",
@@ -59,9 +57,7 @@ class SubtypeLabel:
 
 
 def as_xy(sites) -> np.ndarray:
-    """Coerce a site sequence (UtmPoint or coordinate pairs) to an (n, 2) array."""
-    if len(sites) and isinstance(sites[0], UtmPoint):
-        return np.array([(s.easting, s.northing) for s in sites], dtype=float)
+    """Site coordinates as an (n, 2) float array."""
     out = np.asarray(sites, dtype=float)
     if out.ndim != 2 or out.shape[1] != 2:
         raise ValueError(f"expected (n, 2) site coordinates, got shape {out.shape}")
@@ -139,7 +135,14 @@ def _labels(
     multi_cluster_coverage: float = MULTI_CLUSTER_COVERAGE,
 ) -> list[SubtypeLabel]:
     """Subtype labels of k series of n sites each from their (k, n, n)
-    pairwise matrices; see ``classify`` for the rules."""
+    pairwise matrices.
+
+    Tight offenders (median nearest-neighbour distance within the
+    threshold, essentially one cluster) have no buffer zone. Several
+    clusters covering most sites mean cluster-wise modelling. Everything
+    else gets the buffer-zone subtype. The median is used rather than the
+    mean so one far-flung site cannot flip the label.
+    """
     n = d.shape[-1]
     linked = _components(d, cluster_cutoff_km)
     # each site's component size, and whether it is the component's first site
@@ -192,30 +195,10 @@ def _sites_to_classify(sites) -> np.ndarray:
     return xy
 
 
-def classify(
-    sites,
-    *,
-    nn_threshold_km: float = NN_THRESHOLD_KM,
-    cluster_cutoff_km: float = CLUSTER_CUTOFF_KM,
-    single_cluster_coverage: float = SINGLE_CLUSTER_COVERAGE,
-    multi_cluster_coverage: float = MULTI_CLUSTER_COVERAGE,
-) -> SubtypeLabel:
-    """Assign a subtype from site geometry.
-
-    Tight offenders (median nearest-neighbour distance within the
-    threshold, essentially one cluster) have no buffer zone. Several
-    clusters covering most sites mean cluster-wise modelling. Everything
-    else gets the buffer-zone subtype. The median is used rather than the
-    mean so one far-flung site cannot flip the label.
-    """
-    d = _pairwise(_sites_to_classify(sites), "euclidean")
-    return _labels(
-        d[None],
-        nn_threshold_km=nn_threshold_km,
-        cluster_cutoff_km=cluster_cutoff_km,
-        single_cluster_coverage=single_cluster_coverage,
-        multi_cluster_coverage=multi_cluster_coverage,
-    )[0]
+def classify(sites, **options) -> SubtypeLabel:
+    """Subtype of one series from its site geometry, by ``_labels``' rules
+    and keyword options."""
+    return _labels(_pairwise(_sites_to_classify(sites), "euclidean")[None], **options)[0]
 
 
 def classify_all(xys, **options) -> list[SubtypeLabel]:

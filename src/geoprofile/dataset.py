@@ -10,7 +10,7 @@ One grouping step then puts every point on one shared UTM zone, so the
 whole jurisdiction lives on a single planar frame (geographic points are
 projected into it, planar points must already be in it), drops offenders
 with fewer than three crimes and rejects conflicting anchors. Each
-series keeps its sites as a block of one coordinate array; no point
+series keeps its sites as a view of one coordinate array; no point
 object is built per crime.
 """
 
@@ -21,13 +21,20 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
-from geoprofile.geodesy import GeoPoint, OutOfRangeError, UtmPoint, latlon_to_utm
+from geoprofile.geodesy import (
+    GeoPoint,
+    OutOfRangeError,
+    UtmPoint,
+    check_zone,
+    in_utm,
+    latlon_to_utm,
+    on_globe,
+)
 from geoprofile.grid import DEFAULT_ZONE
 
 __all__ = [
@@ -79,65 +86,45 @@ class DataError(ValueError):
     """Records are individually fine but mutually inconsistent."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class CrimeSeries:
     """One offender's crime sites on the planar frame.
 
     ``xy`` holds the sites as a read-only (n, 2) easting/northing array in
-    km, every one in UTM ``zone``; ``sites`` gives them as points. The
-    anchor is ground truth carried along for evaluation only; no
-    estimation code may read it.
+    km, every one in UTM ``zone``. A read-only float array is kept as
+    given, so series can be views of one shared array; any other array is
+    copied. The coordinates are not range-checked here: the loader and
+    the sampler check them. The anchor is ground truth carried along for
+    evaluation only; no estimation code may read it.
     """
 
     offender_id: str
     xy: np.ndarray
     zone: int
-    anchor: UtmPoint | None
+    anchor: UtmPoint | None = None
 
-    def __init__(self, offender_id: str, sites, anchor: UtmPoint | None = None) -> None:
-        sites = tuple(sites)
-        if not sites:
+    def __post_init__(self) -> None:
+        xy = self.xy
+        if not (isinstance(xy, np.ndarray) and xy.dtype == float and not xy.flags.writeable):
+            xy = np.array(xy, dtype=float)
+            xy.flags.writeable = False
+            object.__setattr__(self, "xy", xy)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"expected (n, 2) site coordinates, got shape {xy.shape}")
+        if not len(xy):
             raise ValueError("a crime series needs at least one site")
-        zones = {s.zone for s in sites}
-        if anchor is not None:
-            zones.add(anchor.zone)
-        if len(zones) != 1:
-            raise ValueError(f"sites span multiple UTM zones: {sorted(zones)}")
-        xy = np.array([(s.easting, s.northing) for s in sites])
-        xy.flags.writeable = False
-        _fill(self, offender_id, xy, sites[0].zone, anchor)
-        self.__dict__["sites"] = sites
+        if self.anchor is not None and self.anchor.zone != self.zone:
+            raise ValueError(
+                f"anchor zone {self.anchor.zone} is not the series zone {self.zone}"
+            )
 
     @property
     def n(self) -> int:
         return len(self.xy)
 
-    @cached_property
-    def sites(self) -> tuple[UtmPoint, ...]:
-        """The sites as ``UtmPoint``s, built from ``xy`` on first use."""
-        return tuple(UtmPoint(self.zone, e, n) for e, n in self.xy.tolist())
-
     def restrict(self, indices) -> "CrimeSeries":
         """Sub-series with only the given site indices (order preserved)."""
-        picked = sorted(indices)
-        if not picked:
-            raise ValueError("a crime series needs at least one site")
-        xy = self.xy[picked]
-        xy.flags.writeable = False
-        return _series(self.offender_id, xy, self.zone, self.anchor)
-
-
-def _fill(series: CrimeSeries, offender_id: str, xy: np.ndarray, zone: int, anchor) -> None:
-    # the fields of a frozen dataclass, set past its __setattr__
-    series.__dict__.update(offender_id=offender_id, xy=xy, zone=zone, anchor=anchor)
-
-
-def _series(offender_id: str, xy: np.ndarray, zone: int, anchor) -> CrimeSeries:
-    """A series from a read-only (n, 2) array of coordinates already
-    checked to lie in ``zone``, with no point built."""
-    series = object.__new__(CrimeSeries)
-    _fill(series, offender_id, xy, zone, anchor)
-    return series
+        return CrimeSeries(self.offender_id, self.xy[sorted(indices)], self.zone, self.anchor)
 
 
 @dataclass(frozen=True)
@@ -225,27 +212,15 @@ def _repeated_floats(cells) -> np.ndarray:
 
 
 def _zones(cells) -> np.ndarray:
-    """``int`` of every zone cell, 0 where it raises or lies outside [1, 60]."""
+    """``int`` of every zone cell, 0 where it raises or is not a UTM zone."""
     value = {}
     for cell in set(cells):
         try:
-            zone = int(cell)
+            value[cell] = int(cell)
+            check_zone(value[cell])
         except ValueError:
-            zone = 0
-        value[cell] = zone if 1 <= zone <= 60 else 0
+            value[cell] = 0
     return np.fromiter(map(value.__getitem__, cells), np.int64, len(cells))
-
-
-def _on_globe(p: np.ndarray) -> np.ndarray:
-    """Rows of (lat, lon) that ``GeoPoint`` accepts."""
-    lat, lon = p[:, 0], p[:, 1]
-    return (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon < 180.0)
-
-
-def _in_utm(p: np.ndarray) -> np.ndarray:
-    """Rows of (easting, northing) that ``UtmPoint`` accepts."""
-    e, n = p[:, 0], p[:, 1]
-    return (e > 0.0) & (e < 1000.0) & (n >= 0.0) & (n < 10000.0)
 
 
 def _geographic(columns):
@@ -253,7 +228,7 @@ def _geographic(columns):
     lat/lon arrays, no zone column, and the rows that pass every check."""
     site = np.column_stack([_floats(columns[3]), _floats(columns[4])])
     anchor = np.column_stack([_repeated_floats(columns[5]), _repeated_floats(columns[6])])
-    return site, anchor, None, _on_globe(site) & _on_globe(anchor)
+    return site, anchor, None, on_globe(site) & on_globe(anchor)
 
 
 def _planar(columns):
@@ -266,7 +241,7 @@ def _planar(columns):
     blank = np.zeros(len(zone), dtype=bool)
     for i in np.flatnonzero(np.isnan(anchor).any(axis=1)).tolist():
         blank[i] = not (columns[6][i].strip() or columns[7][i].strip())
-    return site, anchor, zone, (zone > 0) & _in_utm(site) & (blank | _in_utm(anchor))
+    return site, anchor, zone, (zone > 0) & in_utm(*site.T) & (blank | in_utm(*anchor.T))
 
 
 # header -> (make, columns) of the crime site and of the anchor: the checks
@@ -361,7 +336,10 @@ def read_geographic(text: str):
 
 
 def read_dataset(text: str, zone: int = DEFAULT_ZONE) -> Dataset:
-    """Either CSV layout, told apart by its header, as series in ``zone``."""
+    """Either CSV layout, told apart by its header, as series in ``zone``.
+    A ``zone`` that is not a UTM zone raises OutOfRangeError before any
+    row is read."""
+    check_zone(zone, "configured zone")
     ids, *columns = _columns(text)
     return _group(ids, *columns, zone) if ids else Dataset(())
 
@@ -476,7 +454,7 @@ def _group(ids, codes, site, anchor, row_zone, zone: int) -> Dataset:
         kept_ids, starts, ends.tolist(), xy[ends].tolist()
     ):
         anchor_point = None if math.isnan(easting) else UtmPoint(zone, easting, northing)
-        series.append(_series(offender_id, xy[start:end], zone, anchor_point))
+        series.append(CrimeSeries(offender_id, xy[start:end], zone, anchor_point))
     return Dataset(tuple(series))
 
 

@@ -60,6 +60,12 @@ class OutOfRangeError(ValueError):
     """Coordinate outside the domain of the projection."""
 
 
+def check_zone(zone: int, name: str = "zone") -> None:
+    """Raise OutOfRangeError unless ``zone`` is a UTM zone number."""
+    if not 1 <= zone <= 60:
+        raise OutOfRangeError(f"{name} {zone} outside [1, 60]")
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     """Geographic coordinates, decimal degrees on WGS84."""
@@ -76,6 +82,12 @@ class GeoPoint:
             raise OutOfRangeError(f"longitude {self.lon} outside [-180, 180)")
 
 
+def on_globe(p: np.ndarray) -> np.ndarray:
+    """Rows of an (n, 2) lat/lon array that ``GeoPoint`` accepts."""
+    lat, lon = p[:, 0], p[:, 1]
+    return (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon < 180.0)
+
+
 @dataclass(frozen=True)
 class UtmPoint:
     """Planar UTM coordinates in kilometers."""
@@ -85,12 +97,16 @@ class UtmPoint:
     northing: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.zone <= 60:
-            raise OutOfRangeError(f"zone {self.zone} outside [1, 60]")
+        check_zone(self.zone)
         if not 0.0 < self.easting < 1000.0:
             raise OutOfRangeError(f"easting {self.easting} km outside (0, 1000)")
         if not 0.0 <= self.northing < 10000.0:
             raise OutOfRangeError(f"northing {self.northing} km outside [0, 10000)")
+
+
+def in_utm(easting: np.ndarray, northing: np.ndarray) -> np.ndarray:
+    """Points that ``UtmPoint`` accepts, by their easting and northing in km."""
+    return (easting > 0.0) & (easting < 1000.0) & (northing >= 0.0) & (northing < 10000.0)
 
 
 def central_meridian(zone: int) -> float:
@@ -134,13 +150,7 @@ def _project(lat: np.ndarray, lon: np.ndarray, zone: int):
     the first point outside the UTM domain raises OutOfRangeError."""
     # points past 84 degrees raise below; clipped, they keep the series finite
     easting, northing = _krueger(np.clip(lat, -84.0, 84.0), lon, zone)
-    ok = (
-        (np.abs(lat) <= 84.0)
-        & (easting > 0.0)
-        & (easting < 1000.0)
-        & (northing >= 0.0)
-        & (northing < 10000.0)
-    )
+    ok = (np.abs(lat) <= 84.0) & in_utm(easting, northing)
     if not ok.all():
         i = int(np.argmin(ok))
         if abs(lat[i]) > 84.0:
@@ -159,8 +169,7 @@ def latlon_to_utm(latlon: np.ndarray, forced_zone: int) -> np.ndarray:
     planar frame. The first point outside the UTM domain raises
     OutOfRangeError.
     """
-    if not 1 <= forced_zone <= 60:
-        raise OutOfRangeError(f"forced zone {forced_zone} outside [1, 60]")
+    check_zone(forced_zone, "forced zone")
     out = np.empty((len(latlon), 2))
     for start in range(0, len(latlon), _BLOCK_POINTS):
         block = latlon[start : start + _BLOCK_POINTS]

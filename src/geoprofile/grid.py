@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from geoprofile.geodesy import UtmPoint
+from geoprofile.geodesy import UtmPoint, check_zone
 
 __all__ = ["DEFAULT_ZONE", "Grid", "OutOfGridError", "cell_center", "locate_cell"]
 
@@ -40,8 +40,7 @@ class Grid:
             raise ValueError("grid bounds must have positive extent")
         if self.nrows < 1 or self.ncols < 1:
             raise ValueError("grid needs at least one row and column")
-        if not 1 <= self.zone <= 60:
-            raise ValueError(f"grid zone {self.zone} outside [1, 60]")
+        check_zone(self.zone, "grid zone")
 
     @property
     def dx(self) -> float:

@@ -275,7 +275,8 @@ def is_nonresident(series) -> bool:
     """
     if series.anchor is None:
         raise ValueError("residency needs a known anchor")
-    return not _donor_stats([series])["resident"][0]
+    anchor = np.array([(series.anchor.easting, series.anchor.northing)])
+    return not _donor_stats([series], anchor)["resident"][0]
 
 
 def _ragged_rows(counts: np.ndarray):
@@ -287,17 +288,17 @@ def _ragged_rows(counts: np.ndarray):
         yield n, rows, starts[rows, None] + np.arange(n)
 
 
-def _donor_stats(donors) -> dict[str, np.ndarray]:
+def _donor_stats(donors, anchors: np.ndarray) -> dict[str, np.ndarray]:
     """Columns in donor order: the bool ``resident`` and the statistics
-    ``PRIORS`` names, NaN where a donor has too few sites. Bearings leave
-    out crimes on the anchor.
+    ``PRIORS`` names, NaN where a donor has too few sites; ``anchors``
+    holds the donors' anchors as an (k, 2) array. Bearings leave out
+    crimes on the anchor.
 
     All donors go through one pass: every reduction runs along the rows of
     a (k, n) stack of the donors with n sites (or n bearings), so each
     value is the one a donor's own length-n array would give.
     """
     counts = np.array([s.n for s in donors])
-    anchors = np.array([(s.anchor.easting, s.anchor.northing) for s in donors])
     d = np.concatenate([s.xy for s in donors]) - np.repeat(anchors, counts, axis=0)
     radii = np.hypot(d[:, 0], d[:, 1])
     nonzero = radii > 0.0
@@ -356,7 +357,8 @@ def build_prior_set(
         )
     if any(s.anchor is None for s in donors):
         raise InsufficientDataError("every donor series needs a known anchor")
-    stats = _donor_stats(donors)
+    anchors = np.array([(s.anchor.easting, s.anchor.northing) for s in donors])
+    stats = _donor_stats(donors, anchors)
     labels = [subtype_labels[s.offender_id].kind.value for s in donors]
     group = np.where(stats["resident"], labels, "NONRES")
     params = {}
@@ -364,7 +366,7 @@ def build_prior_set(
         values = stats[row.statistic]
         params[kind] = _estimate(kind, values[np.isin(group, row.groups) & ~np.isnan(values)])
     return PriorSet(
-        anchor=kde2d([s.anchor for s in donors], grid),
+        anchor=kde2d(anchors, grid),
         params=MappingProxyType(params),
         source_offender_count=len(donors),
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from geoprofile.dataset import UTM_CSV_HEADER, CrimeSeries, csv_text
 from geoprofile.engine import Family
-from geoprofile.geodesy import UtmPoint
+from geoprofile.geodesy import UtmPoint, in_utm
 from geoprofile.models import TWO_PI, M1Params, M2Params, NonResParams
 
 __all__ = [
@@ -54,6 +54,25 @@ class SyntheticScenario:
             )
 
 
+def _rejection(name: str, n: int, accepted) -> np.ndarray:
+    """The first n values that ``accepted(batch)`` keeps from batches of
+    proposals, at most MAX_REJECTION_DRAWS proposals in all."""
+    out = np.empty(n)
+    filled = 0
+    draws = 0
+    while filled < n:
+        budget = MAX_REJECTION_DRAWS - draws
+        if budget <= 0:
+            raise RuntimeError(f"{name} rejection sampler exceeded {MAX_REJECTION_DRAWS} draws")
+        batch = min(max(4 * (n - filled), 128), budget)
+        draws += batch
+        keep = accepted(batch)
+        take = min(len(keep), n - filled)
+        out[filled : filled + take] = keep[:take]
+        filled += take
+    return out
+
+
 def _sample_radii(rng, alpha: float, sigma: float, n: int) -> np.ndarray:
     """Radii from the density proportional to r * exp(-(r-alpha)^2 / 2 sigma^2).
 
@@ -62,49 +81,30 @@ def _sample_radii(rng, alpha: float, sigma: float, n: int) -> np.ndarray:
     far tail at negligible mass (< exp(-50)).
     """
     r_cap = alpha + 10.0 * sigma
-    out = np.empty(n)
-    filled = 0
-    draws = 0
-    while filled < n:
-        budget = MAX_REJECTION_DRAWS - draws
-        if budget <= 0:
-            raise RuntimeError(
-                f"radial rejection sampler exceeded {MAX_REJECTION_DRAWS} draws"
-            )
-        batch = min(max(4 * (n - filled), 128), budget)
-        draws += batch
+
+    def accepted(batch: int) -> np.ndarray:
         proposal = rng.normal(alpha, sigma, size=batch)
         u = rng.random(batch)
-        keep = proposal[(proposal > 0.0) & (proposal <= r_cap) & (u * r_cap < proposal)]
-        take = min(len(keep), n - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
+        return proposal[(proposal > 0.0) & (proposal <= r_cap) & (u * r_cap < proposal)]
+
+    return _rejection("radial", n, accepted)
 
 
 def _sample_angles_windowed(rng, theta: float, sigma2: float, n: int) -> np.ndarray:
     """Normal(theta, sigma2) conditioned on [0, 2*pi), matching the model."""
-    out = np.empty(n)
-    filled = 0
-    draws = 0
-    while filled < n:
-        budget = MAX_REJECTION_DRAWS - draws
-        if budget <= 0:
-            raise RuntimeError(
-                f"angle rejection sampler exceeded {MAX_REJECTION_DRAWS} draws"
-            )
-        batch = min(max(4 * (n - filled), 128), budget)
-        draws += batch
+
+    def accepted(batch: int) -> np.ndarray:
         proposal = rng.normal(theta, sigma2, size=batch)
-        keep = proposal[(proposal >= 0.0) & (proposal < TWO_PI)]
-        take = min(len(keep), n - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
+        return proposal[(proposal >= 0.0) & (proposal < TWO_PI)]
+
+    return _rejection("angle", n, accepted)
 
 
 def sample_series(sc: SyntheticScenario) -> list[CrimeSeries]:
-    """Replicated series around the true anchor; bitwise-repeatable by seed."""
+    """Replicated series around the true anchor; bitwise-repeatable by seed.
+    A site outside the UTM rectangle raises OutOfRangeError, as a
+    ``UtmPoint`` of it would."""
+    zone = sc.true_anchor.zone
     anchor_xy = np.array([sc.true_anchor.easting, sc.true_anchor.northing])
     seeds = np.random.SeedSequence(sc.seed).spawn(sc.replicates)
     out = []
@@ -123,11 +123,12 @@ def sample_series(sc: SyntheticScenario) -> list[CrimeSeries]:
                 rng, sc.true_params.theta, sc.true_params.sigma2, sc.n
             )
             offsets = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-        sites = tuple(
-            UtmPoint(sc.true_anchor.zone, float(e), float(n))
-            for e, n in anchor_xy + offsets
-        )
-        out.append(CrimeSeries(f"synth{k:04d}", sites, sc.true_anchor))
+        xy = anchor_xy + offsets
+        ok = in_utm(*xy.T)
+        if not ok.all():
+            # the first such site's own check raises its range error
+            UtmPoint(zone, *xy[np.argmin(ok)].tolist())
+        out.append(CrimeSeries(f"synth{k:04d}", xy, zone, sc.true_anchor))
     return out
 
 
@@ -137,15 +138,15 @@ def series_to_utm_csv(series_list) -> str:
     for series in series_list:
         anchor = series.anchor
         anchor_cells = ("", "") if anchor is None else (anchor.easting, anchor.northing)
-        for i, site in enumerate(series.sites):
+        for i, (easting, northing) in enumerate(series.xy.tolist()):
             rows.append(
                 (
                     series.offender_id,
                     f"{series.offender_id}_{i}",
                     "0000",
-                    site.zone,
-                    site.easting,
-                    site.northing,
+                    series.zone,
+                    easting,
+                    northing,
                     *anchor_cells,
                 )
             )

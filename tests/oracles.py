@@ -324,6 +324,8 @@ def read_dataset_direct(text, zone=18):
     then all kept points put on ``zone`` by one ``latlon_to_utm`` call.
     Ids, ``xy`` bits, anchors, the warnings for dropped offenders and the
     text of every error are what the loader must keep."""
+    if not 1 <= zone <= 60:
+        raise OutOfRangeError(f"configured zone {zone} outside [1, 60]")
     by_offender = {}
     for offender_id, site, anchor in _direct_rows(text):
         by_offender.setdefault(offender_id, []).append((site, anchor))
@@ -356,7 +358,10 @@ def read_dataset_direct(text, zone=18):
     return dataset.Dataset(
         tuple(
             dataset.CrimeSeries(
-                offender_id, tuple(on_zone[start : stop - 1]), on_zone[stop - 1]
+                offender_id,
+                [(p.easting, p.northing) for p in on_zone[start : stop - 1]],
+                zone,
+                on_zone[stop - 1],
             )
             for offender_id, start, stop in spans
         )

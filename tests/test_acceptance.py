@@ -210,8 +210,7 @@ def _collapse_case(rng, family):
         offsets = rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
     from geoprofile.dataset import CrimeSeries
 
-    sites = tuple(UtmPoint(18, float(e), float(n)) for e, n in anchor + offsets)
-    return CrimeSeries("c", sites), params, overrides, density
+    return CrimeSeries("c", anchor + offsets, 18), params, overrides, density
 
 
 def test_c03_posterior_collapse_oracle():
@@ -339,11 +338,7 @@ def test_c05_rossmo_continuity_and_ranking():
 
     from geoprofile.dataset import CrimeSeries
 
-    sites = tuple(
-        UtmPoint(18, float(e), float(n))
-        for e, n in rng.uniform([335.0, 4350.0], [365.0, 4375.0], size=(6, 2))
-    )
-    series = CrimeSeries("k", sites)
+    series = CrimeSeries("k", rng.uniform([335.0, 4350.0], [365.0, 4375.0], size=(6, 2)), 18)
     from geoprofile.rossmo import buffer_radius
 
     b = buffer_radius(series)

@@ -47,9 +47,7 @@ def synthetic_csv(tmp_path):
         params = M1Params(1.5) if i % 2 == 0 else M2Params(4.0, 1.0)
         sc = SyntheticScenario(family, anchor, params, n=8, replicates=1, seed=i)
         s = sample_series(sc)[0]
-        series.append(
-            type(s)(f"o{i}", s.sites, s.anchor)
-        )
+        series.append(CrimeSeries(f"o{i}", s.xy, s.zone, s.anchor))
     path = tmp_path / "synthetic.csv"
     path.write_text(series_to_utm_csv(series))
     return path
@@ -58,7 +56,7 @@ def synthetic_csv(tmp_path):
 def _renamed_first(synthetic_csv, tmp_path, offender_id):
     """The synthetic dataset with its first offender renamed ``offender_id``."""
     first, *rest = read_dataset(synthetic_csv.read_text()).series
-    renamed = CrimeSeries(offender_id, first.sites, first.anchor)
+    renamed = CrimeSeries(offender_id, first.xy, first.zone, first.anchor)
     path = tmp_path / "renamed.csv"
     path.write_text(series_to_utm_csv([renamed, *rest]))
     return path
@@ -598,7 +596,7 @@ def test_load_dataset_sniffs_both_formats(tmp_path, synthetic_csv):
     )
     ds2 = load_dataset(geo)
     assert ds2.series[0].n == 3
-    assert ds2.series[0].sites[0].zone == 18
+    assert ds2.series[0].zone == 18
 
 
 class TestEvaluateFailures:
@@ -609,11 +607,8 @@ class TestEvaluateFailures:
         ds = read_dataset(synthetic_csv.read_text())
         rng = np.random.default_rng(13)
         anchor = UtmPoint(18, 500.0, 4500.0)
-        sites = tuple(
-            UtmPoint(18, 500.0 + float(dx), 4500.0 + float(dy))
-            for dx, dy in rng.normal(0.0, 1.0, size=(4, 2))
-        )
-        stray = CrimeSeries("stray", sites, anchor)
+        sites = (500.0, 4500.0) + rng.normal(0.0, 1.0, size=(4, 2))
+        stray = CrimeSeries("stray", sites, 18, anchor)
         path = tmp_path / "with_stray.csv"
         path.write_text(series_to_utm_csv(list(ds.series) + [stray]))
 

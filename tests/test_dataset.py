@@ -14,7 +14,7 @@ from geoprofile.dataset import (
     read_dataset,
     read_geographic,
 )
-from geoprofile.geodesy import UtmPoint
+from geoprofile.geodesy import OutOfRangeError, UtmPoint
 from oracles import read_dataset_direct
 
 HEADER = ",".join(CSV_HEADER)
@@ -138,7 +138,7 @@ class TestReadDataset:
         ds = read_dataset(_file(layout, rows))
         assert ds.offender_ids() == ["a", "b"]
         assert [s.n for s in ds.series] == [3, 4]
-        assert {p.zone for s in ds.series for p in (*s.sites, s.anchor)} == {18}
+        assert {p.zone for s in ds.series for p in (s, s.anchor)} == {18}
 
     def test_short_offender_dropped_with_warning(self, layout, caplog):
         rows = _series_rows(layout, "9", 2) + _series_rows(layout, "10", 3)
@@ -179,7 +179,20 @@ class TestReadDataset:
                 read_dataset(text, zone=17)
         else:
             ds = read_dataset(text, zone=17)
-            assert {p.zone for p in (*ds.series[0].sites, ds.series[0].anchor)} == {17}
+            assert {p.zone for p in (ds.series[0], ds.series[0].anchor)} == {17}
+
+    @pytest.mark.parametrize("zone", [0, 61])
+    def test_zone_outside_range_rejected(self, layout, zone):
+        text = _file(layout, _series_rows(layout, "a", 3))
+        with pytest.raises(OutOfRangeError, match=rf"^configured zone {zone} outside \[1, 60\]$"):
+            read_dataset(text, zone=zone)
+
+    def test_zone_rejected_before_any_row_is_read(self, layout):
+        rows = _series_rows(layout, "a", 3)
+        rows[0] = _with_field(rows[0], 4, "oops")
+        for text in (_file(layout, []), _file(layout, rows), ""):
+            with pytest.raises(OutOfRangeError, match="configured zone 61"):
+                read_dataset(text, zone=61)
 
     def test_blank_anchor_cells(self, layout):
         rows = [",".join(r.split(",")[:-2] + ["", ""]) for r in _series_rows(layout, "a", 3)]
@@ -199,7 +212,7 @@ class TestGroupIntoSeries:
         assert len(ds.series) == 1
         assert ds.series[0].n == 3
         assert ds.total_crimes == 3
-        assert all(s.zone == 18 for s in ds.series[0].sites)
+        assert ds.series[0].zone == 18
 
     def test_short_series_excluded_with_warning(self, caplog):
         rows = [
@@ -270,24 +283,64 @@ class TestGroupIntoSeries:
 
 class TestTypes:
     def test_series_restrict(self):
-        sites = tuple(UtmPoint(18, 350.0 + i, 4360.0) for i in range(5))
-        s = CrimeSeries("x", sites, UtmPoint(18, 350.0, 4361.0))
+        xy = [(350.0 + i, 4360.0) for i in range(5)]
+        s = CrimeSeries("x", xy, 18, UtmPoint(18, 350.0, 4361.0))
         sub = s.restrict([3, 1])
         assert sub.n == 2
-        assert sub.sites == (sites[1], sites[3])
+        assert sub.xy.tolist() == [list(xy[1]), list(xy[3])]
         assert sub.anchor == s.anchor
 
+    def test_restrict_is_read_only(self):
+        s = CrimeSeries("x", np.arange(10.0).reshape(5, 2), 18)
+        sub = s.restrict([4, 0, 2])
+        assert sub.xy.tolist() == [[0.0, 1.0], [4.0, 5.0], [8.0, 9.0]]
+        assert not sub.xy.flags.writeable
+        with pytest.raises(ValueError, match="at least one site"):
+            s.restrict([])
+
     def test_duplicate_offenders_rejected(self):
-        sites = tuple(UtmPoint(18, 350.0 + i, 4360.0) for i in range(3))
-        s = CrimeSeries("dup", sites)
+        sites = [(350.0 + i, 4360.0) for i in range(3)]
+        s = CrimeSeries("dup", sites, 18)
         with pytest.raises(DataError):
             Dataset((s, s))
 
     def test_mixed_zone_rejected(self):
+        with pytest.raises(ValueError, match="anchor zone 17 is not the series zone 18"):
+            CrimeSeries("x", [(350.0, 4360.0)], 18, UtmPoint(17, 350.0, 4360.0))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 3), (2,), (1, 2, 2)])
+    def test_bad_shape_rejected(self, shape):
         with pytest.raises(ValueError):
-            CrimeSeries(
-                "x", (UtmPoint(18, 350.0, 4360.0), UtmPoint(17, 350.0, 4360.0))
-            )
+            CrimeSeries("x", np.full(shape, 350.0), 18)
+
+    def test_read_only_array_kept(self):
+        xy = np.array([[350.0, 4360.0], [351.0, 4361.0]])
+        xy.flags.writeable = False
+        assert CrimeSeries("x", xy, 18).xy is xy
+
+    def test_writable_array_copied(self):
+        xy = np.array([[350.0, 4360.0], [351.0, 4361.0]])
+        s = CrimeSeries("x", xy, 18)
+        xy[0, 0] = 999.0
+        assert s.xy.tolist() == [[350.0, 4360.0], [351.0, 4361.0]]
+        assert not s.xy.flags.writeable
+        with pytest.raises(ValueError):
+            s.xy[0, 0] = 999.0
+
+    def test_other_dtypes_copied_as_float(self):
+        xy = np.array([[350, 4360], [351, 4361]])
+        xy.flags.writeable = False
+        s = CrimeSeries("x", xy, 18)
+        assert s.xy.dtype == np.float64 and not s.xy.flags.writeable
+
+    def test_loaded_series_share_one_read_only_array(self, layout):
+        rows = [row for oid in "abcd" for row in _series_rows(layout, oid, 3 + "abcd".index(oid))]
+        ds = read_dataset(_file(layout, rows))
+        assert len(ds.series) == 4
+        bases = {id(s.xy.base) for s in ds.series}
+        assert len(bases) == 1 and ds.series[0].xy.base is not None
+        assert not any(s.xy.flags.writeable for s in ds.series)
+        assert not ds.series[0].xy.base.flags.writeable
 
 
 # bad cells, each a (field index, value) per layout; None where the layout

@@ -33,9 +33,8 @@ PRIORS = flat_prior_set(GRID)
 
 
 def _series(xy, anchor=None, offender="t"):
-    sites = tuple(UtmPoint(18, float(e), float(n)) for e, n in xy)
     anchor_pt = UtmPoint(18, *anchor) if anchor is not None else None
-    return CrimeSeries(offender, sites, anchor_pt)
+    return CrimeSeries(offender, xy, 18, anchor_pt)
 
 
 def _rand_sites(rng, center, spread, n):
@@ -96,7 +95,7 @@ class TestPosteriorSurface:
         series = _series([(351.3, 4361.7)])
         surface = posterior_surface(series, ModelSpec(Family.M1), PRIORS, GRID)
         row, col = np.unravel_index(np.argmax(surface.mass), surface.mass.shape)
-        assert (row, col) == locate_cell(GRID, series.sites[0])
+        assert (row, col) == locate_cell(GRID, UtmPoint(18, *series.xy[0].tolist()))
 
     def test_surface_sums_to_one(self):
         rng = np.random.default_rng(104)

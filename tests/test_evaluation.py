@@ -131,8 +131,7 @@ def _offender(rng, oid, anchor_xy, kind):
         ang = rng.normal(math.pi / 4, 0.15, size=6)
         rad = rng.normal(15.0, 1.5, size=6).clip(12.0)
         offsets = rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
-    sites = tuple(UtmPoint(18, float(e), float(n)) for e, n in anchor + offsets)
-    return CrimeSeries(oid, sites, UtmPoint(18, *anchor))
+    return CrimeSeries(oid, anchor + offsets, 18, UtmPoint(18, *anchor))
 
 
 @pytest.fixture(scope="module")
@@ -298,8 +297,8 @@ class TestCompareMethods:
     def test_non_finite_hit_score_recorded(self):
         # crimes 1e-300 km apart on the equator, one on the only cell
         # center: a buffer radius of 5e-301 km overflows the decay scores
-        sites = tuple(UtmPoint(18, 500.0, y) for y in (0.0, 1e-300, 2e-300))
-        ds = Dataset((CrimeSeries("eq", sites, UtmPoint(18, 500.0, 0.1)),))
+        sites = [(500.0, y) for y in (0.0, 1e-300, 2e-300)]
+        ds = Dataset((CrimeSeries("eq", sites, 18, UtmPoint(18, 500.0, 0.1)),))
         grid = Grid(west=499.5, east=500.5, south=-0.5, north=0.5, nrows=1, ncols=1)
         report = compare_methods(ds, [MethodId.ROSSMO], Scope.ALL, grid=grid)
         assert report.results == []
@@ -324,7 +323,8 @@ class TestResidency:
         offsets = ((6.0, 8.0), (8.0, 6.0), (-8.0, 6.0))
         edge = CrimeSeries(
             "edge",
-            tuple(UtmPoint(18, 350.0 + dx, 4360.0 + dy) for dx, dy in offsets),
+            [(350.0 + dx, 4360.0 + dy) for dx, dy in offsets],
+            18,
             UtmPoint(18, 350.0, 4360.0),
         )
         assert not is_nonresident(edge)

@@ -66,8 +66,8 @@ class TestKde2d:
         with pytest.raises(InsufficientDataError):
             kde2d(np.array([[1.0, 1.0]]), small_grid)
 
-    def test_accepts_utm_points(self, small_grid):
-        pts = [UtmPoint(18, 5.0, 5.0), UtmPoint(18, 6.0, 6.0), UtmPoint(18, 7.0, 5.5)]
+    def test_accepts_coordinate_pairs(self, small_grid):
+        pts = [(5.0, 5.0), (6.0, 6.0), (7.0, 5.5)]
         prior = kde2d(pts, small_grid)
         assert prior.weights.sum() == pytest.approx(1.0)
 
@@ -110,10 +110,8 @@ class TestBoundedDensity1d:
 
 def _series(offender_id, anchor_xy, site_offsets):
     anchor = UtmPoint(18, *anchor_xy)
-    sites = tuple(
-        UtmPoint(18, anchor_xy[0] + dx, anchor_xy[1] + dy) for dx, dy in site_offsets
-    )
-    return CrimeSeries(offender_id, sites, anchor)
+    sites = [(anchor_xy[0] + dx, anchor_xy[1] + dy) for dx, dy in site_offsets]
+    return CrimeSeries(offender_id, sites, 18, anchor)
 
 
 def _population(rng, n_offenders=12):
@@ -175,10 +173,7 @@ class TestBuildPriorSet:
         moved = []
         for s in ds.series:
             if s.offender_id == "o2":
-                sites = tuple(
-                    UtmPoint(18, p.easting + 15.0, p.northing - 10.0) for p in s.sites
-                )
-                moved.append(CrimeSeries("o2", sites, s.anchor))
+                moved.append(CrimeSeries("o2", s.xy + (15.0, -10.0), 18, s.anchor))
             else:
                 moved.append(s)
         priors_b = build_prior_set(Dataset(tuple(moved)), "o2", labels, Grid())

@@ -5,7 +5,6 @@ import pytest
 
 from geoprofile.dataset import CrimeSeries
 from geoprofile.engine import DegenerateSurfaceError
-from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, cell_center
 from geoprofile.rossmo import (
     RossmoParams,
@@ -19,7 +18,7 @@ GRID = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=35, ncols=
 
 
 def _series(xy, offender="r"):
-    return CrimeSeries(offender, tuple(UtmPoint(18, float(e), float(n)) for e, n in xy))
+    return CrimeSeries(offender, xy, 18)
 
 
 class TestBufferRadius:

@@ -6,7 +6,8 @@ from scipy import stats as sps
 
 from geoprofile.dataset import CSV_HEADER, UTM_CSV_HEADER, SchemaError, read_dataset
 from geoprofile.engine import Family
-from geoprofile.geodesy import UtmPoint
+from geoprofile import synthetic
+from geoprofile.geodesy import OutOfRangeError, UtmPoint
 from geoprofile.models import (
     M1Params,
     M2Params,
@@ -15,6 +16,8 @@ from geoprofile.models import (
 )
 from geoprofile.synthetic import (
     SyntheticScenario,
+    _sample_angles_windowed,
+    _sample_radii,
     sample_series,
     series_to_utm_csv,
 )
@@ -93,7 +96,7 @@ class TestSampling:
         a = sample_series(sc)
         b = sample_series(sc)
         for sa, sb in zip(a, b):
-            assert sa.sites == sb.sites
+            assert (sa.zone, sa.xy.tolist()) == (sb.zone, sb.xy.tolist())
 
     def test_replicates_differ(self):
         sc = SyntheticScenario(
@@ -105,7 +108,30 @@ class TestSampling:
             seed=3,
         )
         a, b = sample_series(sc)
-        assert a.sites != b.sites
+        assert (a.zone, a.xy.tolist()) != (b.zone, b.xy.tolist())
+
+    def test_site_outside_the_zone_raises(self):
+        sc = SyntheticScenario(
+            family=Family.M2,
+            true_anchor=UtmPoint(18, 1.0, 4365.0),
+            true_params=M2Params(alpha=5.0, sigma=1.0),
+            n=12,
+            seed=5,
+        )
+        with pytest.raises(OutOfRangeError, match=r"easting -.* km outside \(0, 1000\)"):
+            sample_series(sc)
+
+    @pytest.mark.parametrize(
+        "sampler, name",
+        [
+            (lambda rng: _sample_radii(rng, 5.0, 1.0, 1000), "radial"),
+            (lambda rng: _sample_angles_windowed(rng, 1.0, 0.5, 1000), "angle"),
+        ],
+    )
+    def test_rejection_budget(self, monkeypatch, sampler, name):
+        monkeypatch.setattr(synthetic, "MAX_REJECTION_DRAWS", 100)
+        with pytest.raises(RuntimeError, match=f"^{name} rejection sampler exceeded 100 draws$"):
+            sampler(np.random.default_rng(0))
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -128,7 +154,7 @@ class TestUtmCsv:
         ds = read_dataset(series_to_utm_csv(series))
         assert ds.offender_ids() == [s.offender_id for s in series]
         for orig, back in zip(series, ds.series):
-            assert orig.sites == back.sites
+            assert (orig.zone, orig.xy.tolist()) == (back.zone, back.xy.tolist())
             assert orig.anchor == back.anchor
 
     def test_rejects_unknown_header(self):
