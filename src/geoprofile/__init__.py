@@ -5,7 +5,7 @@ coordinates, a distance-decay hit-score baseline, and search-fraction
 evaluation utilities.
 """
 
-from geoprofile.classify import SubtypeKind, SubtypeLabel, classify, detect_clusters, nn_distances
+from geoprofile.classify import SubtypeKind, SubtypeLabel, nn_distances
 from geoprofile.dataset import CrimeSeries, Dataset
 from geoprofile.engine import (
     Family,

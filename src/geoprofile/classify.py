@@ -18,9 +18,9 @@ __all__ = [
     "SubtypeKind",
     "SubtypeLabel",
     "nn_distances",
-    "detect_clusters",
     "classify",
     "classify_all",
+    "label_dataset",
 ]
 
 NN_THRESHOLD_KM = 2.0
@@ -83,19 +83,6 @@ def _nearest(d: np.ndarray) -> np.ndarray:
     return d.min(axis=-1)
 
 
-def _median(values: np.ndarray) -> np.ndarray:
-    """``np.median`` along the last axis, bit for bit, from one sort: the
-    middle value, or the mean of the two middle values for an even length;
-    NaN if any value is NaN (the sort puts NaN last)."""
-    ordered = np.sort(values, axis=-1)
-    mid = ordered.shape[-1] // 2
-    if ordered.shape[-1] % 2:
-        middle = ordered[..., mid]
-    else:
-        middle = (ordered[..., mid - 1] + ordered[..., mid]) / 2
-    return np.where(np.isnan(ordered[..., -1]), np.nan, middle)
-
-
 def _components(d: np.ndarray, cutoff: float) -> np.ndarray:
     """Single-linkage components of (..., n, n) pairwise matrices at the
     cutoff, as closed reachability: entry (i, j) is True exactly when sites
@@ -151,7 +138,7 @@ def _labels(
     n_clusters = (first & (size >= 2)).sum(axis=-1)
     coverage = (size >= 2).sum(axis=-1) / n
     m1 = (
-        (_median(_nearest(d)) <= nn_threshold_km)
+        (np.median(_nearest(d), axis=-1) <= nn_threshold_km)
         & (n_clusters == 1)
         & (coverage >= single_cluster_coverage)
     )
@@ -173,19 +160,6 @@ def nn_distances(sites, metric: str = "euclidean") -> np.ndarray:
     if len(xy) < 2:
         raise ValueError("need at least 2 sites for nearest-neighbour distances")
     return _nearest(_pairwise(xy, metric))
-
-
-def detect_clusters(sites, cutoff: float = CLUSTER_CUTOFF_KM) -> list[frozenset[int]]:
-    """Single-linkage components at the cutoff; isolated sites are not clusters.
-
-    Components are connected components of the graph with an edge wherever
-    two sites are within ``cutoff`` of each other, so chains link up.
-    Returned in order of each component's smallest site index.
-    """
-    xy = as_xy(sites)
-    if len(xy) < 2:
-        raise ValueError("need at least 2 sites to detect clusters")
-    return _clusters(_components(_pairwise(xy, "euclidean"), cutoff))
 
 
 def _sites_to_classify(sites) -> np.ndarray:
@@ -221,3 +195,8 @@ def classify_all(xys, **options) -> list[SubtypeLabel]:
             for i, label in zip(batch, _labels(d, **options)):
                 labels[i] = label
     return labels
+
+
+def label_dataset(ds, **options) -> dict[str, SubtypeLabel]:
+    """Each offender's ``classify_all`` label, keyed by id in the dataset's order."""
+    return dict(zip(ds.offender_ids(), classify_all([s.xy for s in ds.series], **options)))

@@ -21,8 +21,8 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -72,6 +72,9 @@ ANCHOR_CONSISTENCY_DEG = 1e-9
 # into numbers and dropped before the next block is read, so a file's rows
 # are never all held as strings at once
 _BLOCK_ROWS = 1024
+# characters per chunk of ``_lines``: only one chunk's line strings are held
+# at once, so they do not spread over allocator arenas that outlive the read
+_CHUNK_CHARS = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -257,8 +260,24 @@ _LAYOUTS = {
 _BLOCK_CHECKS = {tuple(CSV_HEADER): _geographic, tuple(UTM_CSV_HEADER): _planar}
 
 
-def _header(reader, headers) -> tuple[str, ...]:
-    """The header row of a CSV reader, which must be one of ``headers``."""
+def _lines(text: str):
+    r"""The lines of ``text`` as a text stream with ``newline="\n"`` reads
+    them, each split after its ``"\n"`` (a ``"\r\n"`` stays whole), but
+    split a chunk at a time rather than copied whole into such a stream."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        *lines, last = text[start:end].split("\n")
+        yield from map(add, lines, repeat("\n"))
+        if last:
+            yield last
+        start = end
+
+
+def _reader(text: str, headers):
+    """A CSV reader over the lines of ``text``, past its header row, and
+    that header, which must be one of ``headers``."""
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -267,7 +286,7 @@ def _header(reader, headers) -> tuple[str, ...]:
     if header not in headers:
         expected = " or ".join(",".join(h) for h in headers)
         raise SchemaError(f"header mismatch: expected {expected}, got {','.join(header)}")
-    return header
+    return reader, header
 
 
 def _well_formed(block, nums, width: int):
@@ -322,8 +341,7 @@ def read_geographic(text: str):
     geographic CSV ``text``: the stripped text cells, and (n, 2) lat/lon
     arrays of the crime sites and of the anchors. Rows are read and
     checked as ``read_dataset`` reads them; a bad row raises RowError."""
-    reader = csv.reader(io.StringIO(text))
-    header = _header(reader, (tuple(CSV_HEADER),))
+    reader, header = _reader(text, (tuple(CSV_HEADER),))
     ids, crime_ids, ucr_codes = [], [], []
     sites, anchors = [np.empty((0, 2))], [np.empty((0, 2))]
     for block_ids, columns, site, anchor, _ in _blocks(reader, header):
@@ -349,9 +367,8 @@ def _columns(text: str):
     ``text`` in either layout: the offenders in the order of their first
     rows; per row, the index of its offender's first row; the arrays of
     ``_blocks``, joined; and a planar file's zones, None for a geographic
-    file. The reader and its buffer are freed when this returns."""
-    reader = csv.reader(io.StringIO(text))
-    header = _header(reader, _LAYOUTS)
+    file. The reader and its lines are freed when this returns."""
+    reader, header = _reader(text, _LAYOUTS)
     first_rows: dict[str, int] = {}
     codes, sites, anchors, zones = [], [], [], []
     rows = 0

@@ -47,7 +47,7 @@ import numpy as np
 
 from geoprofile.classify import SubtypeKind, SubtypeLabel
 from geoprofile.dataset import CrimeSeries
-from geoprofile.grid import Grid
+from geoprofile.grid import Grid, check_cell_mass
 from geoprofile.models import (
     TWO_PI,
     angle_normalizer,
@@ -191,12 +191,7 @@ class PosteriorSurface:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mass.shape != (self.grid.nrows, self.grid.ncols):
-            raise ValueError("mass must be shaped (nrows, ncols)")
-        if not np.all(np.isfinite(self.mass)) or np.any(self.mass < 0.0):
-            raise ValueError("mass must be finite and nonnegative")
-        if abs(float(self.mass.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"mass must sum to 1, got {self.mass.sum()}")
+        check_cell_mass(self.grid, self.mass, "mass")
 
 
 def _quadrature_nodes(spec: ModelSpec, param: str, priors: PriorSet) -> np.ndarray:

@@ -11,15 +11,14 @@ methods are usually tabulated against each other.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-# compare_methods labels with classify_all; perfbench's tracer still looks
+# compare_methods labels with label_dataset; perfbench's tracer still looks
 # up evaluation.classify by name, so the name stays bound here
-from geoprofile.classify import classify, classify_all  # noqa: F401
+from geoprofile.classify import classify, label_dataset  # noqa: F401
 from geoprofile.dataset import Dataset, csv_text
 from geoprofile.engine import (
     DegenerateSurfaceError,
@@ -49,8 +48,6 @@ __all__ = [
     "accumulation_curve",
     "compare_methods",
 ]
-
-logger = logging.getLogger(__name__)
 
 RESIDENTS_THRESHOLDS = tuple(t / 100.0 for t in (*range(1, 11), 16, 17))
 ALL_THRESHOLDS = tuple(t / 100.0 for t in (1, 5, 10, 15, 20, 25, 36, 37, 38, 39))
@@ -195,10 +192,10 @@ def compare_methods(
     """Full pipeline over a dataset: classify, leave-one-out priors,
     per-method surfaces, search fractions, accumulation curves.
 
-    Per-offender domain failures are recorded and skipped: no anchor, an
-    anchor outside the grid, too few donors for the leave-one-out priors,
-    a posterior that underflows in every cell, hit scores without a finite
-    positive sum. Any other exception is a defect and propagates.
+    Per-offender domain failures are recorded, not logged, and skipped:
+    no anchor, an anchor outside the grid, too few donors for the
+    leave-one-out priors, a posterior that underflows in every cell, hit
+    scores without a finite positive sum. Other exceptions propagate.
     A repeated method is scored once. A ``nonres_weight`` outside [0, 1]
     and a bad ``quadrature`` (a parameter no family has, a count below 1)
     are the caller's errors and raise before any offender is scored.
@@ -210,11 +207,7 @@ def compare_methods(
     thresholds = (
         RESIDENTS_THRESHOLDS if scope is Scope.RESIDENTS_ONLY else ALL_THRESHOLDS
     )
-    classifier_options = classifier_options or {}
-
-    labels = dict(
-        zip(ds.offender_ids(), classify_all([s.xy for s in ds.series], **classifier_options))
-    )
+    labels = label_dataset(ds, **(classifier_options or {}))
     report = EvaluationReport(
         scope=scope,
         thresholds=thresholds,
@@ -250,14 +243,12 @@ def compare_methods(
                     quadrature,
                 )
             except (InsufficientDataError, DegenerateSurfaceError) as exc:
-                logger.warning("offender %s: posterior methods failed: %s", oid, exc)
                 for m in bayes_methods:
                     report.failures.append(FailureRecord(oid, m.value, str(exc)))
         if MethodId.ROSSMO in methods:
             try:
                 surfaces[MethodId.ROSSMO] = hit_score_surface(series, grid)
             except DegenerateSurfaceError as exc:
-                logger.warning("offender %s: hit-score baseline failed: %s", oid, exc)
                 report.failures.append(
                     FailureRecord(oid, MethodId.ROSSMO.value, str(exc))
                 )
@@ -272,6 +263,4 @@ def compare_methods(
         method_results = [r for r in report.results if r.method is m]
         if method_results:
             report.curves.append(accumulation_curve(method_results, thresholds, m))
-        else:
-            logger.warning("method %s produced no results", m.value)
     return report

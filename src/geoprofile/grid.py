@@ -16,7 +16,7 @@ import numpy as np
 
 from geoprofile.geodesy import UtmPoint, check_zone
 
-__all__ = ["DEFAULT_ZONE", "Grid", "OutOfGridError", "cell_center", "locate_cell"]
+__all__ = ["DEFAULT_ZONE", "Grid", "OutOfGridError", "cell_center", "check_cell_mass", "locate_cell"]
 
 DEFAULT_ZONE = 18
 
@@ -97,3 +97,16 @@ def locate_cell(grid: Grid, p: UtmPoint) -> tuple[int, int]:
     col = min(int(math.floor((p.easting - grid.west) / grid.dx)), grid.ncols - 1)
     row = min(int(math.floor((p.northing - grid.south) / grid.dy)), grid.nrows - 1)
     return row, col
+
+
+def check_cell_mass(grid: Grid, mass: np.ndarray, name: str) -> None:
+    """Raise ValueError, naming ``mass`` as ``name``, unless it is an
+    (nrows, ncols) array of finite nonnegative values that sum to 1 within
+    1e-9. A NaN fails the minimum's test and an infinity the sum's."""
+    if mass.shape != (grid.nrows, grid.ncols):
+        raise ValueError(f"{name} must be shaped (nrows, ncols)")
+    total = float(mass.sum())
+    if not (mass.min() >= 0.0 and math.isfinite(total)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{name} must sum to 1, got {total}")

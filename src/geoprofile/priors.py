@@ -24,7 +24,7 @@ import numpy as np
 
 from geoprofile.classify import SubtypeLabel, as_xy
 from geoprofile.dataset import Dataset
-from geoprofile.grid import Grid
+from geoprofile.grid import Grid, check_cell_mass
 from geoprofile.models import TWO_PI
 
 __all__ = [
@@ -128,12 +128,7 @@ class AnchorPrior:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.weights.shape != (self.grid.nrows, self.grid.ncols):
-            raise ValueError("weights must be shaped (nrows, ncols)")
-        if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+        check_cell_mass(self.grid, self.weights, "weights")
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -163,20 +158,16 @@ def _silverman_1d(samples: np.ndarray) -> float:
     return 0.9 * scale * len(samples) ** -0.2
 
 
-def kde2d(points, grid: Grid, bandwidth: tuple[float, float] | None = None) -> AnchorPrior:
+def kde2d(points, grid: Grid) -> AnchorPrior:
     """Gaussian product-kernel density of donor anchors at the cell centers.
 
-    Per-axis Silverman bandwidth sigma_j * n^(-1/6) unless overridden;
-    either is floored at half a cell so the surface stays finite.
+    Per-axis Silverman bandwidth sigma_j * n^(-1/6), floored at half a
+    cell so the surface stays finite.
     """
     xy = as_xy(points)
     if len(xy) < 2:
         raise InsufficientDataError("2-D kernel density needs at least 2 points")
-    if bandwidth is None:
-        n = len(xy)
-        h = np.std(xy, axis=0, ddof=1) * n ** (-1.0 / 6.0)
-    else:
-        h = np.asarray(bandwidth, dtype=float)
+    h = np.std(xy, axis=0, ddof=1) * len(xy) ** (-1.0 / 6.0)
     # the kernel must stay resolvable on the cell mesh, or tightly packed
     # donors underflow every center to exactly zero
     h = np.maximum(h, [grid.dx / 2.0, grid.dy / 2.0])
@@ -325,17 +316,6 @@ def _donor_stats(donors, anchors: np.ndarray) -> dict[str, np.ndarray]:
     return stats
 
 
-def _estimate(kind: PriorKind, samples: np.ndarray) -> ParamPrior:
-    if len(samples) < 3:
-        logger.warning(
-            "no usable donors for %s prior (%d sample(s)); falling back to flat",
-            kind.value,
-            len(samples),
-        )
-        return flat_param_prior(kind)
-    return bounded_density_1d(samples, *PRIORS[kind].support, kind=kind)
-
-
 def build_prior_set(
     ds: Dataset,
     excluded_offender: str,
@@ -346,8 +326,8 @@ def build_prior_set(
 
     Each donor feeds, in donor order, every kind whose ``PRIORS`` row
     names its group and whose statistic it has. A kind with fewer than 3
-    donor samples falls back to a flat prior with a warning. An unknown
-    ``excluded_offender`` raises KeyError.
+    donor samples falls back to a flat prior; one warning names every such
+    kind. An unknown ``excluded_offender`` raises KeyError.
     """
     ds.get(excluded_offender)  # KeyError for an unknown id
     donors = [s for s in ds.series if s.offender_id != excluded_offender]
@@ -361,10 +341,21 @@ def build_prior_set(
     stats = _donor_stats(donors, anchors)
     labels = [subtype_labels[s.offender_id].kind.value for s in donors]
     group = np.where(stats["resident"], labels, "NONRES")
-    params = {}
+    params, flat = {}, []
     for kind, row in PRIORS.items():
         values = stats[row.statistic]
-        params[kind] = _estimate(kind, values[np.isin(group, row.groups) & ~np.isnan(values)])
+        samples = values[np.isin(group, row.groups) & ~np.isnan(values)]
+        try:
+            params[kind] = bounded_density_1d(samples, *row.support, kind=kind)
+        except InsufficientDataError:
+            params[kind] = flat_param_prior(kind)
+            flat.append(f"{kind.value}: {len(samples)}")
+    if flat:
+        logger.warning(
+            "too few donor samples for %d prior(s) (%s); falling back to flat",
+            len(flat),
+            ", ".join(flat),
+        )
     return PriorSet(
         anchor=kde2d(anchors, grid),
         params=MappingProxyType(params),

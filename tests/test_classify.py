@@ -1,17 +1,17 @@
-import importlib
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoprofile.classify as classify_module
 from geoprofile.classify import (
     SubtypeKind,
     SubtypeLabel,
     classify,
     classify_all,
-    detect_clusters,
     nn_distances,
 )
 from geoprofile.dataset import read_dataset
@@ -20,8 +20,11 @@ from geoprofile.dataset import read_dataset
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench import inputs  # noqa: E402
 
-# the package re-exports the function ``classify``, which hides the module
-classify_module = importlib.import_module("geoprofile.classify")
+
+def test_import_gives_the_module():
+    # the package binds no name of its own over the submodule
+    assert isinstance(classify_module, types.ModuleType)
+    assert classify_module is sys.modules["geoprofile.classify"]
 
 
 class TestNnDistances:
@@ -52,35 +55,52 @@ class TestNnDistances:
 
 
 class TestDetectClusters:
+    """Single-linkage clusters, as ``classify`` reports them for M3 series."""
+
     def test_two_groups(self):
+        # the groups' sites interleave, so cluster order is by smallest index
         group1 = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]
         group2 = [(10.0, 0.0), (10.5, 0.0), (10.0, 0.5)]
-        clusters = detect_clusters(group1 + group2, cutoff=2.0)
-        assert sorted(len(c) for c in clusters) == [3, 3]
-        assert clusters[0] == frozenset({0, 1, 2})
-        assert clusters[1] == frozenset({3, 4, 5})
+        sites = [group2[0], group1[0], group1[1], group2[1], group1[2], group2[2]]
+        label = classify(sites)
+        assert label.kind is SubtypeKind.M3
+        assert label.clusters == (frozenset({0, 3, 5}), frozenset({1, 2, 4}))
 
     def test_single_cluster(self):
+        # one component is never reported as clusters
         sites = [(0.0, 0.0), (0.3, 0.1), (0.1, 0.4), (0.2, 0.2)]
-        clusters = detect_clusters(sites, cutoff=2.0)
-        assert clusters == [frozenset(range(4))]
+        label = classify(sites)
+        assert label.kind is SubtypeKind.M1
+        assert label.clusters == ()
 
     def test_chaining(self):
-        sites = [(1.9 * i, 0.0) for i in range(6)]
-        clusters = detect_clusters(sites, cutoff=2.0)
-        assert clusters == [frozenset(range(6))]
+        # each chain links up at 1.9 km steps and breaks at a cutoff below
+        chains = [(1.9 * i, 0.0) for i in range(6)] + [(1.9 * i, 50.0) for i in range(6)]
+        label = classify(chains)
+        assert label.kind is SubtypeKind.M3
+        assert label.clusters == (frozenset(range(6)), frozenset(range(6, 12)))
+        assert classify(chains, cluster_cutoff_km=1.8).clusters == ()
 
     def test_isolated_sites_not_clusters(self):
-        sites = [(0.0, 0.0), (0.5, 0.0), (50.0, 50.0)]
-        clusters = detect_clusters(sites, cutoff=2.0)
-        assert clusters == [frozenset({0, 1})]
+        sites = [(0.0, 0.0), (0.5, 0.0), (50.0, 50.0), (20.0, 0.0), (20.5, 0.0), (20.0, 0.5)]
+        label = classify(sites)
+        assert label.kind is SubtypeKind.M3
+        assert label.clusters == (frozenset({0, 1}), frozenset({3, 4, 5}))
 
     def test_partition_property(self):
+        # the clusters are the components of the within-cutoff graph that
+        # have 2 or more sites, in order of their smallest site index
         rng = np.random.default_rng(23)
         sites = rng.uniform(0.0, 30.0, size=(40, 2))
-        clusters = detect_clusters(sites, cutoff=3.0)
-        covered = [i for c in clusters for i in c]
-        assert len(covered) == len(set(covered))
+        label = classify(sites, cluster_cutoff_km=3.0, multi_cluster_coverage=0.0)
+        assert label.kind is SubtypeKind.M3
+        near = np.hypot(*(sites[:, None, :] - sites[None, :, :]).T) <= 3.0
+        np.fill_diagonal(near, False)
+        owner = {i: k for k, cluster in enumerate(label.clusters) for i in cluster}
+        assert set(owner) == set(np.flatnonzero(near.any(axis=1)).tolist())
+        for i, j in zip(*np.nonzero(near)):
+            assert owner[int(i)] == owner[int(j)]
+        assert [min(c) for c in label.clusters] == sorted(min(c) for c in label.clusters)
 
 
 class TestClassify:
@@ -178,8 +198,28 @@ class TestSharedMatrix:
         assert classify(sites).kind is SubtypeKind.M1
 
 
+def _median_rule(values, threshold):
+    """The label ``_labels`` gives a series whose nearest-neighbour
+    distances are ``values``: site i lies ``values[i]`` from the next site,
+    cyclically, and 100 km from the others. Every finite entry links and
+    any coverage will do, so only the median rule can keep it from M1."""
+    n = len(values)
+    d = np.full((n, n), 100.0)
+    d[range(n), range(n)] = 0.0
+    d[range(n), np.roll(range(n), -1)] = values
+    options = {"cluster_cutoff_km": 1e3, "single_cluster_coverage": 0.0}
+    return classify_module._labels(d[None], nn_threshold_km=threshold, **options)[0].kind
+
+
 class TestMedian:
-    """``_median`` gives ``np.median``'s value bit for bit."""
+    """The M1 rule thresholds ``np.median`` of the nearest-neighbour
+    distances: exactly at it a series is M1, one step below it is not."""
+
+    @staticmethod
+    def _check(values):
+        median = float(np.median(values))
+        assert _median_rule(values, median) is SubtypeKind.M1
+        assert _median_rule(values, np.nextafter(median, -math.inf)) is SubtypeKind.M2
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_matches_numpy(self, n):
@@ -187,19 +227,18 @@ class TestMedian:
         values = rng.gamma(2.0, 1.5, size=n)
         values[: n // 3] = values[n - 1]  # ties, the largest among them
         rng.shuffle(values)
-        assert classify_module._median(values) == float(np.median(values))
+        self._check(values)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9])
     def test_all_tied(self, n):
-        values = np.full(n, 0.1 + 0.2)
-        assert classify_module._median(values) == float(np.median(values))
+        self._check(np.full(n, 0.1 + 0.2))
 
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_nan(self, n):
         values = np.arange(1.0, n + 1.0)
+        assert _median_rule(values, 1e3) is SubtypeKind.M1
         values[n // 2] = math.nan
-        assert math.isnan(float(np.median(values)))
-        assert math.isnan(classify_module._median(values))
+        assert _median_rule(values, 1e3) is SubtypeKind.M2
 
 
 class TestSubtypeLabel:

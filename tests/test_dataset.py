@@ -1,6 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from geoprofile import dataset
 from geoprofile.dataset import (
     _BLOCK_ROWS,
     CSV_HEADER,
@@ -485,6 +489,41 @@ class TestDirectOracle:
         rows = _population_rows(layout, 50)
         text = "﻿" + _file(layout, rows).replace("\n", "\r\n")
         self._check(text, caplog)
+
+    # (name, edit of a file's text, offender id the edit gives): each file
+    # reads as a text stream with newline="\n" splits it into lines
+    LINE_CASES = [
+        ("crlf", lambda text: text.replace("\n", "\r\n"), "o0001"),
+        ("byte order mark", lambda text: "\ufeff" + text, "o0001"),
+        ("no final newline", lambda text: text[:-1], "o0001"),
+        ("quoted newline", lambda text: text.replace("o0001,", '"o0\n001",'), "o0\n001"),
+        ("lone cr in quoted id", lambda text: text.replace("o0001,", '"o0\r001",'), "o0\r001"),
+        # str.splitlines would end a line at the form feed
+        ("form feed in a cell", lambda text: text.replace(",0624,", ",06\f24,"), "o0001"),
+    ]
+
+    @pytest.mark.parametrize(
+        "edit, offender_id",
+        [case[1:] for case in LINE_CASES],
+        ids=[case[0] for case in LINE_CASES],
+    )
+    def test_lines(self, layout, edit, offender_id, caplog):
+        text = edit(_file(layout, _population_rows(layout, 60)))
+        result, _ = self._check(text, caplog)
+        assert offender_id in [oid for oid, *_ in result[1]]
+        if layout == "geographic":
+            rows = list(csv.reader(io.StringIO(text)))[1:]
+            assert read_geographic(text)[0] == [row[0].strip() for row in rows]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 40])
+    def test_lines_across_chunks(self, monkeypatch, chunk):
+        # the line splitter works a chunk of whole lines at a time; small
+        # chunks put their ends on every kind of line end
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk)
+        texts = ["", "\n", "\n\n", "a", "a\n", "a\r\nb", "\r\n\r\n", '"x\ny",\r\r\n\n']
+        population = _file("planar", _population_rows("planar", 30)).replace("\n", "\r\n", 40)
+        for text in [*texts, population, population[:-1]]:
+            assert list(dataset._lines(text)) == list(io.StringIO(text))
 
     def test_padded_cells(self, layout, caplog):
         rows = [",".join(f" {f} " for f in r.split(",")) for r in _population_rows(layout, 60)]

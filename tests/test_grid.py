@@ -1,7 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
+from geoprofile.engine import PosteriorSurface
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, OutOfGridError, cell_center, locate_cell
+from geoprofile.priors import AnchorPrior
 
 
 @pytest.fixture
@@ -76,3 +81,39 @@ def test_invalid_bounds_rejected():
         Grid(west=10.0, east=5.0)
     with pytest.raises(ValueError):
         Grid(nrows=0)
+
+
+def _uniform_with(cells):
+    """Uniform mass on a 2 x 3 grid, then the given (row, col) values."""
+    mass = np.full((2, 3), 1.0 / 6.0)
+    for (row, col), value in cells.items():
+        mass[row, col] = value
+    return mass
+
+
+class TestCellMass:
+    """``AnchorPrior`` and ``PosteriorSurface`` take only a normalised
+    (nrows, ncols) mass, each naming its own field in the error."""
+
+    GRID = Grid(west=0.0, east=3.0, south=0.0, north=2.0, nrows=2, ncols=3)
+
+    @pytest.mark.parametrize("make, name", [(PosteriorSurface, "mass"), (AnchorPrior, "weights")])
+    @pytest.mark.parametrize(
+        "mass, message",
+        [
+            (np.full((3, 2), 1.0 / 6.0), "must be shaped"),
+            (_uniform_with({(0, 0): math.nan}), "must be finite and nonnegative"),
+            (_uniform_with({(1, 2): math.inf}), "must be finite and nonnegative"),
+            (_uniform_with({(0, 0): -1.0 / 6.0, (0, 1): 0.5}), "must be finite and nonnegative"),
+            (np.full((2, 3), 0.2), "must sum to 1, got 1.2"),
+        ],
+        ids=["shape", "NaN", "inf", "negative", "sum"],
+    )
+    def test_rejected(self, make, name, mass, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
+            make(self.GRID, mass)
+
+    @pytest.mark.parametrize("make", [PosteriorSurface, AnchorPrior])
+    def test_accepted(self, make):
+        mass = _uniform_with({(0, 0): 0.0, (0, 1): 2.0 / 6.0 + 1e-10})
+        assert make(self.GRID, mass).grid == self.GRID

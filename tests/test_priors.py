@@ -40,14 +40,16 @@ class TestKde2d:
 
     def test_symmetric_pair(self, small_grid):
         pts = np.array([[6.0, 6.0], [14.0, 14.0]])  # symmetric about center (10, 10)
-        prior = kde2d(pts, small_grid, bandwidth=(2.0, 2.0))
+        prior = kde2d(pts, small_grid)
         flipped = prior.weights[::-1, ::-1]
         np.testing.assert_allclose(prior.weights, flipped, atol=1e-12)
 
     def test_large_bandwidth_flattens(self, small_grid):
-        xs = np.linspace(1.0, 19.0, 10)
+        # donors spread far past the 20 km grid: Silverman's rule gives a
+        # bandwidth of about 128 km
+        xs = np.linspace(-400.0, 420.0, 10)
         lattice = np.array([(x, y) for x in xs for y in xs])
-        prior = kde2d(lattice, small_grid, bandwidth=(40.0, 40.0))
+        prior = kde2d(lattice, small_grid)
         assert prior.weights.max() / prior.weights.min() < 1.5
 
     def test_insertion_order_invariant(self, small_grid):
@@ -196,7 +198,13 @@ class TestBuildPriorSet:
             priors = build_prior_set(ds, "t0", labels, Grid())
         flat = flat_param_prior(PriorKind.DISTANCE_NONRES)
         np.testing.assert_allclose(priors[PriorKind.DISTANCE_NONRES].density, flat.density)
-        assert "falling back to flat" in caplog.text
+        # one warning names every flat kind with its donor sample count
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            "too few donor samples for 6 prior(s) (distance_m2: 0, distance_nonres: 0, "
+            "angle_m2: 0, angle_nonres: 0, spread_radial: 0, spread_angular: 0); "
+            "falling back to flat"
+        )
 
     def test_rejects_tiny_dataset(self):
         rng = np.random.default_rng(82)
@@ -234,13 +242,13 @@ class TestBuildPriorSet:
         ds = Dataset(tuple(_series(oid, a, offsets) for oid, a, offsets, _ in population))
         labels = {oid: label for oid, _, _, label in population}
         samples = {}
-        estimate = priors._estimate
+        density = priors.bounded_density_1d
 
-        def record(kind, values):
+        def record(values, lo, hi, kind):
             samples[kind] = list(values)
-            return estimate(kind, values)
+            return density(values, lo, hi, kind=kind)
 
-        monkeypatch.setattr(priors, "_estimate", record)
+        monkeypatch.setattr(priors, "bounded_density_1d", record)
         built = build_prior_set(ds, "x", labels, Grid())
 
         def stats(offsets):
@@ -315,13 +323,14 @@ class TestPlainFormulations:
         assert np.count_nonzero(weights == 0.0) > grid.ncells // 2
         np.testing.assert_array_equal(weights, kde2d_direct(xy, grid))
 
-    def test_kde2d_bandwidth_given(self):
+    def test_kde2d_per_axis_bandwidth(self):
+        # spreads of 12 and 1.5 km: each axis gets its own bandwidth, both
+        # above their dx/2, dy/2 floors
         rng = np.random.default_rng(2401)
-        xy = rng.uniform((310.0, 4340.0), (390.0, 4390.0), size=(50, 2))
-        np.testing.assert_array_equal(
-            kde2d(xy, ODD_GRID, bandwidth=(3.7, 0.6)).weights,
-            kde2d_direct(xy, ODD_GRID, bandwidth=(3.7, 0.6)),
-        )
+        xy = rng.normal((340.0, 4360.0), (12.0, 1.5), size=(50, 2))
+        h = np.std(xy, axis=0, ddof=1) * len(xy) ** (-1.0 / 6.0)
+        assert np.all(h > [ODD_GRID.dx / 2.0, ODD_GRID.dy / 2.0]) and h[0] > 5.0 * h[1]
+        np.testing.assert_array_equal(kde2d(xy, ODD_GRID).weights, kde2d_direct(xy, ODD_GRID))
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     @pytest.mark.parametrize("n", [3, 8, 9, 40, 129, 299])
@@ -347,13 +356,13 @@ class TestPlainFormulations:
 
         series, labels = _awkward_donors()
         samples = {}
-        estimate = priors._estimate
+        density = priors.bounded_density_1d
 
-        def record(kind, values):
+        def record(values, lo, hi, kind):
             samples[kind] = list(values)
-            return estimate(kind, values)
+            return density(values, lo, hi, kind=kind)
 
-        monkeypatch.setattr(priors, "_estimate", record)
+        monkeypatch.setattr(priors, "bounded_density_1d", record)
         built = build_prior_set(Dataset(tuple(series)), "x", labels, Grid())
 
         donors = [s for s in series if s.offender_id != "x"]
