@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr as scipy_ndtr
 
 from geoprofile.geodesy import UtmPoint
 from geoprofile.models import (
@@ -13,6 +13,7 @@ from geoprofile.models import (
     angle_normalizer,
     m1_density,
     m2_density,
+    ndtr,
     nonres_density,
     radial_normalizer,
     ring_normal_normalizer,
@@ -20,6 +21,14 @@ from geoprofile.models import (
 from oracles import cartesian_square_integral, polar_disc_integral
 
 TWO_PI = 2.0 * math.pi
+
+
+# below this, exp(-x^2 / 2) underflows and ndtr is exactly 0
+UNDERFLOW_EDGE = -math.sqrt(2.0 * 7.09782712893383996843e2)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 def _pt(e, n, zone=18):
@@ -60,6 +69,133 @@ class TestM1Density:
         assert np.hypot(pts[:, 0], pts[:, 1]).mean() == pytest.approx(alpha, rel=0.01)
 
 
+class TestNdtr:
+    """The numpy port against ``scipy.special.ndtr``, bit for bit."""
+
+    @pytest.mark.parametrize("lo, hi", [(-3000.0, 3000.0), (-40.0, 40.0), (-9.0, 9.0), (-1.5, 1.5)])
+    def test_seeded_sweep_bit_equal(self, lo, hi):
+        values = np.random.default_rng(19).uniform(lo, hi, 200_000)
+        np.testing.assert_array_equal(_bits(ndtr(values)), _bits(scipy_ndtr(values)))
+
+    def test_edge_values_bit_equal(self):
+        # branch points of Cephes (|x| = 1 and 8 after scaling by 1/sqrt(2)),
+        # signed zeros, infinities and the smallest subnormals; filterwarnings
+        # = error makes any warning on inf or NaN fail here
+        r2 = math.sqrt(2.0)
+        edges = [0.0, 1.0 / r2, 1.0, r2, 8.0 / r2, math.inf, 5e-324]
+        values = np.array([v for e in edges for v in (e, -e)])
+        assert np.signbit(values[1]) and not np.signbit(values[0])
+        np.testing.assert_array_equal(_bits(ndtr(values)), _bits(scipy_ndtr(values)))
+        assert ndtr(-math.inf) == 0.0 and ndtr(math.inf) == 1.0
+        assert math.isnan(ndtr(math.nan))
+        assert np.isnan(ndtr(np.array([math.nan, 1.0]))[0])
+
+    def test_underflow_edge(self):
+        below = np.nextafter(UNDERFLOW_EDGE, -math.inf)
+        steps = np.random.default_rng(23).uniform(-1e-3, 1e-3, 20_000)
+        values = np.concatenate([[below, UNDERFLOW_EDGE], UNDERFLOW_EDGE + steps])
+        got = ndtr(values)
+        np.testing.assert_array_equal(_bits(got), _bits(scipy_ndtr(values)))
+        assert np.all(got[values < UNDERFLOW_EDGE] == 0.0)
+        assert np.all(got[values > UNDERFLOW_EDGE + 1e-9] > 0.0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.3, -2.0, np.float64(9.0), np.array(-40.0), [1.0, -1.0], np.zeros((2, 3)),
+         np.full((4, 1, 2), -5.0), np.zeros(0), np.zeros((3, 0))],
+        ids=["float", "negative float", "np.float64", "0-d array", "list", "2-d",
+             "3-d", "empty", "empty 2-d"],
+    )
+    def test_shape_like_the_ufunc(self, value):
+        got, want = ndtr(value), scipy_ndtr(value)
+        assert type(got) is type(want)
+        assert got.ndim == want.ndim and np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_not_contiguous(self):
+        values = np.random.default_rng(29).uniform(-30.0, 30.0, (64, 64))[::3, ::-2]
+        np.testing.assert_array_equal(_bits(ndtr(values)), _bits(scipy_ndtr(values)))
+
+
+class TestNdtrAccuracy:
+    """Relative error against mpmath. The port repeats Cephes' rounding, so
+    it inherits Cephes' accuracy: each bound is at most twice the largest
+    error that scipy's ndtr makes on the same seeded points (2.84e-14 at
+    x = -20, 1.96e-13 on [-37, -8], 7.5e-15 on [-8, 40])."""
+
+    BANDS = [
+        ("x = -20", None, 5e-14),
+        ("[-37, -8]", (-37.0, -8.0), 3.5e-13),
+        ("[-8, 40]", (-8.0, 40.0), 1.5e-14),
+    ]
+
+    @pytest.mark.parametrize("band, span, bound", BANDS, ids=[b[0] for b in BANDS])
+    def test_relative_error(self, band, span, bound):
+        points = [-20.0] if span is None else np.random.default_rng(7).uniform(*span, 300)
+        got = ndtr(points)
+        with mpmath.workdps(40):
+            exact = [mpmath.ncdf(mpmath.mpf(float(x))) for x in points]
+            worst = max(abs(mpmath.mpf(float(g)) / e - 1) for g, e in zip(got, exact))
+        assert float(worst) <= bound
+
+    def test_zero_below_underflow_edge(self):
+        values = np.random.default_rng(31).uniform(-3000.0, UNDERFLOW_EDGE, 10_000)
+        values = values[values < UNDERFLOW_EDGE]
+        assert np.all(ndtr(values) == 0.0)
+
+
+class TestNormalizerChecks:
+    """Non-finite values and spreads <= 0 are rejected the same way by all
+    three normalizers; theta need only be finite."""
+
+    @pytest.mark.parametrize("fn", [ring_normal_normalizer, radial_normalizer],
+                             ids=["ring", "radial"])
+    @pytest.mark.parametrize(
+        "alpha, sigma, name",
+        [
+            (math.nan, 1.0, "alpha"),
+            (math.inf, 1.0, "alpha"),
+            (-1.0, 1.0, "alpha"),
+            (0.0, 1.0, "alpha"),
+            (2.0, math.nan, "sigma"),
+            (2.0, -math.inf, "sigma"),
+            (2.0, 0.0, "sigma"),
+            (2.0, -0.5, "sigma"),
+            (np.array([1.0, math.nan]), np.array([0.5, 0.5]), "alpha"),
+            (np.array([1.0, 2.0]), np.array([0.5, 0.0]), "sigma"),
+        ],
+    )
+    def test_distance_normalizers_reject(self, fn, alpha, sigma, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            fn(alpha, sigma)
+
+    @pytest.mark.parametrize(
+        "theta, sigma2, name",
+        [
+            (math.nan, 0.5, "theta"),
+            (math.inf, 0.5, "theta"),
+            (-math.inf, 0.5, "theta"),
+            (1.0, math.nan, "sigma2"),
+            (1.0, math.inf, "sigma2"),
+            (1.0, 0.0, "sigma2"),
+            (1.0, -0.5, "sigma2"),
+            (np.array([0.0, math.nan]), np.array([0.5, 0.5]), "theta"),
+        ],
+    )
+    def test_angle_normalizer_rejects(self, theta, sigma2, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            angle_normalizer(theta, sigma2)
+
+    def test_negative_alpha_no_longer_passes(self):
+        # it used to return a positive value without complaint
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            radial_normalizer(-1, 1)
+
+    def test_any_finite_theta_is_accepted(self):
+        for theta in (0.0, -0.0, -1.0, TWO_PI, 10.0):
+            assert angle_normalizer(theta, 0.5) > 0.0
+
+
 class TestRingNormalizer:
     def test_small_alpha_limit(self):
         # alpha -> 0: the normalizer tends to 2*pi*sigma^2
@@ -85,7 +221,7 @@ class TestRingNormalizer:
                 * math.sqrt(TWO_PI)
                 * alpha
                 * sigma
-                * (1.0 - ndtr(-alpha / sigma))
+                * (1.0 - scipy_ndtr(-alpha / sigma))
             )
             assert ring_normal_normalizer(alpha, sigma) >= bound
 
@@ -146,7 +282,7 @@ class TestNonResDensity:
         expected = (
             sigma2
             * math.sqrt(TWO_PI)
-            * (ndtr(math.pi / sigma2) - ndtr(-math.pi / sigma2))
+            * (scipy_ndtr(math.pi / sigma2) - scipy_ndtr(-math.pi / sigma2))
         )
         assert angle_normalizer(theta, sigma2) == pytest.approx(expected, rel=1e-14)
 
