@@ -245,7 +245,8 @@ def angle_normalizer(theta, sigma2):
     """Integral of exp(-(phi - theta)^2 / (2 sigma2^2)) over phi in [0, 2*pi)."""
     theta = _checked("theta", theta, positive=False)
     sigma2 = _checked("sigma2", sigma2)
-    hi, lo = ndtr(np.stack(((TWO_PI - theta) / sigma2, -theta / sigma2)))  # one call
+    # both limits in one ndtr call: its cost is mostly per call, not per value
+    hi, lo = ndtr(np.stack(((TWO_PI - theta) / sigma2, -theta / sigma2)))
     n = sigma2 * math.sqrt(TWO_PI) * (hi - lo)
     return _maybe_scalar(n, n.ndim == 0)
 

@@ -78,11 +78,14 @@ class TestNdtr:
         np.testing.assert_array_equal(_bits(ndtr(values)), _bits(scipy_ndtr(values)))
 
     def test_edge_values_bit_equal(self):
-        # branch points of Cephes (|x| = 1 and 8 after scaling by 1/sqrt(2)),
-        # signed zeros, infinities and the smallest subnormals; filterwarnings
-        # = error makes any warning on inf or NaN fail here
+        # Cephes branches at |a| / sqrt(2) = 1 and 8, so a = sqrt(2) and
+        # 8 sqrt(2) are taken with their neighbours; also signed zeros,
+        # infinities and the smallest subnormals. filterwarnings = error
+        # makes any warning on inf or NaN fail here
         r2 = math.sqrt(2.0)
         edges = [0.0, 1.0 / r2, 1.0, r2, 8.0 / r2, math.inf, 5e-324]
+        for branch in (r2, 8.0 * r2):
+            edges += [np.nextafter(branch, 0.0), branch, np.nextafter(branch, math.inf)]
         values = np.array([v for e in edges for v in (e, -e)])
         assert np.signbit(values[1]) and not np.signbit(values[0])
         np.testing.assert_array_equal(_bits(ndtr(values)), _bits(scipy_ndtr(values)))
