@@ -17,14 +17,17 @@ The closed-form normalizers need the standard normal CDF. ``ndtr`` is a
 numpy port of Cephes ``ndtr``/``erf``/``erfc`` (Moshier, *Methods and
 Programs for Mathematical Functions*, 1989). It returns the bits of the
 compiled Cephes code for every input, so the surfaces are those of the C
-function, and the package needs nothing beyond numpy. The ``exp(-x^2)`` in
-``erfc`` goes through ``math.exp``, the libm ``exp`` that Cephes calls, one
-element at a time: numpy's vectorized ``exp`` is another implementation
-and differs from libm in the last bit on 0.02-1.7% of values. Each
-rational and the ``exp`` run only on the values of their own branch, which
-keeps a call of a few hundred parameter nodes cheap. Normalizers per cell
-and node, millions of values per surface, would need a ``np.exp`` variant
-instead, held to a stated tolerance rather than to bit equality.
+function, and the package needs nothing beyond numpy. That holds where the
+C build rounds each multiply and each add of Horner's rule, as a baseline
+x86-64 build does; a build that fuses them (FMA) can differ in the last
+bit. The ``exp(-x^2)`` in ``erfc`` goes through ``math.exp``, the libm
+``exp`` that Cephes calls, one element at a time: numpy's vectorized
+``exp`` is another implementation and differs from libm in the last bit on
+0.02-1.7% of values. Each rational and the ``exp`` run only on the values
+of their own branch, which keeps a call of a few hundred parameter nodes
+cheap. Normalizers per cell and node, millions of values per surface,
+would need a ``np.exp`` variant instead, held to a stated tolerance rather
+than to bit equality.
 """
 
 from __future__ import annotations
