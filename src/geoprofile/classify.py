@@ -10,6 +10,7 @@ unknown at classification time, so residency itself is not decided here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 __all__ = [
     "SubtypeKind",
     "SubtypeLabel",
+    "check_options",
     "nn_distances",
     "classify",
     "classify_all",
@@ -87,8 +89,6 @@ def _components(d: np.ndarray, cutoff: float) -> np.ndarray:
     """Single-linkage components of (..., n, n) pairwise matrices at the
     cutoff, as closed reachability: entry (i, j) is True exactly when sites
     i and j lie in one component."""
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be > 0")
     n = d.shape[-1]
     linked = d <= cutoff
     linked[..., range(n), range(n)] = True  # a NaN site still reaches itself
@@ -113,6 +113,28 @@ def _clusters(linked: np.ndarray) -> list[frozenset[int]]:
     return clusters
 
 
+def check_options(
+    nn_threshold_km: float = NN_THRESHOLD_KM,
+    cluster_cutoff_km: float = CLUSTER_CUTOFF_KM,
+    single_cluster_coverage: float = SINGLE_CLUSTER_COVERAGE,
+    multi_cluster_coverage: float = MULTI_CLUSTER_COVERAGE,
+) -> None:
+    """Raise ValueError unless both km thresholds are finite and > 0 and
+    both coverages lie in [0, 1], which no NaN or infinity does."""
+    for name, km in (
+        ("nearest-neighbour threshold", nn_threshold_km),
+        ("cluster cutoff", cluster_cutoff_km),
+    ):
+        if not (math.isfinite(km) and km > 0.0):
+            raise ValueError(f"{name} must be > 0 and finite, got {km!r}")
+    for name, share in (
+        ("single-cluster coverage", single_cluster_coverage),
+        ("multi-cluster coverage", multi_cluster_coverage),
+    ):
+        if not 0.0 <= share <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {share!r}")
+
+
 def _labels(
     d: np.ndarray,
     *,
@@ -130,6 +152,9 @@ def _labels(
     else gets the buffer-zone subtype. The median is used rather than the
     mean so one far-flung site cannot flip the label.
     """
+    check_options(
+        nn_threshold_km, cluster_cutoff_km, single_cluster_coverage, multi_cluster_coverage
+    )
     n = d.shape[-1]
     linked = _components(d, cluster_cutoff_km)
     # each site's component size, and whether it is the component's first site

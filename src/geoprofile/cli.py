@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geoprofile.classify import classify, label_dataset
+from geoprofile.classify import check_options, classify, label_dataset
 from geoprofile.dataset import (
     CSV_HEADER,
     UTM_CSV_HEADER,
@@ -36,7 +36,7 @@ from geoprofile.engine import (
 )
 from geoprofile.evaluation import Scope, compare_methods, rank_cells
 from geoprofile.geodesy import latlon_to_utm
-from geoprofile.grid import DEFAULT_ZONE, Grid, cell_center
+from geoprofile.grid import DEFAULT_ZONE, Grid
 from geoprofile.priors import build_prior_set
 from geoprofile.rossmo import hit_score_surface
 
@@ -133,6 +133,7 @@ def _set_key(config: RunConfig, key: str, value: str) -> None:
         config.quadrature[_NODE_KEYS[key]] = int(value)
     elif key in _CLASSIFIER_KEYS:
         config.classifier_options[_CLASSIFIER_KEYS[key]] = float(value)
+        check_options(**config.classifier_options)
     else:
         raise ValueError(f"unknown key {key!r}")
 
@@ -207,14 +208,7 @@ def cmd_classify(config: RunConfig, args) -> int:
 
 def _cell_centers(grid: Grid) -> tuple[list[float], list[float]]:
     """Column eastings and row northings as Python floats, so ``repr``
-    prints plain numbers.
-
-    Centers grow monotonically with row and column, so checking the two
-    corner cells rejects any grid with a center outside the zone's UTM
-    ranges.
-    """
-    cell_center(grid, 0, 0)
-    cell_center(grid, grid.nrows - 1, grid.ncols - 1)
+    prints plain numbers."""
     return grid.east_centers.tolist(), grid.north_centers.tolist()
 
 
@@ -354,44 +348,46 @@ def cmd_emit_grid(config: RunConfig, args) -> int:
     return 0
 
 
+_FLAGS = {
+    "input": {"help": "canonical geographic CSV"},
+    "--dataset": {"help": "input series CSV"},
+    "--out": {"help": "output file (stdout if absent), or for profile and evaluate a directory"},
+    "--offender": {"required": True},
+    "--method": {"action": "append", "help": "method id (repeatable)"},
+    "--scope": {"help": "residents | all"},
+    "--grid": {"help": "grid shape WxH, e.g. 100x70"},
+    "--bounds": {"help": "grid bounds W,E,S,N in km"},
+}
+
+# each command's handler, help and the flags it reads besides --config
+COMMANDS = {
+    "convert": (cmd_convert, "append planar coordinates to a CSV", ("input", "--out")),
+    "classify": (cmd_classify, "emit per-offender subtype labels", ("--dataset", "--out")),
+    "profile": (
+        cmd_profile,
+        "one offender's surface under each method",
+        ("--dataset", "--out", "--offender", "--method", "--grid", "--bounds"),
+    ),
+    "evaluate": (
+        cmd_evaluate,
+        "search-fraction comparison of methods",
+        ("--dataset", "--out", "--method", "--scope", "--grid", "--bounds"),
+    ),
+    "emit-grid": (cmd_emit_grid, "write the grid cell centers", ("--out", "--grid", "--bounds")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geoprofile",
         description="Anchor-point estimation from serial crime-site coordinates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--dataset", help="input series CSV")
-        p.add_argument("--out", help="output file or directory")
-        p.add_argument("--method", action="append", help="method id (repeatable)")
-        p.add_argument("--scope", help="residents | all")
-        p.add_argument("--grid", help="grid shape WxH, e.g. 100x70")
-        p.add_argument("--bounds", help="grid bounds W,E,S,N in km")
-
-    p_convert = sub.add_parser("convert", help="append planar coordinates to a CSV")
-    p_convert.add_argument("input", help="canonical geographic CSV")
-    add_common(p_convert)
-    p_convert.set_defaults(fn=cmd_convert)
-
-    p_classify = sub.add_parser("classify", help="emit per-offender subtype labels")
-    add_common(p_classify)
-    p_classify.set_defaults(fn=cmd_classify)
-
-    p_profile = sub.add_parser("profile", help="one offender's surface under each method")
-    p_profile.add_argument("--offender", required=True)
-    add_common(p_profile)
-    p_profile.set_defaults(fn=cmd_profile)
-
-    p_eval = sub.add_parser("evaluate", help="search-fraction comparison of methods")
-    add_common(p_eval)
-    p_eval.set_defaults(fn=cmd_evaluate)
-
-    p_grid = sub.add_parser("emit-grid", help="write the grid cell centers")
-    add_common(p_grid)
-    p_grid.set_defaults(fn=cmd_emit_grid)
-
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -402,9 +398,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else RunConfig()
         config = _apply_flags(config, args)
-        if args.command in {"classify", "profile", "evaluate"} and not config.dataset:
+        handler, _, flags = COMMANDS[args.command]
+        if "--dataset" in flags and not config.dataset:
             raise ValueError("a dataset is required (--dataset or config)")
-        return args.fn(config, args)
+        return handler(config, args)
     except (ValueError, KeyError, OSError, DegenerateSurfaceError) as exc:
         # str() of a KeyError is the repr of its argument, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -47,7 +47,7 @@ import numpy as np
 
 from geoprofile.classify import SubtypeKind, SubtypeLabel
 from geoprofile.dataset import CrimeSeries
-from geoprofile.grid import Grid, check_cell_mass
+from geoprofile.grid import Grid, check_cell_mass, check_grid_zone
 from geoprofile.models import (
     TWO_PI,
     angle_normalizer,
@@ -336,6 +336,7 @@ def posterior_surface(
     series: CrimeSeries, spec: ModelSpec, priors: PriorSet, grid: Grid
 ) -> PosteriorSurface:
     """Marginal anchor posterior for one series under one model family."""
+    check_grid_zone(grid, series.zone, f"offender {series.offender_id!r}")
     if priors.anchor.grid != grid:
         raise ValueError("anchor prior grid does not match the target grid")
     log_mass = _log_marginal_likelihood(series, spec, priors, grid)

@@ -30,7 +30,7 @@ from geoprofile.engine import (
     method_surfaces,
 )
 from geoprofile.geodesy import UtmPoint
-from geoprofile.grid import Grid, locate_cell
+from geoprofile.grid import Grid, check_grid_zone, locate_cell
 from geoprofile.priors import InsufficientDataError, build_prior_set, is_nonresident
 from geoprofile.rossmo import hit_score_surface
 
@@ -196,13 +196,16 @@ def compare_methods(
     no anchor, an anchor outside the grid, too few donors for the
     leave-one-out priors, a posterior that underflows in every cell, hit
     scores without a finite positive sum. Other exceptions propagate.
-    A repeated method is scored once. A ``nonres_weight`` outside [0, 1]
-    and a bad ``quadrature`` (a parameter no family has, a count below 1)
-    are the caller's errors and raise before any offender is scored.
+    A repeated method is scored once. A ``nonres_weight`` outside [0, 1],
+    a bad ``quadrature`` (a parameter no family has, a count below 1) and
+    a series in another zone than the grid's are the caller's errors and
+    raise before any offender is scored.
     """
     check_nonres_weight(nonres_weight)
     check_quadrature(quadrature)
     grid = grid or Grid()
+    for series in ds.series:
+        check_grid_zone(grid, series.zone, f"offender {series.offender_id!r}")
     methods = tuple(dict.fromkeys(methods))
     thresholds = (
         RESIDENTS_THRESHOLDS if scope is Scope.RESIDENTS_ONLY else ALL_THRESHOLDS

@@ -16,7 +16,15 @@ import numpy as np
 
 from geoprofile.geodesy import UtmPoint, check_zone
 
-__all__ = ["DEFAULT_ZONE", "Grid", "OutOfGridError", "cell_center", "check_cell_mass", "locate_cell"]
+__all__ = [
+    "DEFAULT_ZONE",
+    "Grid",
+    "OutOfGridError",
+    "cell_center",
+    "check_cell_mass",
+    "check_grid_zone",
+    "locate_cell",
+]
 
 DEFAULT_ZONE = 18
 
@@ -41,6 +49,9 @@ class Grid:
         if self.nrows < 1 or self.ncols < 1:
             raise ValueError("grid needs at least one row and column")
         check_zone(self.zone, "grid zone")
+        # centers grow with row and column: the corner ones bound them all
+        cell_center(self, 0, 0)
+        cell_center(self, self.nrows - 1, self.ncols - 1)
 
     @property
     def dx(self) -> float:
@@ -88,8 +99,17 @@ def cell_center(grid: Grid, row: int, col: int) -> UtmPoint:
     )
 
 
+def check_grid_zone(grid: Grid, zone: int, name: str) -> None:
+    """Raise ValueError, naming ``name``, unless ``zone``, the UTM zone of a
+    series or a point, is the grid's: coordinates in another zone's frame
+    are not the grid's."""
+    if zone != grid.zone:
+        raise ValueError(f"{name} is in zone {zone}, not the grid zone {grid.zone}")
+
+
 def locate_cell(grid: Grid, p: UtmPoint) -> tuple[int, int]:
     """Cell containing a point; outer east/north edges belong to the last cell."""
+    check_grid_zone(grid, p.zone, "point")
     if not grid.contains(p):
         raise OutOfGridError(
             f"point ({p.easting}, {p.northing}) outside grid bounds"

@@ -19,7 +19,7 @@ import numpy as np
 from geoprofile.classify import nn_distances
 from geoprofile.dataset import CrimeSeries
 from geoprofile.engine import DegenerateSurfaceError, PosteriorSurface, _pairwise_sum
-from geoprofile.grid import Grid
+from geoprofile.grid import Grid, check_grid_zone
 
 __all__ = [
     "RossmoParams",
@@ -86,6 +86,7 @@ def hit_score_surface(
     themselves); it just makes the surface interchangeable with the
     posterior surfaces downstream.
     """
+    check_grid_zone(grid, series.zone, f"offender {series.offender_id!r}")
     if params is None:
         try:
             params = RossmoParams(b=buffer_radius(series))

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import types
 from pathlib import Path
@@ -332,3 +333,32 @@ class TestClassifyAll:
     def test_bad_cutoff(self):
         with pytest.raises(ValueError, match="cutoff must be > 0"):
             classify_all([np.zeros((4, 2))], cluster_cutoff_km=0.0)
+
+    # each option's rule, and a value outside its range
+    BAD_OPTIONS = {
+        "nn_threshold_km": ("nearest-neighbour threshold must be > 0 and finite", 0.0),
+        "cluster_cutoff_km": ("cluster cutoff must be > 0 and finite", -1.0),
+        "single_cluster_coverage": ("single-cluster coverage must lie in [0, 1]", 7.0),
+        "multi_cluster_coverage": ("multi-cluster coverage must lie in [0, 1]", -0.1),
+    }
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "range"])
+    @pytest.mark.parametrize("option", BAD_OPTIONS)
+    def test_bad_option(self, option, bad):
+        rule, out_of_range = self.BAD_OPTIONS[option]
+        value = out_of_range if bad == "range" else float(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}, got {value!r}')}$"):
+            classify_all([np.zeros((4, 2))], **{option: value})
+
+    def test_option_bounds_accepted(self):
+        # the smallest positive thresholds, and coverages at both ends
+        xys = [np.array([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (5.5, 5.0)])]
+        for coverage in (0.0, 1.0):
+            labels = classify_all(
+                xys,
+                nn_threshold_km=5e-324,
+                cluster_cutoff_km=5e-324,
+                single_cluster_coverage=coverage,
+                multi_cluster_coverage=coverage,
+            )
+            assert len(labels) == 1

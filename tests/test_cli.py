@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
 from geoprofile.classify import classify
 from geoprofile.cli import (
+    _build_parser,
     load_config,
     load_dataset,
     main,
@@ -34,15 +36,12 @@ def _geo_csv(tmp_path, rows, name="data.csv"):
     return path
 
 
-@pytest.fixture
-def synthetic_csv(tmp_path):
-    """Six planar offenders inside the default jurisdiction grid."""
+def _synthetic(tmp_path, south=4345.0, north=4385.0):
+    """A file of six planar offenders, anchors drawn between the northings."""
     series = []
     rng = np.random.default_rng(900)
     for i in range(6):
-        anchor = UtmPoint(
-            18, float(rng.uniform(330.0, 370.0)), float(rng.uniform(4345.0, 4385.0))
-        )
+        anchor = UtmPoint(18, float(rng.uniform(330.0, 370.0)), float(rng.uniform(south, north)))
         family = Family.M1 if i % 2 == 0 else Family.M2
         params = M1Params(1.5) if i % 2 == 0 else M2Params(4.0, 1.0)
         sc = SyntheticScenario(family, anchor, params, n=8, replicates=1, seed=i)
@@ -51,6 +50,12 @@ def synthetic_csv(tmp_path):
     path = tmp_path / "synthetic.csv"
     path.write_text(series_to_utm_csv(series))
     return path
+
+
+@pytest.fixture
+def synthetic_csv(tmp_path):
+    """Six planar offenders inside the default jurisdiction grid."""
+    return _synthetic(tmp_path)
 
 
 def _renamed_first(synthetic_csv, tmp_path, offender_id):
@@ -84,6 +89,67 @@ def _latlon_rows(seed, n_offenders=40):
             lat, lon = rng.normal((alat, alon), 0.03).tolist()
             rows.append((f"g{o:03d}", f"c{o}_{k}", "0624", lat, lon, alat, alon))
     return rows
+
+
+# the flags each command reads besides --config; any other is a usage error
+COMMAND_FLAGS = {
+    "convert": ("input", "--out"),
+    "classify": ("--dataset", "--out"),
+    "profile": ("--dataset", "--out", "--offender", "--method", "--grid", "--bounds"),
+    "evaluate": ("--dataset", "--out", "--method", "--scope", "--grid", "--bounds"),
+    "emit-grid": ("--out", "--grid", "--bounds"),
+}
+SHARED_FLAGS = {
+    "--dataset": "d.csv",
+    "--out": "o",
+    "--method": "1a",
+    "--scope": "all",
+    "--grid": "3x2",
+    "--bounds": "300,400,4330,4400",
+}
+REQUIRED_ARGS = {"convert": ["in.csv"], "profile": ["--offender", "a"]}
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("flag", SHARED_FLAGS)
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_command_takes_only_its_flags(self, capsys, command, flag):
+        value = SHARED_FLAGS[flag]
+        argv = [command, *REQUIRED_ARGS.get(command, []), flag, value]
+        if flag in COMMAND_FLAGS[command]:
+            parsed = getattr(_build_parser().parse_args(argv), flag[2:])
+            assert parsed == ([value] if flag == "--method" else value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_help_lists_the_commands_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"(?<![\w-])--[a-z]+", text))
+        flags = COMMAND_FLAGS[command]
+        assert listed == {"--help", "--config", *(f for f in flags if f.startswith("--"))}
+        assert ("input" in text.splitlines()[0]) == ("input" in flags)
+
+    @pytest.mark.parametrize("command", ["profile", "evaluate", "emit-grid"])
+    def test_bounds_outside_utm_ranges_write_nothing(self, tmp_path, capsys, command):
+        # every anchor lies inside the bounds, but the grid's first cell
+        # center, at northing -19.5 km, is no UTM point
+        dataset = _synthetic(tmp_path, south=5.0, north=35.0)
+        out = tmp_path / "out"
+        argv = [command, "--bounds", "300,400,-20,50", "--out", str(out)]
+        if command != "emit-grid":
+            argv += ["--dataset", str(dataset), "--method", "1a", "--method", "rossmo"]
+        if command == "profile":
+            argv += ["--offender", "o1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: northing -19.5 km outside [0, 10000)\n"
+        assert not out.exists()
 
 
 class TestConvert:
@@ -488,6 +554,15 @@ class TestEmitGrid:
         assert "northing" in capsys.readouterr().err
 
 
+# each classifier key's rule, and a value outside its range
+BAD_CLASSIFIER_VALUES = {
+    "classify_nn_km": ("nearest-neighbour threshold must be > 0 and finite", "0"),
+    "classify_cutoff_km": ("cluster cutoff must be > 0 and finite", "-1"),
+    "classify_single_coverage": ("single-cluster coverage must lie in [0, 1]", "7"),
+    "classify_multi_coverage": ("multi-cluster coverage must lie in [0, 1]", "-0.1"),
+}
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "node_key", ["nodes_alpha", "nodes_sigma", "nodes_sigma1", "nodes_theta", "nodes_sigma2"]
@@ -569,6 +644,27 @@ class TestConfig:
         )
         assert code == 0
         assert (out_dir / "o0_rossmo.pgm").exists()
+
+    def test_bounds_before_grid(self, tmp_path):
+        # each key builds, and checks, a grid of its own
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bounds = 310,410,4320,4390\ngrid = 50x35\n")
+        assert load_config(cfg).grid == Grid(
+            west=310.0, east=410.0, south=4320.0, north=4390.0, nrows=35, ncols=50
+        )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "range"])
+    @pytest.mark.parametrize("key", BAD_CLASSIFIER_VALUES)
+    def test_bad_classifier_option_is_one_error(self, tmp_path, capsys, key, bad):
+        # rejected with the configuration: the dataset, which does not
+        # exist, is never read
+        rule, out_of_range = BAD_CLASSIFIER_VALUES[key]
+        value = out_of_range if bad == "range" else bad
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"classify_nn_km = 2.0\n{key} = {value}\n")
+        argv = ["classify", "--config", str(cfg), "--dataset", str(tmp_path / "missing.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: {rule}, got {float(value)!r}\n")
 
     def test_dataset_required(self, capsys):
         assert main(["classify"]) == 1

@@ -1,8 +1,9 @@
-"""README tables that restate the engine's tables must list exactly their rows."""
+"""README tables that restate the engine's and the CLI's tables must list exactly their rows."""
 
 import re
 from pathlib import Path
 
+from geoprofile.cli import COMMANDS
 from geoprofile.engine import FAMILIES, METHODS, Family, MethodId
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -60,3 +61,9 @@ def test_methods_table_matches_methods():
         for method, row in METHODS.items()
     }
     assert documented == expected
+
+
+def test_commands_table_matches_cli():
+    rows = _table("| command | flags |")
+    documented = {_code(command)[0]: tuple(_code(flags)) for command, flags in rows}
+    assert documented == {command: flags for command, (_, _, flags) in COMMANDS.items()}

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,12 @@ class TestPosteriorSurface:
         other = Grid(west=0.0, east=10.0, south=0.0, north=10.0, nrows=10, ncols=10)
         with pytest.raises(ValueError, match="grid"):
             posterior_surface(series, ModelSpec(Family.M1), PRIORS, other)
+
+    def test_series_in_another_zone(self):
+        grid = replace(GRID, zone=17)
+        series = _series([(350.0, 4360.0), (351.0, 4361.0), (352.0, 4362.0)])
+        with pytest.raises(ValueError, match="^offender 't' is in zone 18, not the grid zone 17$"):
+            posterior_surface(series, ModelSpec(Family.M2), flat_prior_set(grid), grid)
 
     def test_missing_prior_kind(self):
         from types import MappingProxyType

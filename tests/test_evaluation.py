@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,19 @@ class TestCompareMethods:
             compare_methods(
                 mini_dataset, [MethodId.ONE_A], Scope.ALL, grid=GRID, quadrature=quadrature
             )
+
+    def test_series_in_another_zone_rejected_before_scoring(self, mini_dataset, monkeypatch):
+        import geoprofile.evaluation as evaluation
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an offender was scored")
+
+        monkeypatch.setattr(evaluation, "label_dataset", unreachable)
+        # the zone-18 offenders would fit the bounds of the zone-17 grid
+        ds = Dataset(mini_dataset.series[:4])
+        message = "^offender 's0' is in zone 18, not the grid zone 17$"
+        with pytest.raises(ValueError, match=message):
+            compare_methods(ds, list(MethodId), Scope.ALL, grid=replace(GRID, zone=17))
 
     def test_programming_errors_propagate(self, mini_dataset, monkeypatch):
         import geoprofile.evaluation as evaluation

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from geoprofile.engine import PosteriorSurface
-from geoprofile.geodesy import UtmPoint
+from geoprofile.geodesy import OutOfRangeError, UtmPoint
 from geoprofile.grid import Grid, OutOfGridError, cell_center, locate_cell
 from geoprofile.priors import AnchorPrior
 
@@ -81,6 +82,27 @@ def test_invalid_bounds_rejected():
         Grid(west=10.0, east=5.0)
     with pytest.raises(ValueError):
         Grid(nrows=0)
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        # the first corner center is (300.5, -19.5)
+        ({"south": -20.0, "north": 50.0}, "northing -19.5 km outside [0, 10000)"),
+        # the first is (995.5, 4330.5), the last (1004.5, 4399.5)
+        ({"west": 995.0, "east": 1005.0, "ncols": 10}, "easting 1004.5 km outside (0, 1000)"),
+    ],
+    ids=["first-corner", "last-corner"],
+)
+def test_center_outside_utm_ranges_rejected(bounds, message):
+    with pytest.raises(OutOfRangeError, match=re.escape(message)):
+        Grid(**bounds)
+
+
+def test_point_in_another_zone_rejected():
+    # its coordinates are zone 18's frame, not the grid's
+    with pytest.raises(ValueError, match="^point is in zone 18, not the grid zone 17$"):
+        locate_cell(Grid(zone=17), UtmPoint(18, 350.0, 4360.0))
 
 
 def _uniform_with(cells):

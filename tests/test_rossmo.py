@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,11 @@ class TestHitScoreSurface:
         grid = Grid(west=499.5, east=500.5, south=-0.5, north=0.5, nrows=1, ncols=1)
         with pytest.raises(DegenerateSurfaceError, match="hit scores sum to inf"):
             hit_score_surface(series, grid)
+
+    def test_series_in_another_zone(self):
+        series = _series([(340.0, 4350.0), (342.0, 4350.0), (346.0, 4350.0)])
+        with pytest.raises(ValueError, match="^offender 'r' is in zone 18, not the grid zone 17$"):
+            hit_score_surface(series, replace(GRID, zone=17))
 
     def test_coincident_fallback_warns(self, caplog):
         series = _series([(350.0, 4360.0)] * 4)
