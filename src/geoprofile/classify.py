@@ -152,9 +152,6 @@ def _labels(
     else gets the buffer-zone subtype. The median is used rather than the
     mean so one far-flung site cannot flip the label.
     """
-    check_options(
-        nn_threshold_km, cluster_cutoff_km, single_cluster_coverage, multi_cluster_coverage
-    )
     n = d.shape[-1]
     linked = _components(d, cluster_cutoff_km)
     # each site's component size, and whether it is the component's first site
@@ -196,17 +193,20 @@ def _sites_to_classify(sites) -> np.ndarray:
 
 def classify(sites, **options) -> SubtypeLabel:
     """Subtype of one series from its site geometry, by ``_labels``' rules
-    and keyword options."""
+    and keyword options, which ``check_options`` checks first."""
+    check_options(**options)
     return _labels(_pairwise(_sites_to_classify(sites), "euclidean")[None], **options)[0]
 
 
 def classify_all(xys, **options) -> list[SubtypeLabel]:
-    """``[classify(xy, **options) for xy in xys]``, label for label.
+    """``[classify(xy, **options) for xy in xys]``, label for label; the
+    options are checked even when ``xys`` is empty.
 
     Series of one length are labelled together, a batch of them per pass:
     their pairwise matrices are stacked, so the nearest-neighbour medians
     and the single-linkage components of the batch are array operations.
     """
+    check_options(**options)
     xys = [_sites_to_classify(xy) for xy in xys]
     by_length: dict[int, list[int]] = {}
     for i, xy in enumerate(xys):

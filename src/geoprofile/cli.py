@@ -32,6 +32,8 @@ from geoprofile.engine import (
     PosteriorSurface,
     QUADRATURE_PARAMS,
     check_nonres_weight,
+    check_quadrature,
+    prior_kinds,
     run_method,
 )
 from geoprofile.evaluation import Scope, compare_methods, rank_cells
@@ -131,6 +133,7 @@ def _set_key(config: RunConfig, key: str, value: str) -> None:
         config.grid = replace(config.grid, zone=int(value))
     elif key in _NODE_KEYS:
         config.quadrature[_NODE_KEYS[key]] = int(value)
+        check_quadrature(config.quadrature)
     elif key in _CLASSIFIER_KEYS:
         config.classifier_options[_CLASSIFIER_KEYS[key]] = float(value)
         check_options(**config.classifier_options)
@@ -157,13 +160,17 @@ def load_config(path) -> RunConfig:
 
 
 def _apply_flags(config: RunConfig, args) -> RunConfig:
-    """Command-line flags override the config file, key by key."""
-    for key in ("dataset", "out", "method", "scope", "grid", "bounds"):
-        value = getattr(args, key, None)
-        if key == "method" and value:  # repeatable; the config key is "methods"
+    """Command-line flags override the config file, key by key; a value
+    refused names its flag."""
+    for flag in ("dataset", "out", "method", "scope", "grid", "bounds"):
+        key, value = flag, getattr(args, flag, None)
+        if flag == "method" and value:  # repeatable; the config key is "methods"
             key, value = "methods", ",".join(value)
         if value:
-            _set_key(config, key, value)
+            try:
+                _set_key(config, key, value)
+            except ValueError as exc:
+                raise ValueError(f"--{flag}: {exc}") from None
     return config
 
 
@@ -270,13 +277,15 @@ def cmd_profile(config: RunConfig, args) -> int:
             "and profile names its outputs after it"
         )
     methods = tuple(dict.fromkeys(config.methods))
-    if all(m is MethodId.ROSSMO for m in methods):
+    posterior = [m for m in methods if m is not MethodId.ROSSMO]
+    if not posterior:
         # the hit score needs no labels; the sidecar needs only this one
         label = classify(series.xy, **config.classifier_options)
     else:
         labels = label_dataset(ds, **config.classifier_options)
         label = labels[oid]
-        priors = build_prior_set(ds, oid, labels, config.grid)
+        kinds = prior_kinds(posterior, label, config.nonres_weight)
+        priors = build_prior_set(ds, oid, labels, config.grid, kinds)
     # every surface before any file, so an error writes nothing
     surfaces = {}
     for method in methods:

@@ -68,6 +68,7 @@ __all__ = [
     "m3_surface",
     "run_method",
     "method_surfaces",
+    "prior_kinds",
     "NONRES_WEIGHT_FROM_FREQUENCIES",
 ]
 
@@ -404,6 +405,60 @@ def m3_surface(
     return run_method(series, MethodId.ONE_A, label, priors, grid)
 
 
+class _Plan(NamedTuple):
+    """The models ``method_surfaces`` fits, and how it blends them."""
+
+    resident: dict[MethodId, ModelSpec]  # fitted to all sites; one model per family
+    cluster: ModelSpec | None  # fitted to each cluster's sites of an M3 label
+    nonres: ModelSpec | None  # the non-resident model, if some method weighs it
+    weights: dict[MethodId, float]  # of the non-resident surface
+
+
+def _plan(
+    methods: Sequence[MethodId], label: SubtypeLabel, nonres_weight: float
+) -> _Plan:
+    """The one routing of methods and a label to models.
+
+    An M1 label has no buffer zone, so every method's resident model is
+    the M1 model. Otherwise it is the method's buffer model, and an M3
+    label adds the M1 model fitted to each cluster. The non-resident
+    model is fitted only if some method gives it a non-zero weight.
+    """
+    if any(m not in METHODS for m in methods):
+        raise ValueError("the hit-score baseline is not a posterior method")
+    rows = {m: METHODS[m] for m in methods}
+    m1 = ModelSpec(Family.M1)
+    weights = {
+        m: nonres_weight if row.nonres_weight is None else row.nonres_weight
+        for m, row in rows.items()
+    }
+    return _Plan(
+        resident={
+            m: m1 if label.kind is SubtypeKind.M1 else row.buffer for m, row in rows.items()
+        },
+        cluster=m1 if label.kind is SubtypeKind.M3 else None,
+        nonres=ModelSpec(Family.NONRES) if any(weights.values()) else None,
+        weights=weights,
+    )
+
+
+def prior_kinds(
+    methods: Sequence[MethodId],
+    label: SubtypeLabel,
+    nonres_weight: float = NONRES_WEIGHT_FROM_FREQUENCIES,
+) -> frozenset[PriorKind]:
+    """The parameter prior kinds ``method_surfaces`` reads for these
+    methods, this label and this weight: those of every model it fits."""
+    plan = _plan(methods, label, nonres_weight)
+    specs = [*plan.resident.values(), plan.cluster, plan.nonres]
+    return frozenset(
+        spec.prior_kind(param)
+        for spec in specs
+        if spec is not None
+        for param in _PARAMS[spec.family]
+    )
+
+
 def method_surfaces(
     series: CrimeSeries,
     methods: Sequence[MethodId],
@@ -415,41 +470,30 @@ def method_surfaces(
 ) -> dict[MethodId, PosteriorSurface]:
     """Surfaces for several methods at once, each component posterior computed once.
 
-    The resident surface follows the label. An M1 label has no buffer
-    zone, so every method shares one M1 surface. Otherwise each buffer
-    model family gets one surface on all sites. An M3 label blends each
-    of those equally with one M1 surface per cluster, fitted to that
-    cluster's sites and shared by every buffer model. The non-resident
-    surface is computed once, and only if some method weighs it.
+    ``_plan`` picks the models. Each resident model family gets one
+    surface on all sites. An M3 label blends each of those equally with
+    one M1 surface per cluster, fitted to that cluster's sites and shared
+    by every buffer model. The non-resident surface is computed once.
+    ``priors`` needs only the kinds ``prior_kinds`` names.
     """
-    if any(m not in METHODS for m in methods):
-        raise ValueError("the hit-score baseline is not a posterior method")
-    rows = {m: METHODS[m] for m in methods}
-    if not rows:
+    plan = _plan(methods, label, nonres_weight)
+    if not plan.resident:
         return {}
 
     def surface(spec: ModelSpec, part: CrimeSeries = series) -> PosteriorSurface:
         return posterior_surface(part, replace(spec, quadrature=quadrature), priors, grid)
 
-    m1 = ModelSpec(Family.M1)
-    # one buffer model per family: a spec holding prior_kinds cannot be hashed
-    buffers = {row.buffer.family: row.buffer for row in rows.values()}
-    if label.kind is SubtypeKind.M1:
-        resident = dict.fromkeys(buffers, surface(m1))
-    else:
-        resident = {family: surface(buffer) for family, buffer in buffers.items()}
-    if label.kind is SubtypeKind.M3:
-        clusters = [surface(m1, series.restrict(cluster)) for cluster in label.clusters]
+    # keyed by family: a spec holding prior_kinds cannot be hashed
+    models = {spec.family: spec for spec in plan.resident.values()}
+    resident = {family: surface(spec) for family, spec in models.items()}
+    if plan.cluster is not None:
+        clusters = [surface(plan.cluster, series.restrict(c)) for c in label.clusters]
         equal = [1.0 / (len(clusters) + 1)] * (len(clusters) + 1)
         resident = {f: multimodel_combine([*clusters, s], equal) for f, s in resident.items()}
-    weights = {
-        m: nonres_weight if row.nonres_weight is None else row.nonres_weight
-        for m, row in rows.items()
-    }
-    nonres = surface(ModelSpec(Family.NONRES)) if any(weights.values()) else None
+    nonres = None if plan.nonres is None else surface(plan.nonres)
     out = {}
-    for method, w in weights.items():
-        base = resident[rows[method].buffer.family]
+    for method, w in plan.weights.items():
+        base = resident[plan.resident[method].family]
         out[method] = multimodel_combine([base, nonres], [1.0 - w, w]) if w else base
     return out
 

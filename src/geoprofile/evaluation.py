@@ -28,6 +28,7 @@ from geoprofile.engine import (
     check_nonres_weight,
     check_quadrature,
     method_surfaces,
+    prior_kinds,
 )
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, check_grid_zone, locate_cell
@@ -235,7 +236,8 @@ def compare_methods(
         surfaces: dict[MethodId, PosteriorSurface] = {}
         if bayes_methods:
             try:
-                priors = build_prior_set(ds, oid, labels, grid)
+                kinds = prior_kinds(bayes_methods, labels[oid], nonres_weight)
+                priors = build_prior_set(ds, oid, labels, grid, kinds)
                 surfaces = method_surfaces(
                     series,
                     bayes_methods,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from geoprofile.geodesy import UtmPoint, check_zone
+from geoprofile.geodesy import OutOfRangeError, UtmPoint, check_zone
 
 __all__ = [
     "DEFAULT_ZONE",
@@ -50,8 +50,13 @@ class Grid:
             raise ValueError("grid needs at least one row and column")
         check_zone(self.zone, "grid zone")
         # centers grow with row and column: the corner ones bound them all
-        cell_center(self, 0, 0)
-        cell_center(self, self.nrows - 1, self.ncols - 1)
+        for row, col in ((0, 0), (self.nrows - 1, self.ncols - 1)):
+            try:
+                cell_center(self, row, col)
+            except OutOfRangeError as exc:
+                raise OutOfRangeError(
+                    f"cell center (row {row}, col {col}) out of range: {exc}"
+                ) from None
 
     @property
     def dx(self) -> float:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 import numpy as np
 
@@ -321,13 +321,15 @@ def build_prior_set(
     excluded_offender: str,
     subtype_labels: dict[str, SubtypeLabel],
     grid: Grid,
+    kinds: Collection[PriorKind] = frozenset(PriorKind),
 ) -> PriorSet:
-    """Priors from every offender except the examined one.
+    """Priors from every offender except the examined one: the anchor
+    prior and the parameter priors of ``kinds``, which default to all.
 
     Each donor feeds, in donor order, every kind whose ``PRIORS`` row
     names its group and whose statistic it has. A kind with fewer than 3
     donor samples falls back to a flat prior; one warning names every such
-    kind. An unknown ``excluded_offender`` raises KeyError.
+    kind built. An unknown ``excluded_offender`` raises KeyError.
     """
     ds.get(excluded_offender)  # KeyError for an unknown id
     donors = [s for s in ds.series if s.offender_id != excluded_offender]
@@ -343,6 +345,8 @@ def build_prior_set(
     group = np.where(stats["resident"], labels, "NONRES")
     params, flat = {}, []
     for kind, row in PRIORS.items():
+        if kind not in kinds:
+            continue
         values = stats[row.statistic]
         samples = values[np.isin(group, row.groups) & ~np.isnan(values)]
         try:

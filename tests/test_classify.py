@@ -13,9 +13,10 @@ from geoprofile.classify import (
     SubtypeLabel,
     classify,
     classify_all,
+    label_dataset,
     nn_distances,
 )
-from geoprofile.dataset import read_dataset
+from geoprofile.dataset import Dataset, read_dataset
 
 # the benchmark's seeded populations, from the repository root
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -349,6 +350,15 @@ class TestClassifyAll:
         value = out_of_range if bad == "range" else float(bad)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}, got {value!r}')}$"):
             classify_all([np.zeros((4, 2))], **{option: value})
+
+    @pytest.mark.parametrize("option", BAD_OPTIONS)
+    def test_bad_option_without_series(self, option):
+        # checked before any series is read, so an empty dataset has it too
+        rule = f"^{re.escape(self.BAD_OPTIONS[option][0])}, got nan$"
+        with pytest.raises(ValueError, match=rule):
+            classify_all([], **{option: math.nan})
+        with pytest.raises(ValueError, match=rule):
+            label_dataset(Dataset(()), **{option: math.nan})
 
     def test_option_bounds_accepted(self):
         # the smallest positive thresholds, and coverages at both ends

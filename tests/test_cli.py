@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from geoprofile.classify import classify
+from geoprofile.classify import SubtypeKind, classify, label_dataset
 from geoprofile.cli import (
     _build_parser,
     load_config,
@@ -15,13 +15,15 @@ from geoprofile.cli import (
     rank_cells,
     write_surface_csv,
     write_surface_pgm,
+    write_surface_sidecar,
 )
 from geoprofile.dataset import CSV_HEADER, UTM_CSV_HEADER, CrimeSeries, csv_text, read_dataset
-from geoprofile.engine import Family, MethodId, PosteriorSurface
+from geoprofile.engine import Family, MethodId, PosteriorSurface, run_method
 from geoprofile.evaluation import ALL_THRESHOLDS, Scope, _ranking
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid
 from geoprofile.models import M1Params, M2Params
+from geoprofile.priors import build_prior_set
 from geoprofile.synthetic import SyntheticScenario, sample_series, series_to_utm_csv
 from oracles import latlon_to_utm_direct, surface_csv_direct, surface_pgm_direct
 
@@ -108,6 +110,10 @@ SHARED_FLAGS = {
     "--bounds": "300,400,4330,4400",
 }
 REQUIRED_ARGS = {"convert": ["in.csv"], "profile": ["--offender", "a"]}
+# the error of the bounds 300,400,-20,50 on the default 100x70 mesh
+FIRST_CENTER_SOUTH_OF_FRAME = (
+    "cell center (row 0, col 0) out of range: northing -19.5 km outside [0, 10000)"
+)
 
 
 class TestCommandFlags:
@@ -148,7 +154,7 @@ class TestCommandFlags:
         if command == "profile":
             argv += ["--offender", "o1"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: northing -19.5 km outside [0, 10000)\n"
+        assert capsys.readouterr().err == f"error: --bounds: {FIRST_CENTER_SOUTH_OF_FRAME}\n"
         assert not out.exists()
 
 
@@ -345,6 +351,32 @@ class TestProfile:
         assert calls == [o1.n]
         payload = json.loads((out_dir / "o1_rossmo.json").read_text())
         assert payload["subtype"] == classify(o1.xy).kind.value
+
+    def test_m1_offender_builds_only_its_prior(self, synthetic_csv, tmp_path, caplog):
+        # o0 is M1, so 1a reads only the no-buffer distance prior; the two
+        # other M1 offenders are too few donors for it
+        out_dir = tmp_path / "prof"
+        args = ["profile", "--dataset", str(synthetic_csv), "--offender", "o0"]
+        with caplog.at_level("WARNING"):
+            assert main(args + ["--method", "1a", "--out", str(out_dir)]) == 0
+        assert caplog.messages == [
+            "too few donor samples for 1 prior(s) (distance_m1: 2); falling back to flat"
+        ]
+
+        # the same surface from every prior, written by the same writers
+        ds = load_dataset(synthetic_csv)
+        labels = label_dataset(ds)
+        assert labels["o0"].kind is SubtypeKind.M1
+        priors = build_prior_set(ds, "o0", labels, Grid())
+        surface = run_method(ds.get("o0"), MethodId.ONE_A, labels["o0"], priors, Grid())
+        full = tmp_path / "full"
+        full.mkdir()
+        write_surface_csv(surface, full / "o0_1a_surface.csv")
+        write_surface_pgm(surface, full / "o0_1a.pgm")
+        write_surface_sidecar(surface, "o0", MethodId.ONE_A, "M1", full / "o0_1a.json")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in full.iterdir())
+        for path in full.iterdir():
+            assert (out_dir / path.name).read_bytes() == path.read_bytes()
 
     def test_every_requested_method_written(self, synthetic_csv, tmp_path, capsys):
         args = ["profile", "--dataset", str(synthetic_csv), "--offender", "o1"]
@@ -551,7 +583,13 @@ class TestEmitGrid:
 
     def test_bounds_outside_utm_ranges_rejected(self, capsys):
         assert main(["emit-grid", "--bounds", "300,400,-20,50"]) == 1
-        assert "northing" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: --bounds: {FIRST_CENTER_SOUTH_OF_FRAME}\n")
+
+    def test_refused_grid_shape_names_its_flag(self, capsys):
+        assert main(["emit-grid", "--grid", "0x5"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --grid: grid needs at least one row and column\n"
+        )
 
 
 # each classifier key's rule, and a value outside its range
@@ -665,6 +703,24 @@ class TestConfig:
         argv = ["classify", "--config", str(cfg), "--dataset", str(tmp_path / "missing.csv")]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {cfg}:2: {rule}, got {float(value)!r}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["profile", "--offender", "o0", "--method", "rossmo"]],
+        ids=["classify", "profile-rossmo"],
+    )
+    def test_bad_node_count_rejected_with_the_config(self, tmp_path, capsys, synthetic_csv, argv):
+        # refused while the configuration is read, even by a command that
+        # runs no posterior method
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# quadrature\nnodes_alpha = 0\n")
+        out = tmp_path / "out"
+        argv += ["--config", str(cfg), "--dataset", str(synthetic_csv), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {cfg}:2: node count for alpha must be >= 1, got 0\n"
+        )
+        assert not out.exists()
 
     def test_dataset_required(self, capsys):
         assert main(["classify"]) == 1

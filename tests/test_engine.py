@@ -12,6 +12,7 @@ from geoprofile.engine import (
     Family,
     MethodId,
     ModelSpec,
+    NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
     _log_marginal_likelihood,
     _log_quad,
@@ -21,6 +22,7 @@ from geoprofile.engine import (
     method_surfaces,
     multimodel_combine,
     posterior_surface,
+    prior_kinds,
     run_method,
 )
 from geoprofile.geodesy import UtmPoint
@@ -495,6 +497,53 @@ class TestMethodWiring:
         np.testing.assert_array_equal(got.mass, expected.mass)
 
 
+class _Recording(dict):
+    """A table of parameter priors that records every kind read from it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, kind):
+        self.read.add(kind)
+        return super().__getitem__(kind)
+
+
+class TestPriorPlan:
+    """``prior_kinds`` names exactly the priors ``method_surfaces`` reads,
+    and those alone give the surfaces of the full prior set."""
+
+    @pytest.mark.parametrize(
+        "weight", [0.0, NONRES_WEIGHT_FROM_FREQUENCIES], ids=["weight-0", "weight-default"]
+    )
+    @pytest.mark.parametrize(
+        "methods",
+        [[m] for m in WIRING] + [list(WIRING)],
+        ids=[m.value for m in WIRING] + ["all"],
+    )
+    @pytest.mark.parametrize("kind", list(SubtypeKind), ids=lambda k: k.value)
+    def test_planned_kinds_are_read(self, kind, methods, weight):
+        rng = np.random.default_rng(310)
+        series, m3_label = _two_cluster_series(rng, (345.0, 4355.0), (358.0, 4368.0))
+        label = m3_label if kind is SubtypeKind.M3 else SubtypeLabel(kind)
+        planned = prior_kinds(methods, label, weight)
+        full = _loo_priors(GRID)
+        recording = replace(full, params=_Recording(full.params))
+        surfaces = method_surfaces(series, methods, label, recording, GRID, weight)
+        assert recording.params.read == planned
+
+        only = _loo_priors(GRID, planned)
+        assert set(only.params) == planned
+        alone = method_surfaces(series, methods, label, only, GRID, weight)
+        assert alone.keys() == surfaces.keys()
+        for method, surface in alone.items():
+            np.testing.assert_array_equal(surface.mass, surfaces[method].mass)
+
+    def test_rossmo_rejected(self):
+        with pytest.raises(ValueError, match="not a posterior method"):
+            prior_kinds([MethodId.ROSSMO], SubtypeLabel(SubtypeKind.M1))
+
+
 def test_pairwise_sum_replays_numpy_row_sum():
     # numpy's reduction order, replayed by column adds, for every series
     # length up to past two 128-value blocks, then on fewer cells for node
@@ -573,9 +622,10 @@ class TestLogQuad:
         )
 
 
-def _loo_priors(grid):
-    """Leave-one-out priors as the pipeline builds them, from mixed donors:
-    compact residents, ring residents and far commuters with a bearing."""
+def _loo_priors(grid, kinds=frozenset(PriorKind)):
+    """Leave-one-out priors of ``kinds`` as the pipeline builds them, from
+    mixed donors: compact residents, ring residents and far commuters with
+    a bearing."""
     rng = np.random.default_rng(500)
     donors, labels = [], {}
     for i in range(15):
@@ -586,7 +636,7 @@ def _loo_priors(grid):
         offsets = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
         donors.append(_series(anchor + offsets, anchor=anchor, offender=f"o{i}"))
         labels[f"o{i}"] = SubtypeLabel(SubtypeKind.M1 if i % 3 == 0 else SubtypeKind.M2)
-    return build_prior_set(Dataset(tuple(donors)), "o0", labels, grid)
+    return build_prior_set(Dataset(tuple(donors)), "o0", labels, grid, kinds)
 
 
 class TestLayoutOracle:

@@ -257,6 +257,13 @@ class TestCompareMethods:
                 mini_dataset, [MethodId.ONE_A], Scope.ALL, grid=GRID, quadrature=quadrature
             )
 
+    def test_bad_classifier_option_rejected_on_an_empty_dataset(self):
+        with pytest.raises(ValueError, match="nearest-neighbour threshold"):
+            compare_methods(
+                Dataset(()), list(MethodId), Scope.ALL, grid=GRID,
+                classifier_options={"nn_threshold_km": float("nan")},
+            )
+
     def test_series_in_another_zone_rejected_before_scoring(self, mini_dataset, monkeypatch):
         import geoprofile.evaluation as evaluation
 
