@@ -33,14 +33,16 @@ from geoprofile.engine import (
     QUADRATURE_PARAMS,
     check_nonres_weight,
     check_quadrature,
-    prior_kinds,
-    run_method,
 )
-from geoprofile.evaluation import Scope, compare_methods, rank_cells
+from geoprofile.evaluation import Scope, compare_methods, offender_surfaces, rank_cells
 from geoprofile.geodesy import latlon_to_utm
 from geoprofile.grid import DEFAULT_ZONE, Grid
-from geoprofile.priors import build_prior_set
-from geoprofile.rossmo import hit_score_surface
+
+# profile calls these through evaluation.offender_surfaces; perfbench's
+# tracer still looks them up here by name (ROADMAP item 8)
+from geoprofile.engine import run_method  # noqa: F401
+from geoprofile.priors import build_prior_set  # noqa: F401
+from geoprofile.rossmo import hit_score_surface  # noqa: F401
 
 __all__ = ["RunConfig", "load_config", "load_dataset", "main"]
 
@@ -111,6 +113,8 @@ _NODE_KEYS = {f"nodes_{p}": p for p in QUADRATURE_PARAMS}
 
 def _set_key(config: RunConfig, key: str, value: str) -> None:
     """Apply one ``key = value`` setting, from a config file or a flag."""
+    if key in ("dataset", "out") and not value:
+        raise ValueError("empty path")
     if key == "dataset":
         config.dataset = value
     elif key == "out":
@@ -164,9 +168,9 @@ def _apply_flags(config: RunConfig, args) -> RunConfig:
     refused names its flag."""
     for flag in ("dataset", "out", "method", "scope", "grid", "bounds"):
         key, value = flag, getattr(args, flag, None)
-        if flag == "method" and value:  # repeatable; the config key is "methods"
+        if flag == "method" and value is not None:  # repeatable; the config key is "methods"
             key, value = "methods", ",".join(value)
-        if value:
+        if value is not None:  # "" too, which _set_key refuses
             try:
                 _set_key(config, key, value)
             except ValueError as exc:
@@ -277,30 +281,15 @@ def cmd_profile(config: RunConfig, args) -> int:
             "and profile names its outputs after it"
         )
     methods = tuple(dict.fromkeys(config.methods))
-    posterior = [m for m in methods if m is not MethodId.ROSSMO]
-    if not posterior:
+    if methods == (MethodId.ROSSMO,):
         # the hit score needs no labels; the sidecar needs only this one
-        label = classify(series.xy, **config.classifier_options)
+        labels = {oid: classify(series.xy, **config.classifier_options)}
     else:
         labels = label_dataset(ds, **config.classifier_options)
-        label = labels[oid]
-        kinds = prior_kinds(posterior, label, config.nonres_weight)
-        priors = build_prior_set(ds, oid, labels, config.grid, kinds)
     # every surface before any file, so an error writes nothing
-    surfaces = {}
-    for method in methods:
-        if method is MethodId.ROSSMO:
-            surfaces[method] = hit_score_surface(series, config.grid)
-        else:
-            surfaces[method] = run_method(
-                series,
-                method,
-                label,
-                priors,
-                config.grid,
-                config.nonres_weight,
-                config.quadrature or None,
-            )
+    surfaces = offender_surfaces(
+        ds, series, methods, labels, config.grid, config.nonres_weight, config.quadrature or None
+    )
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for method, surface in surfaces.items():
@@ -308,7 +297,7 @@ def cmd_profile(config: RunConfig, args) -> int:
         write_surface_csv(surface, out_dir / f"{stem}_surface.csv")
         write_surface_pgm(surface, out_dir / f"{stem}.pgm")
         write_surface_sidecar(
-            surface, oid, method, label.kind.value, out_dir / f"{stem}.json"
+            surface, oid, method, labels[oid].kind.value, out_dir / f"{stem}.json"
         )
         print(f"wrote {stem}_surface.csv, {stem}.pgm, {stem}.json in {out_dir}")
     return 0

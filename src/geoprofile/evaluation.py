@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 # compare_methods labels with label_dataset; perfbench's tracer still looks
 # up evaluation.classify by name, so the name stays bound here
-from geoprofile.classify import classify, label_dataset  # noqa: F401
-from geoprofile.dataset import Dataset, csv_text
+from geoprofile.classify import SubtypeLabel, classify, label_dataset  # noqa: F401
+from geoprofile.dataset import CrimeSeries, Dataset, csv_text
 from geoprofile.engine import (
     DegenerateSurfaceError,
     MethodId,
@@ -47,6 +47,7 @@ __all__ = [
     "rank_cells",
     "search_fraction",
     "accumulation_curve",
+    "offender_surfaces",
     "compare_methods",
 ]
 
@@ -181,6 +182,32 @@ class EvaluationReport:
         return "\n".join(out)
 
 
+def offender_surfaces(
+    ds: Dataset,
+    series: CrimeSeries,
+    methods: Sequence[MethodId],
+    labels: Mapping[str, SubtypeLabel],
+    grid: Grid,
+    nonres_weight: float,
+    quadrature: Mapping[str, int] | None,
+) -> dict[MethodId, PosteriorSurface]:
+    """One offender's surfaces, in the order of ``methods``: one LOO prior
+    build and one ``method_surfaces`` call for the posterior methods, then
+    the hit score. Domain errors are raised, the posterior part's first."""
+    posterior = [m for m in methods if m is not MethodId.ROSSMO]
+    surfaces = {}
+    if posterior:
+        label = labels[series.offender_id]
+        kinds = prior_kinds(posterior, label, nonres_weight)
+        priors = build_prior_set(ds, series.offender_id, labels, grid, kinds)
+        surfaces = method_surfaces(
+            series, posterior, label, priors, grid, nonres_weight, quadrature
+        )
+    if MethodId.ROSSMO in methods:
+        surfaces[MethodId.ROSSMO] = hit_score_surface(series, grid)
+    return {m: surfaces[m] for m in methods}
+
+
 def compare_methods(
     ds: Dataset,
     methods: Sequence[MethodId],
@@ -219,7 +246,9 @@ def compare_methods(
         subtypes={oid: label.kind.value for oid, label in labels.items()},
     )
 
-    bayes_methods = tuple(m for m in methods if m is not MethodId.ROSSMO)
+    # the posterior methods and the hit score fail apart
+    rossmo = (MethodId.ROSSMO,) if MethodId.ROSSMO in methods else ()
+    groups = [g for g in (tuple(m for m in methods if m not in rossmo), rossmo) if g]
     for series in ds.series:
         oid = series.offender_id
         if series.anchor is None:
@@ -234,29 +263,13 @@ def compare_methods(
             continue
 
         surfaces: dict[MethodId, PosteriorSurface] = {}
-        if bayes_methods:
+        for group in groups:
             try:
-                kinds = prior_kinds(bayes_methods, labels[oid], nonres_weight)
-                priors = build_prior_set(ds, oid, labels, grid, kinds)
-                surfaces = method_surfaces(
-                    series,
-                    bayes_methods,
-                    labels[oid],
-                    priors,
-                    grid,
-                    nonres_weight,
-                    quadrature,
+                surfaces |= offender_surfaces(
+                    ds, series, group, labels, grid, nonres_weight, quadrature
                 )
             except (InsufficientDataError, DegenerateSurfaceError) as exc:
-                for m in bayes_methods:
-                    report.failures.append(FailureRecord(oid, m.value, str(exc)))
-        if MethodId.ROSSMO in methods:
-            try:
-                surfaces[MethodId.ROSSMO] = hit_score_surface(series, grid)
-            except DegenerateSurfaceError as exc:
-                report.failures.append(
-                    FailureRecord(oid, MethodId.ROSSMO.value, str(exc))
-                )
+                report.failures.extend(FailureRecord(oid, m.value, str(exc)) for m in group)
 
         for m in methods:
             if m in surfaces:

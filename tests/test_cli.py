@@ -379,23 +379,97 @@ class TestProfile:
             assert (out_dir / path.name).read_bytes() == path.read_bytes()
 
     def test_every_requested_method_written(self, synthetic_csv, tmp_path, capsys):
-        args = ["profile", "--dataset", str(synthetic_csv), "--offender", "o1"]
-        methods = ["2aii", "rossmo", "1b", "2aii"]
-        both = tmp_path / "both"
+        # the surfaces computed together equal, byte for byte, each one alone:
+        # 2aii (repeated), rossmo and 1b for the M2 offender o1, then the
+        # default list (all seven) for o1 and for the M3 offender o3
+        for offender, methods in [
+            ("o1", ["2aii", "rossmo", "1b", "2aii"]),
+            ("o1", []),
+            ("o3", []),
+        ]:
+            args = ["profile", "--dataset", str(synthetic_csv), "--offender", offender]
+            run = tmp_path / f"{offender}-{len(methods)}"
+            both = run / "both"
+            flags = [flag for m in methods for flag in ("--method", m)]
+            capsys.readouterr()  # drop the previous case's lines
+            assert main(args + flags + ["--out", str(both)]) == 0
+            distinct = list(dict.fromkeys(methods)) or [m.value for m in MethodId]
+            wrote = capsys.readouterr().out.splitlines()
+            assert [line.split("_")[1] for line in wrote] == distinct
+            names = sorted(p.name for p in both.iterdir())
+            assert len(names) == 3 * len(distinct)
+            for method in distinct:
+                alone = run / method
+                assert main(args + ["--method", method, "--out", str(alone)]) == 0
+                files = sorted(alone.iterdir())
+                assert len(files) == 3
+                for path in files:
+                    assert path.name in names
+                    assert (both / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "offender, families",
+        [
+            ("o0", {"M1": 1, "NONRES": 1}),
+            ("o1", {"M2": 1, "NONRES": 2}),
+            ("o3", {"M2": 1, "NONRES": 2, "M1": 2}),
+        ],
+        ids=["M1", "M2", "M3"],
+    )
+    def test_default_profile_computes_each_component_once(
+        self, synthetic_csv, tmp_path, monkeypatch, offender, families
+    ):
+        # M1: the M1 and the non-resident model. M2: the ring, the
+        # directional and the non-resident model. M3 (o3 has two clusters):
+        # those three and the M1 model of each cluster.
+        import geoprofile.engine as engine
+
+        posterior_surface, calls = engine.posterior_surface, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].family.value)
+            return posterior_surface(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "posterior_surface", counting)
+        args = ["profile", "--dataset", str(synthetic_csv), "--offender", offender]
+        assert main(args + ["--out", str(tmp_path / "prof")]) == 0
+        assert {f: calls.count(f) for f in calls} == families
+
+    @pytest.mark.parametrize("methods", [["1a"], ["1a", "rossmo"], ["rossmo", "1a"]])
+    def test_too_few_donors_writes_nothing(self, synthetic_csv, tmp_path, capsys, methods):
+        # one donor cannot make an anchor prior, and the hit score, which
+        # would succeed, is not written either
+        dataset = tmp_path / "two.csv"
+        dataset.write_text(series_to_utm_csv(read_dataset(synthetic_csv.read_text()).series[:2]))
+        out_dir = tmp_path / "prof"
         flags = [flag for m in methods for flag in ("--method", m)]
-        assert main(args + flags + ["--out", str(both)]) == 0
-        wrote = capsys.readouterr().out.splitlines()
-        assert [line.split("_")[1] for line in wrote] == ["2aii", "rossmo", "1b"]
-        names = sorted(p.name for p in both.iterdir())
-        assert len(names) == 9
-        for method in ("2aii", "rossmo", "1b"):
-            alone = tmp_path / method
-            assert main(args + ["--method", method, "--out", str(alone)]) == 0
-            files = sorted(alone.iterdir())
-            assert len(files) == 3
-            for path in files:
-                assert path.name in names
-                assert (both / path.name).read_bytes() == path.read_bytes()
+        argv = ["profile", "--dataset", str(dataset), "--offender", "o0", "--out", str(out_dir)]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr() == (
+            "", "error: leave-one-out donor set too small to build an anchor prior\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("methods", [["1a", "rossmo"], ["rossmo", "1a"]])
+    def test_posterior_error_printed_before_hit_score_error(self, tmp_path, capsys, methods):
+        # crimes 1e-300 km apart, one on the only cell center, overflow the
+        # hit score; their one donor is too few for the posterior. The
+        # posterior part runs first, whatever the method order.
+        eq = CrimeSeries("eq", [(500.0, y) for y in (0.0, 1e-300, 2e-300)], 18,
+                         UtmPoint(18, 500.0, 0.1))
+        donor = CrimeSeries("d", [(500.2, 0.2), (500.3, 0.1)], 18, UtmPoint(18, 500.25, 0.15))
+        dataset = tmp_path / "eq.csv"
+        dataset.write_text(series_to_utm_csv([eq, donor]))
+        argv = ["profile", "--dataset", str(dataset), "--offender", "eq",
+                "--grid", "1x1", "--bounds", "499.5,500.5,-0.5,0.5", "--out", str(tmp_path / "p")]
+        assert main(argv + ["--method", "rossmo"]) == 1
+        assert "hit scores sum to inf" in capsys.readouterr().err
+        flags = [flag for m in methods for flag in ("--method", m)]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr() == (
+            "", "error: leave-one-out donor set too small to build an anchor prior\n"
+        )
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("offender_id", ["../esc", "a\0b"])
     def test_id_that_is_not_a_file_name_rejected(
@@ -722,6 +796,48 @@ class TestConfig:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--method", "empty method list"),
+            ("--scope", "unknown scope ''; choose 'residents' or 'all'"),
+            ("--grid", "grid shape must look like 100x70, got ''"),
+            ("--bounds", "could not convert string to float: ''"),
+            ("--out", "empty path"),
+            ("--dataset", "empty path"),
+        ],
+    )
+    def test_empty_flag_value_is_one_error(
+        self, synthetic_csv, tmp_path, monkeypatch, capsys, flag, message
+    ):
+        # an empty value is refused, not taken for an absent flag
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["evaluate", "--dataset", str(synthetic_csv), flag, ""]
+        if flag != "--method":
+            argv += ["--method", "rossmo"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {flag}: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [("methods", "empty method list"), ("out", "empty path"), ("dataset", "empty path")],
+    )
+    def test_empty_config_value_is_one_error(
+        self, synthetic_csv, tmp_path, monkeypatch, capsys, key, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scope = all\n{key} =\n")
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["evaluate", "--config", str(cfg), "--method", "rossmo"]
+        if key != "dataset":
+            argv += ["--dataset", str(synthetic_csv)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_dataset_required(self, capsys):
         assert main(["classify"]) == 1
         assert "dataset" in capsys.readouterr().err
@@ -729,6 +845,7 @@ class TestConfig:
 
 def test_programming_error_propagates(synthetic_csv, tmp_path, monkeypatch):
     import geoprofile.cli as cli
+    import geoprofile.evaluation as evaluation
 
     def defect(*args, **kwargs):
         raise TypeError("simulated defect")
@@ -736,6 +853,12 @@ def test_programming_error_propagates(synthetic_csv, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "compare_methods", defect)
     with pytest.raises(TypeError, match="simulated defect"):
         main(["evaluate", "--dataset", str(synthetic_csv), "--out", str(tmp_path / "ev")])
+    # profile reaches the engine through the same per-offender step
+    monkeypatch.setattr(evaluation, "method_surfaces", defect)
+    with pytest.raises(TypeError, match="simulated defect"):
+        main(["profile", "--dataset", str(synthetic_csv), "--offender", "o1",
+              "--out", str(tmp_path / "prof")])
+    assert not (tmp_path / "prof").exists()
 
 
 def test_load_dataset_sniffs_both_formats(tmp_path, synthetic_csv):
