@@ -184,32 +184,28 @@ def nn_distances(sites, metric: str = "euclidean") -> np.ndarray:
     return _nearest(_pairwise(xy, metric))
 
 
-def _sites_to_classify(sites) -> np.ndarray:
-    xy = as_xy(sites)
-    if len(xy) < 3:
-        raise ValueError("need at least 3 sites to classify")
-    return xy
-
-
 def classify(sites, **options) -> SubtypeLabel:
-    """Subtype of one series from its site geometry, by ``_labels``' rules
-    and keyword options, which ``check_options`` checks first."""
-    check_options(**options)
-    return _labels(_pairwise(_sites_to_classify(sites), "euclidean")[None], **options)[0]
+    """Subtype of one series from its site geometry: ``classify_all`` of
+    that series alone."""
+    return classify_all([sites], **options)[0]
 
 
 def classify_all(xys, **options) -> list[SubtypeLabel]:
-    """``[classify(xy, **options) for xy in xys]``, label for label; the
-    options are checked even when ``xys`` is empty.
+    """Subtype of each series of ``xys``, of 3 or more sites each, by
+    ``_labels``' rules and keyword options, which ``check_options`` checks
+    first, even when ``xys`` is empty.
 
     Series of one length are labelled together, a batch of them per pass:
     their pairwise matrices are stacked, so the nearest-neighbour medians
     and the single-linkage components of the batch are array operations.
     """
     check_options(**options)
-    xys = [_sites_to_classify(xy) for xy in xys]
+    xys = list(xys)
     by_length: dict[int, list[int]] = {}
     for i, xy in enumerate(xys):
+        xys[i] = xy = as_xy(xy)
+        if len(xy) < 3:
+            raise ValueError("need at least 3 sites to classify")
         by_length.setdefault(len(xy), []).append(i)
     labels: list[SubtypeLabel] = [None] * len(xys)
     for n, members in by_length.items():

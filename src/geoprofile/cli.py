@@ -62,18 +62,18 @@ class RunConfig:
 
 
 def _parse_methods(raw: str) -> tuple[MethodId, ...]:
+    tokens = [token.strip().lower() for token in raw.split(",")]
+    if tokens == [""]:
+        raise ValueError("empty method list")
+    if "" in tokens:
+        raise ValueError("empty method name")
     out = []
-    for token in raw.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
+    for token in tokens:
         try:
             out.append(MethodId(token))
         except ValueError:
             valid = ", ".join(m.value for m in MethodId)
             raise ValueError(f"unknown method {token!r}; choose from {valid}") from None
-    if not out:
-        raise ValueError("empty method list")
     return tuple(out)
 
 
@@ -96,10 +96,20 @@ def _parse_grid_shape(raw: str) -> tuple[int, int]:
 
 
 def _parse_bounds(raw: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in raw.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"bounds must be W,E,S,N, got {raw!r}")
-    return tuple(parts)
+    try:
+        west, east, south, north = map(float, raw.split(","))
+    except ValueError:
+        raise ValueError(f"bounds must be W,E,S,N, got {raw!r}") from None
+    return west, east, south, north
+
+
+def _parse_number(key: str, value: str, kind: type):
+    """``kind(value)``, ``kind`` int or float; a value it refuses names ``key``."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {value!r}") from None
 
 
 _CLASSIFIER_KEYS = {
@@ -124,7 +134,7 @@ def _set_key(config: RunConfig, key: str, value: str) -> None:
     elif key == "scope":
         config.scope = _parse_scope(value)
     elif key == "nonres_weight":
-        weight = float(value)
+        weight = _parse_number(key, value, float)
         check_nonres_weight(weight)
         config.nonres_weight = weight
     elif key == "grid":
@@ -134,12 +144,12 @@ def _set_key(config: RunConfig, key: str, value: str) -> None:
         west, east, south, north = _parse_bounds(value)
         config.grid = replace(config.grid, west=west, east=east, south=south, north=north)
     elif key == "zone":
-        config.grid = replace(config.grid, zone=int(value))
+        config.grid = replace(config.grid, zone=_parse_number(key, value, int))
     elif key in _NODE_KEYS:
-        config.quadrature[_NODE_KEYS[key]] = int(value)
+        config.quadrature[_NODE_KEYS[key]] = _parse_number(key, value, int)
         check_quadrature(config.quadrature)
     elif key in _CLASSIFIER_KEYS:
-        config.classifier_options[_CLASSIFIER_KEYS[key]] = float(value)
+        config.classifier_options[_CLASSIFIER_KEYS[key]] = _parse_number(key, value, float)
         check_options(**config.classifier_options)
     else:
         raise ValueError(f"unknown key {key!r}")

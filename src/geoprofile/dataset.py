@@ -4,8 +4,9 @@ A file's header row tells its layout: geographic (``CSV_HEADER``, WGS84
 decimal degrees) or planar (``UTM_CSV_HEADER``, UTM kilometres; both
 anchor cells may be blank). The rows are read in one ``csv`` pass, a
 block at a time, into columns of numbers, and rows of either layout get
-the same checks over the block's arrays. The first row that fails one is
-checked again on its own, so its error names that row and its cells.
+the same checks over the block's arrays. A block that fails one has its
+rows checked again one at a time, so the error names its first bad row
+and that row's cells.
 One grouping step then puts every point on one shared UTM zone, so the
 whole jurisdiction lives on a single planar frame (geographic points are
 projected into it, planar points must already be in it), drops offenders
@@ -289,19 +290,14 @@ def _reader(text: str, headers):
     return reader, header
 
 
-def _well_formed(block, nums, width: int):
-    """The block's rows before its first malformed one, blank rows left
-    out, with their row numbers; and that row with its number, or None. A
-    malformed row has the wrong field count or an empty offender id."""
-    rows, kept = [], []
-    for num, row in zip(nums, block):
-        if not "".join(row).strip():
-            continue
-        if len(row) != width or not row[0].strip():
-            return rows, kept, (num, row)
-        rows.append(row)
-        kept.append(num)
-    return rows, kept, None
+def _first_error(nums, rows, header: tuple[str, ...]):
+    """Raise ``_check_row``'s RowError at the first row, in file order,
+    that fails it; blank rows are skipped. ``rows`` holds one that fails a
+    check of ``_blocks``."""
+    for num, row in zip(nums, rows):
+        if "".join(row).strip():
+            _check_row(num, row, header)
+    raise AssertionError(f"rows {nums[0]}-{nums[-1]} fail a block check only")
 
 
 def _blocks(reader, header: tuple[str, ...]):
@@ -316,24 +312,23 @@ def _blocks(reader, header: tuple[str, ...]):
     while block := list(islice(reader, _BLOCK_ROWS)):
         nums = range(row_num, row_num + len(block))
         row_num += len(block)
-        ids = malformed = None
+        ids = None
         if set(map(len, block)) == {width}:
             columns = list(zip(*block))
             ids = list(map(str.strip, columns[0]))
         if ids is None or "" in ids:
-            block, nums, malformed = _well_formed(block, nums, width)
-            columns = list(zip(*block))
-            ids = list(map(str.strip, columns[0])) if block else []
-        if block:
-            site, anchor, zone, ok = check(columns)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                _check_row(nums[i], block[i], header)
-                raise AssertionError(f"row {nums[i]} fails a block check only")
-        if malformed is not None:
-            _check_row(*malformed, header)
-        if block:
-            yield ids, columns, site, anchor, zone
+            # blank rows, or a row with the wrong field count or an empty id
+            rows = [row for row in block if "".join(row).strip()]
+            if any(len(row) != width or not row[0].strip() for row in rows):
+                _first_error(nums, block, header)
+            if not rows:
+                continue
+            columns = list(zip(*rows))
+            ids = list(map(str.strip, columns[0]))
+        site, anchor, zone, ok = check(columns)
+        if not ok.all():
+            _first_error(nums, block, header)
+        yield ids, columns, site, anchor, zone
 
 
 def read_geographic(text: str):

@@ -186,7 +186,8 @@ class TestSharedMatrix:
         label = classify(self.SITES)
         assert label.kind is SubtypeKind.M3
         assert label.clusters == (frozenset({0, 1, 2}), frozenset({3, 4}))
-        (d,) = built
+        # classify labels its series as a batch of one: a (1, n, n) stack
+        ((d,),) = built
         fresh = classify_module._pairwise(np.array(self.SITES), "euclidean")
         np.testing.assert_array_equal(d, fresh)
         np.testing.assert_array_equal(np.diag(d), 0.0)

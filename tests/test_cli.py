@@ -802,7 +802,7 @@ class TestConfig:
             ("--method", "empty method list"),
             ("--scope", "unknown scope ''; choose 'residents' or 'all'"),
             ("--grid", "grid shape must look like 100x70, got ''"),
-            ("--bounds", "could not convert string to float: ''"),
+            ("--bounds", "bounds must be W,E,S,N, got ''"),
             ("--out", "empty path"),
             ("--dataset", "empty path"),
         ],
@@ -837,6 +837,69 @@ class TestConfig:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {cfg}:2: {message}\n")
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--method", "rossmo", "--method", ""], None),
+            (["--method", "rossmo", "--method", " "], None),
+            ([], "methods = rossmo,"),
+            ([], "methods = , rossmo"),
+            ([], "methods = rossmo,,1a"),
+        ],
+        ids=["flag-empty", "flag-blank", "config-last", "config-first", "config-middle"],
+    )
+    def test_empty_method_among_others_is_one_error(
+        self, synthetic_csv, tmp_path, monkeypatch, capsys, argv, config
+    ):
+        # an empty method is refused, not dropped beside the others
+        monkeypatch.chdir(tmp_path)
+        argv = ["evaluate", "--dataset", str(synthetic_csv), *argv]
+        where = "--method"
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{config}\n")
+            argv += ["--config", str(cfg)]
+            where = f"{cfg}:1"
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {where}: empty method name\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "bounds",
+        ["300,400,x,4400", "300,400,,4400", "300,400,4330", "300,400,4330,4400,1", ","],
+    )
+    def test_bad_bounds_name_their_form(self, tmp_path, capsys, bounds):
+        assert main(["emit-grid", "--bounds", bounds]) == 1
+        message = f"bounds must be W,E,S,N, got {bounds!r}"
+        assert capsys.readouterr() == ("", f"error: --bounds: {message}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bounds = {bounds}\n")
+        assert main(["emit-grid", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}:1: {message}\n")
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("zone", "x", "an integer"),
+            ("zone", "18.0", "an integer"),
+            ("zone", "", "an integer"),
+            ("nodes_alpha", "2.5", "an integer"),
+            ("nodes_theta", "many", "an integer"),
+            ("nonres_weight", "x", "a number"),
+            ("nonres_weight", "", "a number"),
+            ("classify_nn_km", "x", "a number"),
+            ("classify_multi_coverage", "60%", "a number"),
+        ],
+    )
+    def test_unparsed_number_names_its_key(self, tmp_path, capsys, key, value, kind):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# numbers\n{key} = {value}\n")
+        assert main(["emit-grid", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {cfg}:2: {key} must be {kind}, got {value!r}\n"
+        )
 
     def test_dataset_required(self, capsys):
         assert main(["classify"]) == 1

@@ -485,6 +485,38 @@ class TestDirectOracle:
         result, _ = self._check(_file(layout, rows), caplog)
         assert result == (RowError, "row 2102: empty offender_id")
 
+        # a short row fails the field count, a text cell the block's arrays;
+        # each case maps row indices to the rows that replace them, and
+        # gives the row number the error names
+        def short(row):
+            return [row.rsplit(",", 1)[0]]
+
+        def text(row):
+            return [_with_field(row, 4, "oops")]
+
+        last = _BLOCK_ROWS - 1  # the first block's last row; the next is row _BLOCK_ROWS + 2
+        cases = [
+            ({1500: text, 1510: short}, 1502),
+            ({1500: short, 1510: text}, 1502),
+            ({1500: lambda row: text(row) + ["", " , ,,, "], 1501: short}, 1502),
+            (
+                {1500: lambda row: short(row) + [""], 1501: lambda row: [",,,,,,,,"] + text(row)},
+                1502,
+            ),
+            ({1499: lambda row: [row, "", ""], 1500: text, 1510: short}, 1504),
+            ({last: text, last + 1: short}, _BLOCK_ROWS + 1),
+            ({last: short, last + 1: text}, _BLOCK_ROWS + 1),
+            ({last: lambda row: [row, ""], last + 1: text, last + 5: short}, _BLOCK_ROWS + 3),
+            ({last + 1: short, last + 2: text}, _BLOCK_ROWS + 2),
+        ]
+        rows = _population_rows(layout)
+        for edits, row_num in cases:
+            edited = []
+            for i, row in enumerate(rows):
+                edited += edits[i](row) if i in edits else [row]
+            result, _ = self._check(_file(layout, edited), caplog)
+            assert result[0] is RowError and result[1].startswith(f"row {row_num}:"), edits
+
     def test_byte_order_mark_and_crlf(self, layout, caplog):
         rows = _population_rows(layout, 50)
         text = "﻿" + _file(layout, rows).replace("\n", "\r\n")
