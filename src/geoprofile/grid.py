@@ -44,6 +44,9 @@ class Grid:
     zone: int = DEFAULT_ZONE
 
     def __post_init__(self) -> None:
+        bounds = (self.west, self.east, self.south, self.north)
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise ValueError("grid bounds must be finite")
         if not (self.east > self.west and self.north > self.south):
             raise ValueError("grid bounds must have positive extent")
         if self.nrows < 1 or self.ncols < 1:

@@ -45,8 +45,10 @@ class RossmoParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError(f"buffer radius must be > 0, got {self.b}")
-        if self.k <= 0.0:
-            raise ValueError("scale k must be > 0")
+        for name in ("g", "h", "k"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def buffer_radius(series: CrimeSeries) -> float:
@@ -61,20 +63,30 @@ def buffer_radius(series: CrimeSeries) -> float:
 
 def rossmo_decay(d, p: RossmoParams):
     """Two-branch decay score at distance d; continuous at d = b."""
-    d_arr = np.asarray(d, dtype=float)
-    if np.any(d_arr < 0.0):
+    d_arr = np.array(d, dtype=float)
+    # NaN fails this test too
+    if not np.all(d_arr >= 0.0):
         raise ValueError("distance must be >= 0")
-    flat = d_arr.ravel()
+    out = _decay_in_place(d_arr, p)
+    return float(out) if out.ndim == 0 else out
+
+
+def _decay_in_place(d: np.ndarray, p: RossmoParams) -> np.ndarray:
+    """Overwrite d, a C-contiguous float array of distances >= 0, with the
+    decay score at each distance, and return it."""
+    flat = d.reshape(-1)
     near = np.flatnonzero(flat <= p.b)
+    d_near = flat[near]
     # the far branch everywhere, then the few distances inside the buffer
     # patched over it; either may divide by zero (a crime on a cell center,
     # a power that underflows) or overflow (a denormal power), which leaves
-    # inf for the caller to judge
+    # inf for the caller to judge. ``**=`` takes the same scalar-exponent
+    # route as ``**``, so the bits match the plain formulation's.
     with np.errstate(divide="ignore", over="ignore"):
-        out = flat**p.h
-        np.divide(p.k, out, out=out)
-        out[near] = p.k * p.b ** (p.g - p.h) / (2.0 * p.b - flat[near]) ** p.g
-    return float(out[0]) if np.ndim(d) == 0 else out.reshape(d_arr.shape)
+        flat **= p.h
+        np.divide(p.k, flat, out=flat)
+        flat[near] = p.k * p.b ** (p.g - p.h) / (2.0 * p.b - d_near) ** p.g
+    return d
 
 
 def hit_score_surface(
@@ -107,7 +119,7 @@ def hit_score_surface(
     d[...] = np.abs(grid.east_centers - xy[:, :1])[:, None, :]
     d += np.abs(grid.north_centers - xy[:, 1:])[:, :, None]
     # each cell's crimes summed in the order of numpy's row sum
-    scores = _pairwise_sum(rossmo_decay(d.reshape(len(xy), grid.ncells), params))
+    scores = _pairwise_sum(_decay_in_place(d, params).reshape(len(xy), grid.ncells))
     total = scores.sum()
     if not (math.isfinite(total) and total > 0.0):
         raise DegenerateSurfaceError(

@@ -659,6 +659,10 @@ class TestEmitGrid:
         assert main(["emit-grid", "--bounds", "300,400,-20,50"]) == 1
         assert capsys.readouterr() == ("", f"error: --bounds: {FIRST_CENTER_SOUTH_OF_FRAME}\n")
 
+    def test_non_finite_bound_refused_as_such(self, capsys):
+        assert main(["emit-grid", "--grid", "2x2", "--bounds", "nan,400,4330,4400"]) == 1
+        assert capsys.readouterr() == ("", "error: --bounds: grid bounds must be finite\n")
+
     def test_refused_grid_shape_names_its_flag(self, capsys):
         assert main(["emit-grid", "--grid", "0x5"]) == 1
         assert capsys.readouterr() == (

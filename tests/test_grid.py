@@ -84,6 +84,13 @@ def test_invalid_bounds_rejected():
         Grid(nrows=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bound", ["west", "east", "south", "north"])
+def test_non_finite_bounds_rejected(bound, value):
+    with pytest.raises(ValueError, match="^grid bounds must be finite$"):
+        Grid(**{bound: value})
+
+
 @pytest.mark.parametrize(
     "bounds, message",
     [

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,36 @@ class TestRossmoDecay:
         d = np.linspace(0.0, 10.0, 1001)
         scores = rossmo_decay(d, p)
         assert d[np.argmax(scores)] == pytest.approx(2.0)
+
+
+    @pytest.mark.parametrize("d", [-0.5, math.nan, [1.0, math.nan], [2.0, -1.0]])
+    def test_bad_distance_refused(self, d):
+        with pytest.raises(ValueError, match="^distance must be >= 0$"):
+            rossmo_decay(d, RossmoParams(b=1.0))
+
+    def test_leaves_its_argument_unchanged(self):
+        d = np.array([0.0, 0.5, 1.0, 3.0])
+        rossmo_decay(d, RossmoParams(b=1.0))
+        np.testing.assert_array_equal(d, [0.0, 0.5, 1.0, 3.0])
+
+
+class TestRossmoParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", math.nan),
+            ("k", math.inf),
+            ("k", 0.0),
+            ("g", math.nan),
+            ("g", 0.0),
+            ("h", math.inf),
+            ("h", -1.0),
+        ],
+    )
+    def test_bad_value_names_its_field(self, field, value):
+        message = f"{field} must be finite and > 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RossmoParams(b=1.0, **{field: value})
 
 
 class TestHitScoreSurface:
@@ -192,6 +223,60 @@ class TestBitIdentity:
         params = RossmoParams(b=2.0, g=1.5, h=1.1)
         d = np.abs(GRID.centers - series.xy[0]).sum(axis=1)
         assert np.count_nonzero(d == params.b) == 8
+        assert params.k / params.b**params.h != rossmo_decay(params.b, params)
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID, params).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            [(326.4, 4352.3), (328.1, 4371.9), (324.0, 4360.5)],
+            [(373.2, 4350.6), (371.5, 4366.2), (376.9, 4347.1)],
+            [(341.7, 4341.2), (362.4, 4343.9), (350.3, 4338.0)],
+            [(338.8, 4383.3), (357.1, 4385.6), (366.6, 4381.4)],
+        ],
+        ids=["west", "east", "south", "north"],
+    )
+    def test_crimes_beside_the_grid(self, xy):
+        # every cell lies on one side of each crime
+        series = _series(xy)
+        params = RossmoParams(b=buffer_radius(series))
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    def test_cells_not_square(self):
+        grid = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=14, ncols=32)
+        assert grid.dx != grid.dy
+        rng = np.random.default_rng(78)
+        series = _series(rng.uniform((331.0, 4346.0), (369.0, 4379.0), size=(7, 2)))
+        params = RossmoParams(b=buffer_radius(series))
+        np.testing.assert_array_equal(
+            hit_score_surface(series, grid).mass,
+            hit_score_direct(series, grid, params),
+        )
+
+    def test_crimes_on_center_lines(self):
+        # one crime on a row of cell centers, one on a column of them, one
+        # on both lines at once: whole rows or columns of offsets are 0
+        row = GRID.north_centers[9]
+        col = GRID.east_centers[27]
+        series = _series([(343.2, row), (col, 4371.8), (col, row)])
+        params = RossmoParams(b=buffer_radius(series))
+        np.testing.assert_array_equal(
+            hit_score_surface(series, GRID).mass,
+            hit_score_direct(series, GRID, params),
+        )
+
+    def test_single_crime_at_buffer_edge(self):
+        site = cell_center(GRID, 7, 33)
+        series = _series([(site.easting, site.northing)])
+        params = RossmoParams(b=3.0, g=0.9, h=1.7)
+        d = np.abs(GRID.centers - series.xy[0]).sum(axis=1)
+        assert np.count_nonzero(d == params.b) > 0
         assert params.k / params.b**params.h != rossmo_decay(params.b, params)
         np.testing.assert_array_equal(
             hit_score_surface(series, GRID, params).mass,
