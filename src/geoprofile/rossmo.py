@@ -63,7 +63,8 @@ def buffer_radius(series: CrimeSeries) -> float:
 
 def rossmo_decay(d, p: RossmoParams):
     """Two-branch decay score at distance d; continuous at d = b."""
-    d_arr = np.array(d, dtype=float)
+    # a C-ordered copy, so the kernel's flat view is d_arr itself
+    d_arr = np.array(d, dtype=float, order="C")
     # NaN fails this test too
     if not np.all(d_arr >= 0.0):
         raise ValueError("distance must be >= 0")

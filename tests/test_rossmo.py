@@ -99,6 +99,17 @@ class TestRossmoDecay:
         rossmo_decay(d, RossmoParams(b=1.0))
         np.testing.assert_array_equal(d, [0.0, 0.5, 1.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "view",
+        [lambda a: a.T, lambda a: np.asfortranarray(a), lambda a: a[:, ::2]],
+        ids=["transposed", "fortran", "strided"],
+    )
+    def test_any_memory_layout(self, view):
+        # distances on both sides of b, in an array that is not C-contiguous
+        d = np.linspace(0.0, 4.0, 24).reshape(4, 6)
+        p = RossmoParams(b=1.5, g=1.3, h=0.9)
+        np.testing.assert_array_equal(rossmo_decay(view(d), p), view(rossmo_decay(d, p)))
+
 
 class TestRossmoParams:
     @pytest.mark.parametrize(
@@ -216,71 +227,55 @@ class TestBitIdentity:
         )
 
     def test_cell_at_buffer_edge(self):
-        # two cells away on a 1 km grid is exactly d == b; with g != h the
-        # two branches differ in the last bit there, so the branch taken shows
-        site = cell_center(GRID, 20, 10)
-        series = _series([(site.easting, site.northing), (355.2, 4350.8)])
-        params = RossmoParams(b=2.0, g=1.5, h=1.1)
-        d = np.abs(GRID.centers - series.xy[0]).sum(axis=1)
-        assert np.count_nonzero(d == params.b) == 8
-        assert params.k / params.b**params.h != rossmo_decay(params.b, params)
-        np.testing.assert_array_equal(
-            hit_score_surface(series, GRID, params).mass,
-            hit_score_direct(series, GRID, params),
-        )
+        # cells exactly d == b from the first crime (two cells away on a
+        # 1 km grid, three for the single crime); with g != h the two
+        # branches differ in the last bit there, so the branch taken shows
+        for row, col, others, params in [
+            (20, 10, [(355.2, 4350.8)], RossmoParams(b=2.0, g=1.5, h=1.1)),
+            (7, 33, [], RossmoParams(b=3.0, g=0.9, h=1.7)),
+        ]:
+            site = cell_center(GRID, row, col)
+            series = _series([(site.easting, site.northing), *others])
+            d = np.abs(GRID.centers - series.xy[0]).sum(axis=1)
+            assert np.count_nonzero(d == params.b) == 4 * params.b
+            assert params.k / params.b**params.h != rossmo_decay(params.b, params)
+            np.testing.assert_array_equal(
+                hit_score_surface(series, GRID, params).mass,
+                hit_score_direct(series, GRID, params),
+            )
 
     @pytest.mark.parametrize(
-        "xy",
+        "xy, grid",
         [
-            [(326.4, 4352.3), (328.1, 4371.9), (324.0, 4360.5)],
-            [(373.2, 4350.6), (371.5, 4366.2), (376.9, 4347.1)],
-            [(341.7, 4341.2), (362.4, 4343.9), (350.3, 4338.0)],
-            [(338.8, 4383.3), (357.1, 4385.6), (366.6, 4381.4)],
+            ([(326.4, 4352.3), (328.1, 4371.9), (324.0, 4360.5)], GRID),
+            ([(373.2, 4350.6), (371.5, 4366.2), (376.9, 4347.1)], GRID),
+            ([(341.7, 4341.2), (362.4, 4343.9), (350.3, 4338.0)], GRID),
+            ([(338.8, 4383.3), (357.1, 4385.6), (366.6, 4381.4)], GRID),
+            (
+                np.random.default_rng(78).uniform((331.0, 4346.0), (369.0, 4379.0), size=(7, 2)),
+                Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=14, ncols=32),
+            ),
+            (
+                # one crime on a row of cell centers, one on a column of
+                # them, one on both lines: whole rows or columns of offsets
+                # are 0
+                [
+                    (343.2, GRID.north_centers[9]),
+                    (GRID.east_centers[27], 4371.8),
+                    (GRID.east_centers[27], GRID.north_centers[9]),
+                ],
+                GRID,
+            ),
         ],
-        ids=["west", "east", "south", "north"],
+        ids=["west", "east", "south", "north", "cells-not-square", "center-lines"],
     )
-    def test_crimes_beside_the_grid(self, xy):
-        # every cell lies on one side of each crime
+    def test_awkward_geometry(self, xy, grid):
+        # beside the grid, every cell lies on one side of each crime
         series = _series(xy)
-        params = RossmoParams(b=buffer_radius(series))
-        np.testing.assert_array_equal(
-            hit_score_surface(series, GRID).mass,
-            hit_score_direct(series, GRID, params),
-        )
-
-    def test_cells_not_square(self):
-        grid = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=14, ncols=32)
-        assert grid.dx != grid.dy
-        rng = np.random.default_rng(78)
-        series = _series(rng.uniform((331.0, 4346.0), (369.0, 4379.0), size=(7, 2)))
         params = RossmoParams(b=buffer_radius(series))
         np.testing.assert_array_equal(
             hit_score_surface(series, grid).mass,
             hit_score_direct(series, grid, params),
-        )
-
-    def test_crimes_on_center_lines(self):
-        # one crime on a row of cell centers, one on a column of them, one
-        # on both lines at once: whole rows or columns of offsets are 0
-        row = GRID.north_centers[9]
-        col = GRID.east_centers[27]
-        series = _series([(343.2, row), (col, 4371.8), (col, row)])
-        params = RossmoParams(b=buffer_radius(series))
-        np.testing.assert_array_equal(
-            hit_score_surface(series, GRID).mass,
-            hit_score_direct(series, GRID, params),
-        )
-
-    def test_single_crime_at_buffer_edge(self):
-        site = cell_center(GRID, 7, 33)
-        series = _series([(site.easting, site.northing)])
-        params = RossmoParams(b=3.0, g=0.9, h=1.7)
-        d = np.abs(GRID.centers - series.xy[0]).sum(axis=1)
-        assert np.count_nonzero(d == params.b) > 0
-        assert params.k / params.b**params.h != rossmo_decay(params.b, params)
-        np.testing.assert_array_equal(
-            hit_score_surface(series, GRID, params).mass,
-            hit_score_direct(series, GRID, params),
         )
 
     def test_non_default_exponents_and_scale(self):
