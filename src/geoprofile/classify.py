@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from geoprofile.dataset import MIN_SERIES_LENGTH
+
 __all__ = [
     "SubtypeKind",
     "SubtypeLabel",
@@ -66,14 +68,10 @@ def as_xy(sites) -> np.ndarray:
     return out
 
 
-def _pairwise(xy: np.ndarray, metric: str) -> np.ndarray:
-    """Distances between the sites of an (..., n, 2) array, (..., n, n)."""
+def _pairwise(xy: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the sites of an (..., n, 2) array, (..., n, n)."""
     diff = xy[..., None, :] - xy[..., None, :, :]
-    if metric == "euclidean":
-        return np.sqrt((diff**2).sum(axis=-1))
-    if metric == "manhattan":
-        return np.abs(diff).sum(axis=-1)
-    raise ValueError(f"unknown metric {metric!r}")
+    return np.sqrt((diff**2).sum(axis=-1))
 
 
 def _nearest(d: np.ndarray) -> np.ndarray:
@@ -176,12 +174,12 @@ def _labels(
     return labels
 
 
-def nn_distances(sites, metric: str = "euclidean") -> np.ndarray:
-    """Distance from each site to its nearest other site."""
+def nn_distances(sites) -> np.ndarray:
+    """Euclidean distance from each site to its nearest other site."""
     xy = as_xy(sites)
     if len(xy) < 2:
         raise ValueError("need at least 2 sites for nearest-neighbour distances")
-    return _nearest(_pairwise(xy, metric))
+    return _nearest(_pairwise(xy))
 
 
 def classify(sites, **options) -> SubtypeLabel:
@@ -191,9 +189,9 @@ def classify(sites, **options) -> SubtypeLabel:
 
 
 def classify_all(xys, **options) -> list[SubtypeLabel]:
-    """Subtype of each series of ``xys``, of 3 or more sites each, by
-    ``_labels``' rules and keyword options, which ``check_options`` checks
-    first, even when ``xys`` is empty.
+    """Subtype of each series of ``xys``, of MIN_SERIES_LENGTH or more sites
+    each, by ``_labels``' rules and keyword options, which ``check_options``
+    checks first, even when ``xys`` is empty.
 
     Series of one length are labelled together, a batch of them per pass:
     their pairwise matrices are stacked, so the nearest-neighbour medians
@@ -204,15 +202,15 @@ def classify_all(xys, **options) -> list[SubtypeLabel]:
     by_length: dict[int, list[int]] = {}
     for i, xy in enumerate(xys):
         xys[i] = xy = as_xy(xy)
-        if len(xy) < 3:
-            raise ValueError("need at least 3 sites to classify")
+        if len(xy) < MIN_SERIES_LENGTH:
+            raise ValueError(f"need at least {MIN_SERIES_LENGTH} sites to classify")
         by_length.setdefault(len(xy), []).append(i)
     labels: list[SubtypeLabel] = [None] * len(xys)
     for n, members in by_length.items():
         step = max(1, _BATCH_ENTRIES // (n * n))
         for start in range(0, len(members), step):
             batch = members[start : start + step]
-            d = _pairwise(np.stack([xys[i] for i in batch]), "euclidean")
+            d = _pairwise(np.stack([xys[i] for i in batch]))
             for i, label in zip(batch, _labels(d, **options)):
                 labels[i] = label
     return labels

@@ -18,9 +18,9 @@ import numpy as np
 
 from geoprofile.classify import check_options, classify, label_dataset
 from geoprofile.dataset import (
-    CSV_HEADER,
     UTM_CSV_HEADER,
     Dataset,
+    UnknownOffenderError,
     csv_text,
     read_dataset,
     read_geographic,
@@ -206,16 +206,15 @@ def cmd_convert(config: RunConfig, args) -> int:
         Path(args.input).read_text(encoding="utf-8")
     )
     # one projection call: each row's crime site, then its anchor
-    latlon = np.hstack([site, anchor])
     zone = config.grid.zone
-    projected = latlon_to_utm(latlon.reshape(-1, 2), zone).reshape(-1, 4)
+    projected = latlon_to_utm(np.hstack([site, anchor]).reshape(-1, 2), zone).reshape(-1, 4)
     rows = [
-        (offender_id, crime_id, ucr_code, *degrees, zone, *km)
-        for offender_id, crime_id, ucr_code, degrees, km in zip(
-            ids, crime_ids, ucr_codes, latlon.tolist(), projected.tolist()
+        (offender_id, crime_id, ucr_code, zone, *km)
+        for offender_id, crime_id, ucr_code, km in zip(
+            ids, crime_ids, ucr_codes, projected.tolist()
         )
     ]
-    _write_text(args.out, csv_text(CSV_HEADER + UTM_CSV_HEADER[3:], rows))
+    _write_text(args.out, csv_text(UTM_CSV_HEADER, rows))
     return 0
 
 
@@ -369,7 +368,7 @@ _FLAGS = {
 
 # each command's handler, help and the flags it reads besides --config
 COMMANDS = {
-    "convert": (cmd_convert, "append planar coordinates to a CSV", ("input", "--out")),
+    "convert": (cmd_convert, "project a geographic CSV to the planar layout", ("input", "--out")),
     "classify": (cmd_classify, "emit per-offender subtype labels", ("--dataset", "--out")),
     "profile": (
         cmd_profile,
@@ -410,9 +409,9 @@ def main(argv=None) -> int:
         if "--dataset" in flags and not config.dataset:
             raise ValueError("a dataset is required (--dataset or config)")
         return handler(config, args)
-    except (ValueError, KeyError, OSError, DegenerateSurfaceError) as exc:
+    except (ValueError, UnknownOffenderError, OSError, DegenerateSurfaceError) as exc:
         # str() of a KeyError is the repr of its argument, quotes and all
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
 

@@ -46,6 +46,7 @@ __all__ = [
     "SchemaError",
     "RowError",
     "DataError",
+    "UnknownOffenderError",
     "csv_text",
     "read_dataset",
     "read_geographic",
@@ -88,6 +89,10 @@ class RowError(ValueError):
 
 class DataError(ValueError):
     """Records are individually fine but mutually inconsistent."""
+
+
+class UnknownOffenderError(KeyError):
+    """An offender id that the dataset does not hold."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +156,7 @@ class Dataset:
         for s in self.series:
             if s.offender_id == offender_id:
                 return s
-        raise KeyError(f"unknown offender id {offender_id!r}")
+        raise UnknownOffenderError(f"unknown offender id {offender_id!r}")
 
 
 def _geo(lat: str, lon: str) -> GeoPoint:

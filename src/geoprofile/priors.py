@@ -89,7 +89,6 @@ PRIORS: dict[PriorKind, PriorRow] = {
 class ParamPrior:
     """Tabulated 1-D prior on a closed support, linear between nodes."""
 
-    kind: PriorKind
     lo: float
     hi: float
     nodes: np.ndarray
@@ -195,12 +194,7 @@ def flat_anchor_prior(grid: Grid) -> AnchorPrior:
     return AnchorPrior(grid, np.full((grid.nrows, grid.ncols), 1.0 / grid.ncells))
 
 
-def bounded_density_1d(
-    samples,
-    lo: float,
-    hi: float,
-    kind: PriorKind = PriorKind.DISTANCE_M1,
-) -> ParamPrior:
+def bounded_density_1d(samples, lo: float, hi: float) -> ParamPrior:
     """Reflection-kernel density on [lo, hi], tabulated on equal nodes.
 
     Samples are clipped into the support; kernel mass that would spill
@@ -226,17 +220,16 @@ def bounded_density_1d(
     density = np.exp(exponent, out=np.zeros_like(exponent), where=exponent > -746.0)
     density = density.sum(axis=1)
     density /= np.trapezoid(density, nodes)
-    return ParamPrior(kind=kind, lo=lo, hi=hi, nodes=nodes, density=density)
+    return ParamPrior(lo=lo, hi=hi, nodes=nodes, density=density)
 
 
 def flat_param_prior(kind: PriorKind, lo: float | None = None, hi: float | None = None) -> ParamPrior:
+    """Uniform prior on [lo, hi]; a bound left out is that of ``kind``'s support."""
     default_lo, default_hi = PRIORS[kind].support
     lo = default_lo if lo is None else lo
     hi = default_hi if hi is None else hi
     nodes = np.linspace(lo, hi, TABLE_NODES)
-    return ParamPrior(
-        kind=kind, lo=lo, hi=hi, nodes=nodes, density=np.full(TABLE_NODES, 1.0 / (hi - lo))
-    )
+    return ParamPrior(lo=lo, hi=hi, nodes=nodes, density=np.full(TABLE_NODES, 1.0 / (hi - lo)))
 
 
 def flat_prior_set(grid: Grid, supports: dict[PriorKind, tuple[float, float]] | None = None) -> PriorSet:
@@ -329,9 +322,9 @@ def build_prior_set(
     Each donor feeds, in donor order, every kind whose ``PRIORS`` row
     names its group and whose statistic it has. A kind with fewer than 3
     donor samples falls back to a flat prior; one warning names every such
-    kind built. An unknown ``excluded_offender`` raises KeyError.
+    kind built. An unknown ``excluded_offender`` raises UnknownOffenderError.
     """
-    ds.get(excluded_offender)  # KeyError for an unknown id
+    ds.get(excluded_offender)  # UnknownOffenderError for an unknown id
     donors = [s for s in ds.series if s.offender_id != excluded_offender]
     if len(donors) < 2:
         raise InsufficientDataError(
@@ -350,7 +343,7 @@ def build_prior_set(
         values = stats[row.statistic]
         samples = values[np.isin(group, row.groups) & ~np.isnan(values)]
         try:
-            params[kind] = bounded_density_1d(samples, *row.support, kind=kind)
+            params[kind] = bounded_density_1d(samples, *row.support)
         except InsufficientDataError:
             params[kind] = flat_param_prior(kind)
             flat.append(f"{kind.value}: {len(samples)}")

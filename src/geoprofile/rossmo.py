@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geoprofile.classify import nn_distances
 from geoprofile.dataset import CrimeSeries
 from geoprofile.engine import DegenerateSurfaceError, PosteriorSurface, _pairwise_sum
 from geoprofile.grid import Grid, check_grid_zone
@@ -55,7 +54,10 @@ def buffer_radius(series: CrimeSeries) -> float:
     """Half the mean Manhattan nearest-neighbour distance between crimes."""
     if series.n < 2:
         raise ValueError("buffer radius needs at least 2 crime sites")
-    b = 0.5 * float(nn_distances(series.xy, metric="manhattan").mean())
+    xy = series.xy
+    d = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=-1)
+    np.fill_diagonal(d, np.inf)
+    b = 0.5 * float(d.min(axis=-1).mean())
     if b <= 0.0:
         raise ValueError("all crime sites coincide; buffer radius would be 0")
     return b

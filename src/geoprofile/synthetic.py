@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geoprofile.dataset import UTM_CSV_HEADER, CrimeSeries, csv_text
+from geoprofile.dataset import MIN_SERIES_LENGTH, UTM_CSV_HEADER, CrimeSeries, csv_text
 from geoprofile.engine import Family
 from geoprofile.geodesy import UtmPoint, in_utm
 from geoprofile.models import TWO_PI, M1Params, M2Params, NonResParams
@@ -43,8 +43,8 @@ class SyntheticScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("need at least 3 crimes per series")
+        if self.n < MIN_SERIES_LENGTH:
+            raise ValueError(f"need at least {MIN_SERIES_LENGTH} crimes per series")
         if self.replicates < 1:
             raise ValueError("need at least 1 replicate")
         expected = _PARAM_TYPES[self.family]

@@ -281,22 +281,20 @@ def test_c04_synthetic_recovery():
     rng = np.random.default_rng(7)
     params = {k: flat_param_prior(k) for k in PriorKind}
     params[PriorKind.DISTANCE_NONRES] = bounded_density_1d(
-        rng.normal(15.0, 2.0, 30).clip(10.5), 0.0, 150.0, kind=PriorKind.DISTANCE_NONRES
+        rng.normal(15.0, 2.0, 30).clip(10.5), 0.0, 150.0
     )
     params[PriorKind.SPREAD_RADIAL] = bounded_density_1d(
-        rng.normal(2.0, 0.5, 30).clip(0.3), 0.05, 20.0, kind=PriorKind.SPREAD_RADIAL
+        rng.normal(2.0, 0.5, 30).clip(0.3), 0.05, 20.0
     )
     params[PriorKind.SPREAD_ANGULAR] = bounded_density_1d(
         rng.normal(math.pi / 8, 0.10, 30).clip(0.05),
         0.02,
         math.pi,
-        kind=PriorKind.SPREAD_ANGULAR,
     )
     params[PriorKind.ANGLE_NONRES] = bounded_density_1d(
         rng.normal(math.pi / 4, 0.2, 30).clip(0.0),
         0.0,
         TWO_PI,
-        kind=PriorKind.ANGLE_NONRES,
     )
     priors2 = PriorSet(flat_anchor_prior(GRID), MappingProxyType(params), 0)
     sc2 = SyntheticScenario(

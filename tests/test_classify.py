@@ -47,10 +47,6 @@ class TestNnDistances:
             )
             assert got[i] == pytest.approx(best)
 
-    def test_manhattan_metric(self):
-        sites = [(0.0, 0.0), (3.0, 4.0)]
-        np.testing.assert_allclose(nn_distances(sites, metric="manhattan"), [7.0, 7.0])
-
     def test_too_few_sites(self):
         with pytest.raises(ValueError):
             nn_distances([(0.0, 0.0)])
@@ -167,8 +163,8 @@ class TestSharedMatrix:
         matrices = []
         pairwise = classify_module._pairwise
 
-        def counting(xy, metric):
-            matrices.append(pairwise(xy, metric))
+        def counting(xy):
+            matrices.append(pairwise(xy))
             return matrices[-1]
 
         monkeypatch.setattr(classify_module, "_pairwise", counting)
@@ -188,7 +184,7 @@ class TestSharedMatrix:
         assert label.clusters == (frozenset({0, 1, 2}), frozenset({3, 4}))
         # classify labels its series as a batch of one: a (1, n, n) stack
         ((d,),) = built
-        fresh = classify_module._pairwise(np.array(self.SITES), "euclidean")
+        fresh = classify_module._pairwise(np.array(self.SITES))
         np.testing.assert_array_equal(d, fresh)
         np.testing.assert_array_equal(np.diag(d), 0.0)
 

@@ -159,19 +159,17 @@ class TestCommandFlags:
 
 
 class TestConvert:
-    def test_appends_planar_columns(self, tmp_path, capsys):
+    def test_writes_planar_layout(self, tmp_path, capsys):
         src = _geo_csv(
             tmp_path,
             ["77,1001,0624,39.30,-76.61,39.28,-76.60"],
         )
         assert main(["convert", str(src)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0].endswith(
-            "zone,crime_easting_km,crime_northing_km,anchor_easting_km,anchor_northing_km"
-        )
+        assert out[0] == ",".join(UTM_CSV_HEADER)
         fields = out[1].split(",")
-        assert fields[7] == "18"
-        assert 300.0 < float(fields[8]) < 400.0
+        assert fields[:4] == ["77", "1001", "0624", "18"]
+        assert 300.0 < float(fields[4]) < 400.0
 
     def test_coordinates_within_tolerance(self, tmp_path, capsys):
         # the Krueger series to 1e-9 km, in the configured zone 18 even
@@ -186,13 +184,13 @@ class TestConvert:
         assert main(["convert", str(_geo_csv(tmp_path, rows))]) == 0
         out = _csv_rows(capsys.readouterr().out)[1:]
         assert len(out) == 12
-        for fields in out:
-            assert fields[7] == "18"
-            for lat, lon, easting, northing in (
-                (fields[3], fields[4], fields[8], fields[9]),
-                (fields[5], fields[6], fields[10], fields[11]),
+        for i, fields in enumerate(out):
+            assert fields[3] == "18"
+            for (lat, lon), easting, northing in (
+                (points[i], fields[4], fields[5]),
+                (points[i // 4 * 4], fields[6], fields[7]),
             ):
-                want = latlon_to_utm_direct(float(lat), float(lon), 18)
+                want = latlon_to_utm_direct(lat, lon, 18)
                 assert abs(float(easting) - want[0]) <= 1e-9
                 assert abs(float(northing) - want[1]) <= 1e-9
 
@@ -209,20 +207,34 @@ class TestConvert:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_output_reads_back_as_its_input(self, tmp_path, capsys, seed):
-        # the planar columns of the output, read as a planar file, give the
-        # series of the geographic input bit for bit
-        text = csv_text(CSV_HEADER, _latlon_rows(seed))
-        src = tmp_path / "geo.csv"
-        src.write_text(text)
-        assert main(["convert", str(src)]) == 0
-        rows = [row[:3] + row[7:] for row in _csv_rows(capsys.readouterr().out)]
-        assert tuple(rows[0]) == tuple(UTM_CSV_HEADER)
-        want, got = read_dataset(text), read_dataset(csv_text(rows[0], rows[1:]))
+        # the output, read as a planar file, gives the series of the
+        # geographic input bit for bit, so evaluate and classify give both
+        # files the same bytes
+        geo = tmp_path / "geo.csv"
+        geo.write_text(csv_text(CSV_HEADER, _latlon_rows(seed)))
+        planar = tmp_path / "planar.csv"
+        assert main(["convert", str(geo), "--out", str(planar)]) == 0
+        want, got = load_dataset(geo), load_dataset(planar)
         assert len(got.series) > 20
         assert got.offender_ids() == want.offender_ids()
         for a, b in zip(want.series, got.series):
             assert a.xy.tobytes() == b.xy.tobytes()
             assert a.anchor == b.anchor
+        outputs = []
+        for dataset in (geo, planar):
+            out_dir = tmp_path / f"eval-{dataset.stem}"
+            args = ["evaluate", "--dataset", str(dataset), "--method", "1a", "--method", "rossmo"]
+            assert main(args + ["--out", str(out_dir)]) == 0
+            capsys.readouterr()
+            assert main(["classify", "--dataset", str(dataset)]) == 0
+            outputs.append(
+                (
+                    (out_dir / "results.csv").read_bytes(),
+                    (out_dir / "curves.csv").read_bytes(),
+                    capsys.readouterr().out,
+                )
+            )
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "row, message",
@@ -638,7 +650,7 @@ class TestQuotedTextFields:
         )
         assert main(["convert", str(src)]) == 0
         rows = _csv_rows(capsys.readouterr().out)
-        assert {len(row) for row in rows} == {12}
+        assert {len(row) for row in rows} == {8}
         assert rows[1][0] == offender_id
 
     def test_utm_csv_round_trip(self, synthetic_csv, tmp_path, offender_id):
@@ -926,6 +938,19 @@ def test_programming_error_propagates(synthetic_csv, tmp_path, monkeypatch):
         main(["profile", "--dataset", str(synthetic_csv), "--offender", "o1",
               "--out", str(tmp_path / "prof")])
     assert not (tmp_path / "prof").exists()
+
+
+def test_key_error_defect_propagates(synthetic_csv, tmp_path, monkeypatch):
+    # a plan that leaves out a prior its method reads is a defect, not a
+    # user error: only an unknown offender id (TestProfile.test_unknown_offender)
+    # is a KeyError that main reports
+    import geoprofile.evaluation as evaluation
+
+    monkeypatch.setattr(evaluation, "prior_kinds", lambda *args: frozenset())
+    with pytest.raises(KeyError, match="prior set has no distance_m1 prior") as excinfo:
+        main(["evaluate", "--dataset", str(synthetic_csv), "--method", "1a",
+              "--out", str(tmp_path / "ev")])
+    assert excinfo.type is KeyError
 
 
 def test_load_dataset_sniffs_both_formats(tmp_path, synthetic_csv):

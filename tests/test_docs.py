@@ -1,4 +1,5 @@
-"""README tables that restate the engine's and the CLI's tables must list exactly their rows."""
+"""README tables that restate the engine's and the CLI's tables must list
+exactly their rows, and README's Python examples must run."""
 
 import re
 from pathlib import Path
@@ -67,3 +68,16 @@ def test_commands_table_matches_cli():
     rows = _table("| command | flags |")
     documented = {_code(command)[0]: tuple(_code(flags)) for command, flags in rows}
     assert documented == {command: flags for command, (_, _, flags) in COMMANDS.items()}
+
+
+def test_python_examples_run(tmp_path, monkeypatch):
+    # the blocks run in order in one namespace, as a reader would paste them
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert (tmp_path / "synthetic.csv").is_file()
+    assert namespace["own_surface"].mass.shape == (70, 100)

@@ -189,13 +189,11 @@ class TestPosteriorSurface:
             rng.normal(4.0, 0.8, size=25).clip(0.5),
             0.0,
             150.0,
-            kind=PriorKind.DISTANCE_M2,
         )
         params[PriorKind.SPREAD_RADIAL] = bounded_density_1d(
             rng.normal(1.1, 0.15, size=25).clip(0.1),
             0.05,
             20.0,
-            kind=PriorKind.SPREAD_RADIAL,
         )
         priors = PriorSet(flat_anchor_prior(GRID), MappingProxyType(params), 0)
         coarse = posterior_surface(series, ModelSpec(Family.M2), priors, GRID)
@@ -762,7 +760,7 @@ class TestQuadratureOracle:
         rng = np.random.default_rng(seed)
         params = {
             kind: bounded_density_1d(
-                rng.uniform(*sample_ranges[kind], size=12), *PRIORS[kind].support, kind=kind
+                rng.uniform(*sample_ranges[kind], size=12), *PRIORS[kind].support
             )
             for kind in PriorKind
         }

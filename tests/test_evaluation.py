@@ -356,15 +356,17 @@ class TestResidency:
         tight = [_offender(rng, f"t{i}", (345.0, 4355.0 + 5 * i), "tight") for i in range(2)]
         ds = Dataset((*tight, edge))
         labels = {s.offender_id: classify(s.xy) for s in ds.series}
-        samples = {}
+        calls = []
         density = priors.bounded_density_1d
 
-        def record(values, lo, hi, kind):
-            samples[kind] = list(values)
-            return density(values, lo, hi, kind=kind)
+        def record(values, lo, hi):
+            calls.append(list(values))
+            return density(values, lo, hi)
 
         monkeypatch.setattr(priors, "bounded_density_1d", record)
         priors.build_prior_set(ds, "t0", labels, GRID)
+        # one call per kind, in the order of PRIORS
+        samples = dict(zip(priors.PRIORS, calls, strict=True))
         assert samples[priors.PriorKind.DISTANCE_NONRES] == []
         resident = samples[priors.PriorKind.DISTANCE_M1] + samples[priors.PriorKind.DISTANCE_M2]
         assert 10.0 in resident

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from geoprofile.classify import SubtypeKind, SubtypeLabel
-from geoprofile.dataset import CrimeSeries, Dataset
+from geoprofile.dataset import CrimeSeries, Dataset, UnknownOffenderError
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid
 from geoprofile.priors import (
@@ -215,7 +215,7 @@ class TestBuildPriorSet:
     def test_unknown_excluded_offender(self):
         rng = np.random.default_rng(83)
         ds, labels = _population(rng)
-        with pytest.raises(KeyError) as excinfo:
+        with pytest.raises(UnknownOffenderError) as excinfo:
             build_prior_set(ds, "nope", labels, Grid())
         assert excinfo.value.args == ("unknown offender id 'nope'",)
 
@@ -241,15 +241,17 @@ class TestBuildPriorSet:
         ]
         ds = Dataset(tuple(_series(oid, a, offsets) for oid, a, offsets, _ in population))
         labels = {oid: label for oid, _, _, label in population}
-        samples = {}
+        calls = []
         density = priors.bounded_density_1d
 
-        def record(values, lo, hi, kind):
-            samples[kind] = list(values)
-            return density(values, lo, hi, kind=kind)
+        def record(values, lo, hi):
+            calls.append(list(values))
+            return density(values, lo, hi)
 
         monkeypatch.setattr(priors, "bounded_density_1d", record)
         built = build_prior_set(ds, "x", labels, Grid())
+        # one call per kind, in the order of PRIORS
+        samples = dict(zip(PRIORS, calls, strict=True))
 
         def stats(offsets):
             radii = [math.hypot(dx, dy) for dx, dy in offsets]
@@ -339,7 +341,7 @@ class TestPlainFormulations:
         rng = np.random.default_rng(2500 + n)
         samples = rng.gamma(2.0, 0.1 * (hi - lo) / 2.0, size=n) + lo
         np.testing.assert_array_equal(
-            bounded_density_1d(samples, lo, hi, kind=kind).density,
+            bounded_density_1d(samples, lo, hi).density,
             density_1d_direct(samples, lo, hi),
         )
 
@@ -355,15 +357,17 @@ class TestPlainFormulations:
         import geoprofile.priors as priors
 
         series, labels = _awkward_donors()
-        samples = {}
+        calls = []
         density = priors.bounded_density_1d
 
-        def record(values, lo, hi, kind):
-            samples[kind] = list(values)
-            return density(values, lo, hi, kind=kind)
+        def record(values, lo, hi):
+            calls.append(list(values))
+            return density(values, lo, hi)
 
         monkeypatch.setattr(priors, "bounded_density_1d", record)
         built = build_prior_set(Dataset(tuple(series)), "x", labels, Grid())
+        # one call per kind, in the order of PRIORS
+        samples = dict(zip(PRIORS, calls, strict=True))
 
         donors = [s for s in series if s.offender_id != "x"]
         expected = {kind: [] for kind in PRIORS}

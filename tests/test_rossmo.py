@@ -33,6 +33,11 @@ class TestBufferRadius:
         series = _series([(340.0, 4350.0), (343.0, 4353.0)])
         assert buffer_radius(series) == pytest.approx(3.0)
 
+    def test_manhattan_metric(self):
+        # both nearest neighbours lie 3 + 4 = 7 km apart on the Manhattan metric
+        series = _series([(0.0, 0.0), (3.0, 4.0)])
+        assert buffer_radius(series) == 3.5
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
         xy = rng.uniform(335.0, 365.0, size=(8, 2))
