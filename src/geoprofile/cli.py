@@ -21,6 +21,7 @@ from geoprofile.dataset import (
     UTM_CSV_HEADER,
     Dataset,
     UnknownOffenderError,
+    anchor_rows,
     csv_text,
     read_dataset,
     read_geographic,
@@ -208,6 +209,8 @@ def cmd_convert(config: RunConfig, args) -> int:
     # one projection call: each row's crime site, then its anchor
     zone = config.grid.zone
     projected = latlon_to_utm(np.hstack([site, anchor]).reshape(-1, 2), zone).reshape(-1, 4)
+    # every row carries its offender's first-row anchor, as the reader does
+    projected[:, 2:] = projected[anchor_rows(ids, anchor), 2:]
     rows = [
         (offender_id, crime_id, ucr_code, zone, *km)
         for offender_id, crime_id, ucr_code, km in zip(

@@ -47,6 +47,7 @@ __all__ = [
     "RowError",
     "DataError",
     "UnknownOffenderError",
+    "anchor_rows",
     "csv_text",
     "read_dataset",
     "read_geographic",
@@ -353,6 +354,19 @@ def read_geographic(text: str):
     return ids, crime_ids, ucr_codes, np.concatenate(sites), np.concatenate(anchors)
 
 
+def anchor_rows(ids: list[str], anchor: np.ndarray) -> np.ndarray:
+    """Per row of ``read_geographic``'s columns, the index of its offender's
+    first row, whose anchor ``read_dataset`` keeps. Raises DataError, as
+    ``read_dataset`` does, when an offender's anchors lie more than
+    ANCHOR_CONSISTENCY_DEG apart."""
+    first_rows: dict[str, int] = {}
+    codes = np.fromiter(map(first_rows.setdefault, ids, range(len(ids))), np.intp, len(ids))
+    far = ~_near_first_anchor(anchor, codes)
+    if far.any():
+        raise DataError(f"offender {ids[codes[far].min()]}: inconsistent anchor coordinates")
+    return codes
+
+
 def read_dataset(text: str, zone: int = DEFAULT_ZONE) -> Dataset:
     """Either CSV layout, told apart by its header, as series in ``zone``.
     A ``zone`` that is not a UTM zone raises OutOfRangeError before any
@@ -406,6 +420,14 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
+def _near_first_anchor(anchor: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per geographic row: whether its anchor lies within
+    ANCHOR_CONSISTENCY_DEG of the anchor of row ``codes``, its offender's
+    first."""
+    delta = np.abs(anchor - anchor[codes])
+    return np.maximum(delta[:, 0], delta[:, 1]) <= ANCHOR_CONSISTENCY_DEG
+
+
 def _group(ids, codes, site, anchor, row_zone, zone: int) -> Dataset:
     """Series on ``zone`` from the columns of every row: ``codes`` gives the
     index of the first row of each row's offender, ``ids`` the offenders in
@@ -414,8 +436,7 @@ def _group(ids, codes, site, anchor, row_zone, zone: int) -> Dataset:
     first, offender, counts = np.unique(codes, return_inverse=True, return_counts=True)
     # each row's anchor against its offender's first one
     if row_zone is None:
-        delta = np.abs(anchor - anchor[codes])
-        same = np.maximum(delta[:, 0], delta[:, 1]) <= ANCHOR_CONSISTENCY_DEG
+        same = _near_first_anchor(anchor, codes)
     else:
         known = ~np.isnan(anchor[:, 0])
         same = (known == known[codes]) & (

@@ -34,6 +34,9 @@ formulation, ``log_marginal_likelihood_direct`` in tests/oracles.py.
 
 The methods are data too: METHODS gives each posterior method its
 resident buffer-zone model and the weight of its non-resident surface.
+``method_surfaces`` computes an offender's per-cell statistics once per
+scalar and each distinct block quadrature once, so the ring model and the
+directional model share their radial block.
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ import numpy as np
 from geoprofile.classify import SubtypeKind, SubtypeLabel
 from geoprofile.dataset import CrimeSeries
 from geoprofile.grid import Grid, check_cell_mass, check_grid_zone
-from geoprofile.models import (
-    TWO_PI,
-    angle_normalizer,
-    radial_normalizer,
-    ring_normal_normalizer,
-)
+from geoprofile.models import TWO_PI, angle_normalizer, radial_normalizer
 from geoprofile.priors import PriorKind, PriorSet
 
 __all__ = [
@@ -115,21 +113,30 @@ class Block(NamedTuple):
     gaussian: Callable  # flattened node tensor -> (mean, spread, log normaliser)
 
 
+def _radial(a, s):
+    """The ring normal in r: mean alpha, spread sigma and the log of its
+    radius integral."""
+    return a, s, np.log(radial_normalizer(a, s))
+
+
 FAMILIES: dict[Family, tuple[Block, ...]] = {
     # isotropic normal: x = r, mean 0, 2 s^2 = 4 alpha^2 / pi, normaliser 4 alpha^2
     Family.M1: (
         Block("r", (Param("alpha", PriorKind.DISTANCE_M1, 32),),
               lambda a: (0.0, a * math.sqrt(2.0 / math.pi), np.log(4.0 * a**2))),
     ),
+    # the ring is the distance-and-bearing family's radial block under a
+    # uniform bearing: the uniform's density 1 / (2 pi) is one constant
+    # factor per crime, which normalising the surface removes
     Family.M2: (
         Block("r", (Param("alpha", PriorKind.DISTANCE_M2, 32),
                     Param("sigma", PriorKind.SPREAD_RADIAL, 8)),
-              lambda a, s: (a, s, np.log(ring_normal_normalizer(a, s)))),
+              _radial),
     ),
     Family.NONRES: (
         Block("r", (Param("alpha", PriorKind.DISTANCE_NONRES, 32),
                     Param("sigma1", PriorKind.SPREAD_RADIAL, 8)),
-              lambda a, s: (a, s, np.log(radial_normalizer(a, s)))),
+              _radial),
         Block("phi", (Param("theta", PriorKind.ANGLE_NONRES, 32),
                       Param("sigma2", PriorKind.SPREAD_ANGULAR, 8)),
               lambda t, s: (t, s, np.log(angle_normalizer(t, s)))),
@@ -282,11 +289,9 @@ def _log_quad(stats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.log(_pairwise_sum(vals)) + peak - math.log(coeffs.shape[1])
 
 
-def _log_marginal_likelihood(
-    series: CrimeSeries, spec: ModelSpec, priors: PriorSet, grid: Grid
-) -> np.ndarray:
-    """log of the quadrature sum per cell, flattened row-major: the sum of
-    the family's block log-quadratures, in FAMILIES order."""
+def _scalar_stats(series: CrimeSeries, grid: Grid, scalars) -> dict[str, np.ndarray]:
+    """``_sum_stats`` of each named per-crime scalar over the grid's cells.
+    The (crimes, cells) geometry they come from is freed on return."""
     xy = series.xy
     n = len(xy)
     # crime-major offsets of each crime from the cell centres' columns and
@@ -299,27 +304,69 @@ def _log_marginal_likelihood(
     r += (ny * ny)[:, :, None]
     r = np.sqrt(r, out=r).reshape(n, grid.ncells)
     on_anchor = r < ANCHOR_COINCIDENCE_KM
-    log_mass = 0.0
-    for block in FAMILIES[spec.family]:
-        if block.scalar == "r":
-            stats = _sum_stats(np.where(on_anchor, ANCHOR_NUDGE_KM, r), n)
-        else:
-            # A crime site exactly on a candidate anchor has no bearing; it is
-            # treated as sitting a nominal 1e-6 km away in the preferred
-            # direction, which zeroes its bearing residual for every node.
-            phi = np.arctan2(ny[:, :, None], ex[:, None, :]).reshape(n, grid.ncells)
-            # the turn to [0, 2 pi) as np.mod gives it: -pi on the branch cut
-            # becomes pi and a zero becomes +0.0
-            phi += np.where(phi < 0.0, TWO_PI, 0.0)
-            phi[on_anchor | (phi >= TWO_PI)] = 0.0
-            stats = _sum_stats(phi, n - on_anchor.sum(axis=0))
-        nodes = np.meshgrid(
-            *(_quadrature_nodes(spec, p.name, priors) for p in block.params),
-            indexing="ij",
-        )
-        mu, s, log_norm = block.gaussian(*(x.ravel() for x in nodes))
-        log_mass += _log_quad(stats, _gaussian_coeffs(n, mu, s, log_norm))
-    return log_mass
+    stats = {}
+    if "r" in scalars:
+        stats["r"] = _sum_stats(np.where(on_anchor, ANCHOR_NUDGE_KM, r), n)
+    if "phi" in scalars:
+        # A crime site exactly on a candidate anchor has no bearing; it is
+        # treated as sitting a nominal 1e-6 km away in the preferred
+        # direction, which zeroes its bearing residual for every node.
+        phi = np.arctan2(ny[:, :, None], ex[:, None, :]).reshape(n, grid.ncells)
+        # the turn to [0, 2 pi) as np.mod gives it: -pi on the branch cut
+        # becomes pi and a zero becomes +0.0
+        phi += np.where(phi < 0.0, TWO_PI, 0.0)
+        phi[on_anchor | (phi >= TWO_PI)] = 0.0
+        stats["phi"] = _sum_stats(phi, n - on_anchor.sum(axis=0))
+    return stats
+
+
+class _Terms:
+    """One series' per-cell statistics and block log-quadratures on one
+    grid under one prior set, each computed once.
+
+    The statistics of every scalar the named families read are built up
+    front. A block's log-quadrature is kept under its scalar, its Gaussian
+    map and each parameter's prior kind, node count and fixed value: two
+    blocks that agree on those sum the same node tensor over the same
+    statistics. So the ring model shares the directional model's radial
+    block whenever their radial priors and nodes agree.
+    """
+
+    def __init__(self, series: CrimeSeries, priors: PriorSet, grid: Grid, families) -> None:
+        self.series, self.priors, self.grid = series, priors, grid
+        scalars = {block.scalar for family in families for block in FAMILIES[family]}
+        self.stats = _scalar_stats(series, grid, scalars)
+        self._quads: dict[tuple, np.ndarray] = {}
+
+    def log_likelihood(self, spec: ModelSpec) -> np.ndarray:
+        """log of ``spec``'s quadrature sum per cell, flattened row-major:
+        the sum of its family's block log-quadratures, in FAMILIES order."""
+        # a new array: the kept block arrays are never written
+        return sum(self._block(block, spec) for block in FAMILIES[spec.family])
+
+    def _block(self, block: Block, spec: ModelSpec) -> np.ndarray:
+        fixed = spec.fixed_overrides or {}
+        key = (block.scalar, block.gaussian, tuple(
+            (spec.prior_kind(p.name), spec.node_count(p.name), fixed.get(p.name))
+            for p in block.params
+        ))
+        if key not in self._quads:
+            nodes = np.meshgrid(
+                *(_quadrature_nodes(spec, p.name, self.priors) for p in block.params),
+                indexing="ij",
+            )
+            mu, s, log_norm = block.gaussian(*(x.ravel() for x in nodes))
+            coeffs = _gaussian_coeffs(len(self.series.xy), mu, s, log_norm)
+            self._quads[key] = _log_quad(self.stats[block.scalar], coeffs)
+        return self._quads[key]
+
+
+def _log_marginal_likelihood(
+    series: CrimeSeries, spec: ModelSpec, priors: PriorSet, grid: Grid
+) -> np.ndarray:
+    """log of the quadrature sum per cell, flattened row-major: the sum of
+    the family's block log-quadratures, in FAMILIES order."""
+    return _Terms(series, priors, grid, [spec.family]).log_likelihood(spec)
 
 
 def _normalize_log_mass(log_mass: np.ndarray, grid: Grid) -> PosteriorSurface:
@@ -334,13 +381,26 @@ def _normalize_log_mass(log_mass: np.ndarray, grid: Grid) -> PosteriorSurface:
 
 
 def posterior_surface(
-    series: CrimeSeries, spec: ModelSpec, priors: PriorSet, grid: Grid
+    series: CrimeSeries,
+    spec: ModelSpec,
+    priors: PriorSet,
+    grid: Grid,
+    *,
+    terms: _Terms | None = None,
 ) -> PosteriorSurface:
-    """Marginal anchor posterior for one series under one model family."""
+    """Marginal anchor posterior for one series under one model family.
+
+    ``terms``, if given, holds this series' statistics and block
+    quadratures on ``grid`` under ``priors``, shared with other surfaces.
+    """
     check_grid_zone(grid, series.zone, f"offender {series.offender_id!r}")
     if priors.anchor.grid != grid:
         raise ValueError("anchor prior grid does not match the target grid")
-    log_mass = _log_marginal_likelihood(series, spec, priors, grid)
+    if terms is None:
+        terms = _Terms(series, priors, grid, [spec.family])
+    elif terms.series is not series or terms.priors is not priors or terms.grid != grid:
+        raise ValueError("shared terms belong to another series, prior set or grid")
+    log_mass = terms.log_likelihood(spec)
     return _normalize_log_mass(log_mass + priors.anchor.log_weights, grid)
 
 
@@ -473,15 +533,24 @@ def method_surfaces(
     ``_plan`` picks the models. Each resident model family gets one
     surface on all sites. An M3 label blends each of those equally with
     one M1 surface per cluster, fitted to that cluster's sites and shared
-    by every buffer model. The non-resident surface is computed once.
-    ``priors`` needs only the kinds ``prior_kinds`` names.
+    by every buffer model. The non-resident surface is computed once. The
+    surfaces on all sites share the series' statistics and every block
+    quadrature they have in common. ``priors`` needs only the kinds
+    ``prior_kinds`` names.
     """
     plan = _plan(methods, label, nonres_weight)
     if not plan.resident:
         return {}
+    # every model fitted to all sites reads one set of statistics and
+    # block quadratures; nothing outlives this call
+    fitted = [*plan.resident.values(), plan.nonres]
+    terms = _Terms(series, priors, grid, {s.family for s in fitted if s is not None})
 
-    def surface(spec: ModelSpec, part: CrimeSeries = series) -> PosteriorSurface:
-        return posterior_surface(part, replace(spec, quadrature=quadrature), priors, grid)
+    def surface(spec: ModelSpec, part: CrimeSeries | None = None) -> PosteriorSurface:
+        spec = replace(spec, quadrature=quadrature)
+        if part is not None:  # a cluster's sites share nothing
+            return posterior_surface(part, spec, priors, grid)
+        return posterior_surface(series, spec, priors, grid, terms=terms)
 
     # keyed by family: a spec holding prior_kinds cannot be hashed
     models = {spec.family: spec for spec in plan.resident.values()}

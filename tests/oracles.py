@@ -12,7 +12,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from geoprofile import dataset, engine, geodesy
+from geoprofile import dataset, engine, geodesy, models
 from geoprofile.geodesy import GeoPoint, OutOfRangeError, UtmPoint
 
 TWO_PI = 2.0 * np.pi
@@ -205,14 +205,15 @@ def _log_quad_direct(stats, coeffs):
     return np.log(vals.sum(axis=1)) + peak - math.log(coeffs.shape[1])
 
 
-def log_marginal_likelihood_direct(series, spec, priors, grid):
+def log_marginal_likelihood_direct(series, spec, priors, grid, blocks=None):
     """Per-cell log quadrature sum, flattened row-major, laid out cell-major.
 
     The plain formulation of ``geoprofile.engine._log_marginal_likelihood``:
     offsets ``(ncells, n, 2)`` from every cell center, each cell's crimes
     summed along the rows of a ``(ncells, n)`` array and each cell's nodes
     along the rows of a ``(ncells, nodes)`` array, so the result is the bit
-    pattern that the engine must keep.
+    pattern that the engine must keep. ``blocks`` replaces the family's
+    ``engine.FAMILIES`` row.
     """
     xy = series.xy
     n = len(xy)
@@ -220,7 +221,7 @@ def log_marginal_likelihood_direct(series, spec, priors, grid):
     r = np.sqrt(np.sum(d * d, axis=-1))
     on_anchor = r < engine.ANCHOR_COINCIDENCE_KM
     log_mass = 0.0
-    for block in engine.FAMILIES[spec.family]:
+    for block in blocks or engine.FAMILIES[spec.family]:
         if block.scalar == "r":
             stats = _sum_stats_direct(np.where(on_anchor, engine.ANCHOR_NUDGE_KM, r), n)
         else:
@@ -234,6 +235,22 @@ def log_marginal_likelihood_direct(series, spec, priors, grid):
         mu, s, log_norm = block.gaussian(*(x.ravel() for x in nodes))
         log_mass += _log_quad_direct(stats, engine._gaussian_coeffs(n, mu, s, log_norm))
     return log_mass
+
+
+def _ring_normal(alpha, sigma):
+    """The ring normal's mean, spread and log planar normaliser."""
+    return alpha, sigma, np.log(models.ring_normal_normalizer(alpha, sigma))
+
+
+def ring_log_likelihood_direct(series, spec, priors, grid):
+    """The ring (M2) family's per-cell log quadrature sum as the paper
+    writes it: each crime's ring normal density, normalised over the plane
+    by ``ring_normal_normalizer``. The engine drops the uniform bearing's
+    constant 2 pi from that normaliser, so its M2 log-likelihood differs
+    from this one by n log 2 pi per cell, up to rounding."""
+    (block,) = engine.FAMILIES[engine.Family.M2]
+    ring = block._replace(gaussian=_ring_normal)
+    return log_marginal_likelihood_direct(series, spec, priors, grid, blocks=(ring,))
 
 
 def _geo_point(lat, lon):

@@ -194,6 +194,39 @@ class TestConvert:
                 assert abs(float(easting) - want[0]) <= 1e-9
                 assert abs(float(northing) - want[1]) <= 1e-9
 
+    def test_anchor_within_tolerance_written_as_first_rows(self, tmp_path, capsys):
+        # the reader keeps anchors that agree to 1e-9 degrees as the first
+        # row's; so does convert, and the planar reader then accepts them
+        rows = [
+            "a,1,0624,39.31,-76.61,39.30,-76.60",
+            "a,2,0624,39.29,-76.62,39.3000000001,-76.60",
+            "a,3,0624,39.32,-76.59,39.30,-76.6000000001",
+        ]
+        src = _geo_csv(tmp_path, rows)
+        planar = tmp_path / "planar.csv"
+        assert main(["convert", str(src), "--out", str(planar)]) == 0
+        anchors = {tuple(fields[6:]) for fields in _csv_rows(planar.read_text())[1:]}
+        assert len(anchors) == 1
+        capsys.readouterr()
+        labels = []
+        for dataset in (src, planar):
+            assert main(["classify", "--dataset", str(dataset)]) == 0
+            labels.append(capsys.readouterr())
+        assert labels[0] == labels[1]
+        assert load_dataset(planar).series[0].anchor == load_dataset(src).series[0].anchor
+
+    def test_inconsistent_anchor_refused(self, tmp_path, capsys):
+        rows = [
+            "b,1,0624,39.31,-76.61,39.30,-76.60",
+            "a,1,0624,39.31,-76.61,39.30,-76.60",
+            "b,2,0624,39.29,-76.62,39.30,-76.61",
+            "a,2,0624,39.29,-76.62,39.31,-76.60",
+        ]
+        out = tmp_path / "planar.csv"
+        assert main(["convert", str(_geo_csv(tmp_path, rows)), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: offender b: inconsistent anchor coordinates\n")
+        assert not out.exists()
+
     def test_empty_file(self, tmp_path, capsys):
         src = _geo_csv(tmp_path, [])
         assert main(["convert", str(src)]) == 0

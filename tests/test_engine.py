@@ -1,12 +1,14 @@
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geoprofile.classify import SubtypeKind, SubtypeLabel
-from geoprofile.dataset import CrimeSeries, Dataset
+from geoprofile.classify import SubtypeKind, SubtypeLabel, label_dataset
+from geoprofile.dataset import CrimeSeries, Dataset, read_dataset
 from geoprofile.engine import (
     DegenerateSurfaceError,
     Family,
@@ -29,7 +31,10 @@ from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, locate_cell
 from geoprofile.models import M1Params, M2Params, NonResParams, m1_density, m2_density, nonres_density
 from geoprofile.priors import PriorKind, build_prior_set, flat_prior_set
-from oracles import log_marginal_likelihood_direct
+from oracles import log_marginal_likelihood_direct, ring_log_likelihood_direct
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import inputs  # noqa: E402
 
 GRID = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=35, ncols=40)
 PRIORS = flat_prior_set(GRID)
@@ -433,9 +438,9 @@ class TestRunMethod:
         calls = Counter()
         original = engine.posterior_surface
 
-        def counting(series, spec, priors, grid):
+        def counting(series, spec, priors, grid, **shared):
             calls[spec.family] += 1
-            return original(series, spec, priors, grid)
+            return original(series, spec, priors, grid, **shared)
 
         methods = [m for m in MethodId if m is not MethodId.ROSSMO]
         monkeypatch.setattr(engine, "posterior_surface", counting)
@@ -465,6 +470,26 @@ WIRING = {
 }
 
 
+def _composition(series, method, label, priors, nonres_weight, quadrature=None):
+    """One method's surface from standalone ``posterior_surface`` calls,
+    blended as ``WIRING`` says."""
+    buffer, weight = WIRING[method]
+    weight = nonres_weight if weight is None else weight
+
+    def alone(part, spec):
+        return posterior_surface(part, replace(spec, quadrature=quadrature), priors, GRID)
+
+    no_buffer = ModelSpec(Family.M1)
+    resident = alone(series, no_buffer if label.kind is SubtypeKind.M1 else buffer)
+    if label.kind is SubtypeKind.M3:
+        parts = [alone(series.restrict(c), no_buffer) for c in label.clusters]
+        resident = multimodel_combine([*parts, resident], [1.0 / (len(parts) + 1)] * (len(parts) + 1))
+    if not weight:
+        return resident
+    nonres = alone(series, ModelSpec(Family.NONRES))
+    return multimodel_combine([resident, nonres], [1.0 - weight, weight])
+
+
 class TestMethodWiring:
     """run_method against a composition of component posteriors by hand."""
 
@@ -474,25 +499,101 @@ class TestMethodWiring:
         rng = np.random.default_rng(310)
         series, m3_label = _two_cluster_series(rng, (345.0, 4355.0), (358.0, 4368.0))
         label = m3_label if kind is SubtypeKind.M3 else SubtypeLabel(kind)
-        buffer, weight = WIRING[method]
-        weight = 0.3 if weight is None else weight
-        no_buffer = ModelSpec(Family.M1)
-        if kind is SubtypeKind.M1:
-            resident = posterior_surface(series, no_buffer, PRIORS, GRID)
-        else:
-            resident = posterior_surface(series, buffer, PRIORS, GRID)
-        if kind is SubtypeKind.M3:
-            first, second = (
-                posterior_surface(series.restrict(c), no_buffer, PRIORS, GRID)
-                for c in label.clusters
-            )
-            resident = multimodel_combine([first, second, resident], [1.0 / 3.0] * 3)
-        expected = resident
-        if weight:
-            nonres = posterior_surface(series, ModelSpec(Family.NONRES), PRIORS, GRID)
-            expected = multimodel_combine([resident, nonres], [1.0 - weight, weight])
+        expected = _composition(series, method, label, PRIORS, 0.3)
         got = run_method(series, method, label, PRIORS, GRID, nonres_weight=0.3)
         np.testing.assert_array_equal(got.mass, expected.mass)
+
+
+class TestSharedTerms:
+    """``method_surfaces`` computes an offender's statistics once per scalar
+    and each distinct block quadrature once, and its surfaces are those of
+    standalone ``posterior_surface`` calls bit for bit."""
+
+    METHODS = list(WIRING)
+
+    @staticmethod
+    def _offender(kind):
+        rng = np.random.default_rng(320)
+        series, m3_label = _two_cluster_series(rng, (345.0, 4355.0), (358.0, 4368.0))
+        return series, m3_label if kind is SubtypeKind.M3 else SubtypeLabel(kind)
+
+    @pytest.mark.parametrize("quadrature", [None, {"sigma": 16}], ids=["default", "sigma16"])
+    @pytest.mark.parametrize("prior", ["flat", "loo"])
+    @pytest.mark.parametrize("kind", list(SubtypeKind), ids=lambda k: k.value)
+    def test_surfaces_equal_standalone_calls(self, kind, prior, quadrature, monkeypatch):
+        import geoprofile.engine as engine
+
+        series, label = self._offender(kind)
+        priors = PRIORS if prior == "flat" else _loo_priors(GRID)
+        original = engine.posterior_surface
+        components = []
+
+        def recording(series, spec, priors, grid, **shared):
+            surface = original(series, spec, priors, grid, **shared)
+            components.append((series, spec, surface))
+            return surface
+
+        monkeypatch.setattr(engine, "posterior_surface", recording)
+        weight = NONRES_WEIGHT_FROM_FREQUENCIES
+        surfaces = method_surfaces(series, self.METHODS, label, priors, GRID, weight, quadrature)
+        monkeypatch.undo()
+        # the resident, non-resident and cluster surfaces, each recomputed alone
+        assert len(components) == (2 if kind is SubtypeKind.M1 else 3) + len(label.clusters)
+        for part, spec, surface in components:
+            alone = posterior_surface(part, spec, priors, GRID)
+            np.testing.assert_array_equal(surface.mass, alone.mass)
+        for method in self.METHODS:
+            expected = _composition(series, method, label, priors, weight, quadrature)
+            np.testing.assert_array_equal(surfaces[method].mass, expected.mass)
+
+    @pytest.mark.parametrize(
+        "kind, quadrature, blocks",
+        [
+            # M1 block, non-resident radial and bearing blocks
+            (SubtypeKind.M1, None, 3),
+            # ring = directional radial block, directional bearing block,
+            # non-resident radial and bearing blocks
+            (SubtypeKind.M2, None, 4),
+            # 4 as M2, plus one M1 block per cluster
+            (SubtypeKind.M3, None, 6),
+            # the ring's spread nodes differ from the directional model's
+            (SubtypeKind.M2, {"sigma": 16}, 5),
+        ],
+        ids=["M1", "M2", "M3", "M2-sigma16"],
+    )
+    def test_each_block_and_statistic_computed_once(self, kind, quadrature, blocks, monkeypatch):
+        import geoprofile.engine as engine
+
+        series, label = self._offender(kind)
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(engine, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(engine, name, count)
+
+        counting("_log_quad")
+        counting("_sum_stats")
+        method_surfaces(
+            series, self.METHODS, label, PRIORS, GRID, NONRES_WEIGHT_FROM_FREQUENCIES, quadrature
+        )
+        # r and phi once for all sites, and r once per cluster
+        assert calls == {"_log_quad": blocks, "_sum_stats": 2 + len(label.clusters)}
+
+    def test_terms_of_another_series_rejected(self):
+        import geoprofile.engine as engine
+
+        rng = np.random.default_rng(321)
+        one, other = (_series(_rand_sites(rng, np.array([350.0, 4360.0]), 1.0, 5)) for _ in "ab")
+        terms = engine._Terms(one, PRIORS, GRID, [Family.M1])
+        with pytest.raises(ValueError, match="another series"):
+            posterior_surface(other, ModelSpec(Family.M1), PRIORS, GRID, terms=terms)
+        with pytest.raises(ValueError, match="another series"):
+            posterior_surface(one, ModelSpec(Family.M1), _loo_priors(GRID), GRID, terms=terms)
 
 
 class _Recording(dict):
@@ -730,6 +831,30 @@ class TestLayoutOracle:
             assert np.all(self._check(series, spec, priors, GRID) == -np.inf)
             with pytest.raises(DegenerateSurfaceError, match="underflowed in every cell"):
                 posterior_surface(series, spec, priors, GRID)
+
+
+def test_ring_surfaces_match_the_papers_normaliser():
+    # the engine's M2 block drops the uniform bearing's 2 pi from the ring
+    # normaliser; on LOO priors of a benchmark-shaped population its
+    # surfaces stay within rtol 1e-9 of the paper's ring likelihood (1.6e-11
+    # measured), with the same exact zeros and the same cell ranking
+    ds = read_dataset(inputs.planar_csv(inputs.planar_population(1, 60)))
+    grid = Grid()
+    labels = label_dataset(ds)
+    spec = ModelSpec(Family.M2)
+    kinds = frozenset({PriorKind.DISTANCE_M2, PriorKind.SPREAD_RADIAL})
+    for series in ds.series:
+        priors = build_prior_set(ds, series.offender_id, labels, grid, kinds)
+        got = posterior_surface(series, spec, priors, grid).mass.ravel()
+        log_mass = ring_log_likelihood_direct(series, spec, priors, grid)
+        log_mass += priors.anchor.log_weights
+        want = np.exp(log_mass - log_mass.max())
+        want /= want.sum()
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_array_equal(
+            np.argsort(-got, kind="stable"), np.argsort(-want, kind="stable")
+        )
 
 
 class TestQuadratureOracle:
