@@ -32,6 +32,19 @@ crimes and nodes are summed by column adds that replay numpy's row-sum
 order (``_pairwise_sum``), so every surface is bit for bit the cell-major
 formulation, ``log_marginal_likelihood_direct`` in tests/oracles.py.
 
+The node sweep of a block (``_log_quad``) splits its cells in two parts
+at a multiple of 16 cells. Where the process may use two CPUs, the
+calling thread computes the first part and one long-lived worker thread
+the second, each in its own columns of one exponent buffer that the
+caller allocates; otherwise the caller computes both. Each part fills
+its columns by matmul sub-calls of at most ``BLAS_ONE_THREAD_MAX``
+multiply-adds, OpenBLAS's bound for running a call on its calling thread,
+so the library's own threads never wake to compete for the second core.
+Each sub-call covers a multiple of 16 cells, and a grid's remainder past
+the last multiple gets a sub-call of its own: one matmul over all cells
+gives those remainder cells other bits than the cell-major formulation.
+Every other pass is elementwise per cell, so the split changes no bits.
+
 The methods are data too: METHODS gives each posterior method its
 resident buffer-zone model and the weight of its non-resident surface.
 ``method_surfaces`` computes an offender's per-cell statistics once per
@@ -41,8 +54,11 @@ directional model share their radial block.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -83,6 +99,43 @@ ANCHOR_NUDGE_KM = 1e-6
 # per-cell sum that holds the peak's own term, exactly 1, so the sum is
 # unchanged bit for bit.
 LOG_SUM_EXP_FLOOR = -700.0
+
+# OpenBLAS runs a dgemm on its calling thread alone while M * N * K is at
+# most SMP_THRESHOLD_MIN (65536) times GEMM_MULTITHREAD_THRESHOLD (4), the
+# defaults in its interface/gemm.c and Makefile.system. Above that it wakes
+# its own worker threads, which then spin on the core the sweep's second
+# part needs.
+BLAS_ONE_THREAD_MAX = 4 * 65536
+
+# The two parts of the node sweep and its matmul sub-calls start on
+# multiples of this many cells; a remainder past the last multiple gets a
+# sub-call of its own (``_log_quad_part``).
+_CELL_ALIGN = 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The node sweep runs in two parts, the second on one long-lived worker
+# thread, where the process may use two CPUs; otherwise in one part.
+_PARTS = 2 if _usable_cpus() >= 2 else 1
+_WORKER: ThreadPoolExecutor
+
+
+def _new_worker() -> None:
+    """Bind a fresh one-thread pool; its thread starts on the first submit."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(1, thread_name_prefix="geoprofile-sweep")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    # a forked child holds no copy of the parent's worker thread
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 class Family(enum.Enum):
@@ -277,16 +330,66 @@ def _log_quad(stats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """log of the equal-weight node average of exp(stats @ coeffs), per cell.
 
     The exponents are laid out (nodes, cells), so every pass runs along
-    contiguous cells and the node sum replays numpy's row-sum order.
+    contiguous cells and the node sum replays numpy's row-sum order. Where
+    ``_PARTS`` is 2, the worker thread computes the second part of the
+    cells (module docstring) in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there too; an error in either part is
+    raised once both parts have finished.
     """
-    vals = coeffs.T @ stats.T
+    ncells = len(stats)
+    # the sub-calls run several times as fast on a C-contiguous coeffs.T
+    # as on its transposed view
+    lhs = np.ascontiguousarray(coeffs.T)
+    vals = np.empty((len(lhs), ncells))
+    quad = np.empty(ncells)
+    # the caller, which starts first, takes the larger part
+    split = (ncells // 2 + _CELL_ALIGN - 1) // _CELL_ALIGN * _CELL_ALIGN
+    if _PARTS == 1 or split >= ncells:
+        _log_quad_part(lhs, stats.T, vals, quad, 0, ncells)
+        return quad
+    second = _WORKER.submit(
+        contextvars.copy_context().run, _log_quad_part, lhs, stats.T, vals, quad, split, ncells
+    )
+    try:
+        _log_quad_part(lhs, stats.T, vals, quad, 0, split)
+    finally:
+        wait((second,))
+    second.result()
+    return quad
+
+
+def _log_quad_part(lhs, rhs, vals, quad, start: int, stop: int) -> None:
+    """``_log_quad`` of cells [start, stop) into ``quad``, through the same
+    columns of ``vals``; ``lhs`` is a C-contiguous coeffs.T, ``rhs`` is
+    stats.T.
+
+    The exponents are filled by matmul sub-calls that each stay within
+    ``BLAS_ONE_THREAD_MAX``, so OpenBLAS computes them on this thread.
+    Each covers a multiple of ``_CELL_ALIGN`` cells, but for a remainder,
+    which gets a sub-call of its own with the aligned block before it:
+    in a larger sub-call OpenBLAS gives a remainder's cells other bits
+    than the cell-major product.
+    """
+    nodes, k = lhs.shape
+    cells = max(_CELL_ALIGN, BLAS_ONE_THREAD_MAX // (k * nodes) // _CELL_ALIGN * _CELL_ALIGN)
+    tail = stop - (stop - start) % _CELL_ALIGN
+    if tail < stop:
+        tail = max(start, tail - _CELL_ALIGN)
+    edges = sorted({*range(start, tail, cells), tail, stop})
+    for a, b in zip(edges, edges[1:]):
+        # node tensors past BLAS_ONE_THREAD_MAX / (k * _CELL_ALIGN) nodes
+        # take more than one sub-call per cell block
+        rows = max(1, BLAS_ONE_THREAD_MAX // (k * (b - a)))
+        for r in range(0, nodes, rows):
+            np.matmul(lhs[r : r + rows], rhs[:, a:b], out=vals[r : r + rows, a:b])
+    vals = vals[:, start:stop]
     peak = vals.max(axis=0)
     # a cell that underflowed at every node is shifted by 0, not by -inf
     # (which would give NaN); adding back its -inf peak keeps it -inf
     vals -= np.where(np.isfinite(peak), peak, 0.0)
     np.maximum(vals, LOG_SUM_EXP_FLOOR, out=vals)
     np.exp(vals, out=vals)
-    return np.log(_pairwise_sum(vals)) + peak - math.log(coeffs.shape[1])
+    quad[start:stop] = np.log(_pairwise_sum(vals)) + peak - math.log(nodes)
 
 
 def _scalar_stats(series: CrimeSeries, grid: Grid, scalars) -> dict[str, np.ndarray]:

@@ -205,6 +205,18 @@ def _log_quad_direct(stats, coeffs):
     return np.log(vals.sum(axis=1)) + peak - math.log(coeffs.shape[1])
 
 
+def _log_quad_one_call(stats, coeffs):
+    """The node log-sum-exp laid out (nodes, cells) as one matmul and one
+    pass per step over all cells: ``geoprofile.engine._log_quad`` before
+    its cells were split into parts and sub-calls."""
+    vals = coeffs.T @ stats.T
+    peak = vals.max(axis=0)
+    vals -= np.where(np.isfinite(peak), peak, 0.0)
+    np.maximum(vals, engine.LOG_SUM_EXP_FLOOR, out=vals)
+    np.exp(vals, out=vals)
+    return np.log(engine._pairwise_sum(vals)) + peak - math.log(coeffs.shape[1])
+
+
 def log_marginal_likelihood_direct(series, spec, priors, grid, blocks=None):
     """Per-cell log quadrature sum, flattened row-major, laid out cell-major.
 

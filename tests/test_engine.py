@@ -1,5 +1,10 @@
 import math
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geoprofile import engine
 from geoprofile.classify import SubtypeKind, SubtypeLabel, label_dataset
 from geoprofile.dataset import CrimeSeries, Dataset, read_dataset
 from geoprofile.engine import (
@@ -31,7 +37,11 @@ from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, locate_cell
 from geoprofile.models import M1Params, M2Params, NonResParams, m1_density, m2_density, nonres_density
 from geoprofile.priors import PriorKind, build_prior_set, flat_prior_set
-from oracles import log_marginal_likelihood_direct, ring_log_likelihood_direct
+from oracles import (
+    _log_quad_one_call,
+    log_marginal_likelihood_direct,
+    ring_log_likelihood_direct,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench import inputs  # noqa: E402
@@ -721,6 +731,183 @@ class TestLogQuad:
         )
 
 
+class TestSplitSweep:
+    """``_log_quad``'s two parts and its matmul sub-calls change no bits,
+    keep every BLAS call within OpenBLAS's one-thread bound and start one
+    worker thread, which runs in the caller's context and whose errors
+    reach the caller."""
+
+    @staticmethod
+    def _block(seed, cells, nodes, n=10):
+        """Statistics of random crime distances and the Gaussian
+        coefficients of random node means and spreads."""
+        rng = np.random.default_rng(seed)
+        stats = engine._sum_stats(rng.uniform(0.0, 30.0, size=(n, cells)), n)
+        mu, s = rng.uniform(0.0, 20.0, nodes), rng.uniform(0.05, 5.0, nodes)
+        return stats, engine._gaussian_coeffs(n, mu, s, np.log(s))
+
+    @pytest.mark.parametrize("nodes", [1, 7, 32, 99, 256, 1024, 4096, 5000])
+    def test_equals_one_call(self, nodes, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        # 7000, the default grid, is 8 past a multiple of 16
+        for cells in (16, 48, 272, 1104, 7000):
+            if nodes * cells <= 2_000_000:
+                stats, coeffs = self._block(nodes + cells, cells, nodes)
+                got = _log_quad(stats, coeffs)
+                np.testing.assert_array_equal(got, _log_quad_one_call(stats, coeffs))
+
+    @pytest.mark.parametrize("kind", list(SubtypeKind), ids=lambda k: k.value)
+    def test_one_part_equals_two(self, kind, monkeypatch):
+        series, label = TestSharedTerms._offender(kind)
+        surfaces = {}
+        for parts in (1, 2):
+            monkeypatch.setattr(engine, "_PARTS", parts)
+            surfaces[parts] = method_surfaces(series, list(WIRING), label, PRIORS, GRID)
+        for method in WIRING:
+            np.testing.assert_array_equal(surfaces[1][method].mass, surfaces[2][method].mass)
+
+    def test_blas_calls_within_the_one_thread_bound(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        matmul = np.matmul
+        calls = []
+
+        def recording(a, b, **kwargs):
+            calls.append((threading.get_ident(), a.shape[0] * a.shape[1] * b.shape[1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(engine.np, "matmul", recording)
+        for nodes, cells in ((32, 7000), (256, 7000), (256, 7171), (4096, 275), (5000, 48)):
+            calls.clear()
+            stats, coeffs = self._block(nodes, cells, nodes)
+            _log_quad(stats, coeffs)
+            sizes = [size for _, size in calls]
+            assert max(sizes) <= engine.BLAS_ONE_THREAD_MAX, (nodes, cells)
+            # the sub-calls cover every cell-node once, on two threads
+            assert sum(sizes) == 4 * nodes * cells
+            assert len({thread for thread, _ in calls}) == 2
+
+    def test_one_worker_thread(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        before = threading.active_count()
+        rng = np.random.default_rng(330)
+        for i in range(20):
+            series = _series(_rand_sites(rng, np.array([350.0, 4360.0]), 3.0, 6))
+            posterior_surface(series, ModelSpec(Family.M2), PRIORS, GRID)
+        assert threading.active_count() <= before + 1
+        sweep = [t for t in threading.enumerate() if t.name.startswith("geoprofile-sweep")]
+        assert len(sweep) == 1
+
+    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+        # more callers than cores, switching threads as often as possible:
+        # each caller's parts write only its own buffers
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        blocks = [self._block(370 + i, 1104, 99) for i in range(6)]
+        want = [_log_quad_one_call(*block) for block in blocks]
+        got = [None] * len(blocks)
+
+        def call(i):
+            for _ in range(5):
+                got[i] = _log_quad(*blocks[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(blocks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("over", ["raise", "ignore"])
+    def test_callers_error_state_holds_in_the_worker(self, over, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        stats, coeffs = self._block(340, 7000, 32)
+        # the last cell is the worker's; its exponents overflow at every node
+        stats[-1, 0] = 1e308
+        coeffs[0] = np.minimum(coeffs[0], -2.0)
+        with np.errstate(over=over):
+            if over == "raise":
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    _log_quad(stats, coeffs)
+            else:
+                got = _log_quad(stats, coeffs)
+                assert got[-1] == -np.inf
+                np.testing.assert_array_equal(got, _log_quad_one_call(stats, coeffs))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        caller, part = threading.current_thread(), engine._log_quad_part
+        error, finished = RuntimeError("the worker's part failed"), []
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                raise error
+            part(*args)
+            finished.append("caller")
+
+        monkeypatch.setattr(engine, "_log_quad_part", failing)
+        with pytest.raises(RuntimeError) as info:
+            _log_quad(*self._block(350, 7000, 32))
+        assert info.value is error
+        assert finished == ["caller"]
+
+    def test_caller_error_raised_once_the_worker_finishes(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        caller, part = threading.current_thread(), engine._log_quad_part
+        error, finished = RuntimeError("the caller's part failed"), []
+
+        def failing(*args):
+            if threading.current_thread() is caller:
+                raise error
+            time.sleep(0.05)
+            part(*args)
+            finished.append("worker")
+
+        monkeypatch.setattr(engine, "_log_quad_part", failing)
+        with pytest.raises(RuntimeError) as info:
+            _log_quad(*self._block(351, 7000, 32))
+        assert info.value is error
+        assert finished == ["worker"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        stats, coeffs = self._block(360, 7000, 32)
+        want = _log_quad(stats, coeffs)  # the parent's worker thread is running
+        pid = os.fork()
+        if pid == 0:  # the child never returns into the test run
+            status = 1
+            try:
+                signal.alarm(60)  # a child left waiting on no thread dies
+                status = 0 if np.array_equal(_log_quad(stats, coeffs), want) else 2
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_part_where_the_process_has_one_cpu(self):
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from geoprofile import engine; print(engine._PARTS)"
+        )
+        package_root = str(Path(engine.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1\n"
+
+
 def _loo_priors(grid, kinds=frozenset(PriorKind)):
     """Leave-one-out priors of ``kinds`` as the pipeline builds them, from
     mixed donors: compact residents, ring residents and far commuters with
@@ -821,6 +1008,27 @@ class TestLayoutOracle:
             for spec in self.SPECS:
                 got = self._check(series, spec, flat_prior_set(grid), grid)
                 assert np.all(np.isfinite(got))
+
+    # 4293, 1089 and 7171 cells: 5, 1 and 3 past a multiple of 16
+    REMAINDER_GRIDS = {
+        "53x81": Grid(
+            west=301.37, east=377.915, south=4331.21, north=4389.404, nrows=53, ncols=81
+        ),
+        "33x33": Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=33, ncols=33),
+        "71x101": Grid(nrows=71, ncols=101),
+    }
+
+    @pytest.mark.parametrize("name", REMAINDER_GRIDS)
+    def test_cell_counts_past_a_multiple_of_16(self, name):
+        # one matmul over every cell gives the remainder's cells other bits
+        # than the cell-major product
+        grid = self.REMAINDER_GRIDS[name]
+        priors = flat_prior_set(grid)
+        lo, hi = (grid.west + 1.0, grid.south + 1.0), (grid.east - 1.0, grid.north - 1.0)
+        for n in (3, 10, 17, 30):
+            series = _series(np.random.default_rng(n).uniform(lo, hi, size=(n, 2)))
+            for spec in self.SPECS:
+                self._check(series, spec, priors, grid)
 
     def test_all_cells_underflowed_raises(self):
         # log 4 alpha^2 overflows, so every cell is -inf at the one node
