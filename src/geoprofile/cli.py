@@ -335,12 +335,8 @@ def cmd_evaluate(config: RunConfig, args) -> int:
         m.value for m in report.methods if all(c.method is not m for c in report.curves)
     ]
     for failure in report.failures:
-        print(
-            f"error: offender {failure.offender_id} "
-            f"{('method ' + failure.method) if failure.method else ''}: "
-            f"{failure.message}",
-            file=sys.stderr,
-        )
+        method = f" method {failure.method}" if failure.method else ""
+        print(f"error: offender {failure.offender_id}{method}: {failure.message}", file=sys.stderr)
     if missing:
         print(f"error: no results for method(s): {', '.join(missing)}", file=sys.stderr)
         return 1

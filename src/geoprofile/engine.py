@@ -16,14 +16,17 @@ its result underflows (below about -708), and a floored term, under
 term of exactly 1. Only the node sum is floored; normalizing the surface
 keeps the exact zeros of cells far below the grid's peak.
 
-The families are data: FAMILIES lists each one's Gaussian blocks, each in
-one per-crime scalar (distance r or bearing phi), with its parameters'
-default prior kinds and node counts and a map from the parameter nodes to
-the Gaussian's mean, spread and log normaliser. A block's sum over crimes
-depends on the cell only through per-cell sums of the scalar and its
-square, so the node sweep is a dense array operation, not a per-cell loop.
-A family's tensor sum over all its nodes factorizes exactly into the
-product of its block sums, so the blocks' log-quadratures add.
+The families are data: FAMILIES lists each one's Gaussian blocks. A block
+names its statistics function, which turns an offender's crime-major
+geometry into per-cell sums of one per-crime scalar and its square (the
+distance r or the bearing phi), its parameters' default prior kinds and
+node counts, and a map from the parameter nodes to the Gaussian's mean,
+spread and log normaliser. A block's sum over crimes depends on the cell
+only through those sums, so the node sweep is a dense array operation,
+not a per-cell loop, and a block in a new scalar is a new row with its
+own statistics function. A family's tensor sum over all its nodes
+factorizes exactly into the product of its block sums, so the blocks'
+log-quadratures add.
 
 Grid cells are the contiguous axis throughout: the per-crime scalars are
 laid out (crimes, cells), built from each crime's offsets to the grid's
@@ -48,8 +51,8 @@ Every other pass is elementwise per cell, so the split changes no bits.
 The methods are data too: METHODS gives each posterior method its
 resident buffer-zone model and the weight of its non-resident surface.
 ``method_surfaces`` computes an offender's per-cell statistics once per
-scalar and each distinct block quadrature once, so the ring model and the
-directional model share their radial block.
+statistics function and each distinct block quadrature once, so the ring
+model and the directional model share their radial block.
 """
 
 from __future__ import annotations
@@ -161,9 +164,27 @@ class Param(NamedTuple):
 
 
 class Block(NamedTuple):
-    scalar: str  # per-crime scalar: "r" (distance) or "phi" (bearing)
+    stats: Callable  # (ex, ny, r, on_anchor) of ``_Terms`` -> (cells, 4) ``_sum_stats``
     params: tuple[Param, ...]
     gaussian: Callable  # flattened node tensor -> (mean, spread, log normaliser)
+
+
+def _distance_stats(ex, ny, r, on_anchor):
+    """The distance r, nudged off a cell centre; every crime counts."""
+    return _sum_stats(np.where(on_anchor, ANCHOR_NUDGE_KM, r), len(r))
+
+
+def _bearing_stats(ex, ny, r, on_anchor):
+    """The bearing phi in [0, 2 pi). A crime site exactly on a candidate
+    anchor has no bearing; it is treated as sitting a nominal 1e-6 km away
+    in the preferred direction, which zeroes its bearing residual for
+    every node, and it is not counted."""
+    phi = np.arctan2(ny[:, :, None], ex[:, None, :]).reshape(r.shape)
+    # the turn to [0, 2 pi) as np.mod gives it: -pi on the branch cut
+    # becomes pi and a zero becomes +0.0
+    phi += np.where(phi < 0.0, TWO_PI, 0.0)
+    phi[on_anchor | (phi >= TWO_PI)] = 0.0
+    return _sum_stats(phi, len(r) - on_anchor.sum(axis=0))
 
 
 def _radial(a, s):
@@ -175,23 +196,23 @@ def _radial(a, s):
 FAMILIES: dict[Family, tuple[Block, ...]] = {
     # isotropic normal: x = r, mean 0, 2 s^2 = 4 alpha^2 / pi, normaliser 4 alpha^2
     Family.M1: (
-        Block("r", (Param("alpha", PriorKind.DISTANCE_M1, 32),),
+        Block(_distance_stats, (Param("alpha", PriorKind.DISTANCE_M1, 32),),
               lambda a: (0.0, a * math.sqrt(2.0 / math.pi), np.log(4.0 * a**2))),
     ),
     # the ring is the distance-and-bearing family's radial block under a
     # uniform bearing: the uniform's density 1 / (2 pi) is one constant
     # factor per crime, which normalising the surface removes
     Family.M2: (
-        Block("r", (Param("alpha", PriorKind.DISTANCE_M2, 32),
-                    Param("sigma", PriorKind.SPREAD_RADIAL, 8)),
+        Block(_distance_stats, (Param("alpha", PriorKind.DISTANCE_M2, 32),
+                                Param("sigma", PriorKind.SPREAD_RADIAL, 8)),
               _radial),
     ),
     Family.NONRES: (
-        Block("r", (Param("alpha", PriorKind.DISTANCE_NONRES, 32),
-                    Param("sigma1", PriorKind.SPREAD_RADIAL, 8)),
+        Block(_distance_stats, (Param("alpha", PriorKind.DISTANCE_NONRES, 32),
+                                Param("sigma1", PriorKind.SPREAD_RADIAL, 8)),
               _radial),
-        Block("phi", (Param("theta", PriorKind.ANGLE_NONRES, 32),
-                      Param("sigma2", PriorKind.SPREAD_ANGULAR, 8)),
+        Block(_bearing_stats, (Param("theta", PriorKind.ANGLE_NONRES, 32),
+                               Param("sigma2", PriorKind.SPREAD_ANGULAR, 8)),
               lambda t, s: (t, s, np.log(angle_normalizer(t, s)))),
     ),
 }
@@ -392,43 +413,13 @@ def _log_quad_part(lhs, rhs, vals, quad, start: int, stop: int) -> None:
     quad[start:stop] = np.log(_pairwise_sum(vals)) + peak - math.log(nodes)
 
 
-def _scalar_stats(series: CrimeSeries, grid: Grid, scalars) -> dict[str, np.ndarray]:
-    """``_sum_stats`` of each named per-crime scalar over the grid's cells.
-    The (crimes, cells) geometry they come from is freed on return."""
-    xy = series.xy
-    n = len(xy)
-    # crime-major offsets of each crime from the cell centres' columns and
-    # rows: x - c is exactly -(c - x), so squares and bearings match the
-    # cell-major formulation in tests/oracles.py bit for bit
-    ex = xy[:, :1] - grid.east_centers
-    ny = xy[:, 1:] - grid.north_centers
-    r = np.empty((n, grid.nrows, grid.ncols))
-    r[...] = (ex * ex)[:, None, :]
-    r += (ny * ny)[:, :, None]
-    r = np.sqrt(r, out=r).reshape(n, grid.ncells)
-    on_anchor = r < ANCHOR_COINCIDENCE_KM
-    stats = {}
-    if "r" in scalars:
-        stats["r"] = _sum_stats(np.where(on_anchor, ANCHOR_NUDGE_KM, r), n)
-    if "phi" in scalars:
-        # A crime site exactly on a candidate anchor has no bearing; it is
-        # treated as sitting a nominal 1e-6 km away in the preferred
-        # direction, which zeroes its bearing residual for every node.
-        phi = np.arctan2(ny[:, :, None], ex[:, None, :]).reshape(n, grid.ncells)
-        # the turn to [0, 2 pi) as np.mod gives it: -pi on the branch cut
-        # becomes pi and a zero becomes +0.0
-        phi += np.where(phi < 0.0, TWO_PI, 0.0)
-        phi[on_anchor | (phi >= TWO_PI)] = 0.0
-        stats["phi"] = _sum_stats(phi, n - on_anchor.sum(axis=0))
-    return stats
-
-
 class _Terms:
     """One series' per-cell statistics and block log-quadratures on one
     grid under one prior set, each computed once.
 
-    The statistics of every scalar the named families read are built up
-    front. A block's log-quadrature is kept under its scalar, its Gaussian
+    The statistics that the named families' blocks name are built up
+    front, each function once, from one crime-major geometry. A block's
+    log-quadrature is kept under its statistics function, its Gaussian
     map and each parameter's prior kind, node count and fixed value: two
     blocks that agree on those sum the same node tensor over the same
     statistics. So the ring model shares the directional model's radial
@@ -437,8 +428,23 @@ class _Terms:
 
     def __init__(self, series: CrimeSeries, priors: PriorSet, grid: Grid, families) -> None:
         self.series, self.priors, self.grid = series, priors, grid
-        scalars = {block.scalar for family in families for block in FAMILIES[family]}
-        self.stats = _scalar_stats(series, grid, scalars)
+        xy = series.xy
+        n = len(xy)
+        # crime-major geometry: the offsets ex (crimes, cols) and ny (crimes,
+        # rows) of each crime from the cell centres' columns and rows, then
+        # distances r and crimes on a centre (crimes, cells). x - c is exactly
+        # -(c - x), so squares and bearings match the cell-major formulation
+        # in tests/oracles.py bit for bit
+        ex = xy[:, :1] - grid.east_centers
+        ny = xy[:, 1:] - grid.north_centers
+        r = np.empty((n, grid.nrows, grid.ncols))
+        r[...] = (ex * ex)[:, None, :]
+        r += (ny * ny)[:, :, None]
+        r = np.sqrt(r, out=r).reshape(n, grid.ncells)
+        on_anchor = r < ANCHOR_COINCIDENCE_KM
+        # the geometry is freed on return, before any quadrature
+        stats = dict.fromkeys(block.stats for family in families for block in FAMILIES[family])
+        self.stats = {f: f(ex, ny, r, on_anchor) for f in stats}
         self._quads: dict[tuple, np.ndarray] = {}
 
     def log_likelihood(self, spec: ModelSpec) -> np.ndarray:
@@ -449,7 +455,7 @@ class _Terms:
 
     def _block(self, block: Block, spec: ModelSpec) -> np.ndarray:
         fixed = spec.fixed_overrides or {}
-        key = (block.scalar, block.gaussian, tuple(
+        key = (block.stats, block.gaussian, tuple(
             (spec.prior_kind(p.name), spec.node_count(p.name), fixed.get(p.name))
             for p in block.params
         ))
@@ -460,16 +466,8 @@ class _Terms:
             )
             mu, s, log_norm = block.gaussian(*(x.ravel() for x in nodes))
             coeffs = _gaussian_coeffs(len(self.series.xy), mu, s, log_norm)
-            self._quads[key] = _log_quad(self.stats[block.scalar], coeffs)
+            self._quads[key] = _log_quad(self.stats[block.stats], coeffs)
         return self._quads[key]
-
-
-def _log_marginal_likelihood(
-    series: CrimeSeries, spec: ModelSpec, priors: PriorSet, grid: Grid
-) -> np.ndarray:
-    """log of the quadrature sum per cell, flattened row-major: the sum of
-    the family's block log-quadratures, in FAMILIES order."""
-    return _Terms(series, priors, grid, [spec.family]).log_likelihood(spec)
 
 
 def _normalize_log_mass(log_mass: np.ndarray, grid: Grid) -> PosteriorSurface:

@@ -217,10 +217,29 @@ def _log_quad_one_call(stats, coeffs):
     return np.log(engine._pairwise_sum(vals)) + peak - math.log(coeffs.shape[1])
 
 
+def _distance_stats_direct(d, r, on_anchor):
+    """The nudged distance of every crime, cell-major."""
+    return _sum_stats_direct(np.where(on_anchor, engine.ANCHOR_NUDGE_KM, r), r.shape[1])
+
+
+def _bearing_stats_direct(d, r, on_anchor):
+    """The bearing in [0, 2 pi) of every crime off the cell centre, cell-major."""
+    phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
+    phi = np.where(on_anchor | (phi >= TWO_PI), 0.0, phi)
+    return _sum_stats_direct(phi, r.shape[1] - on_anchor.sum(axis=1))
+
+
+# the cell-major formulation of each statistics function of engine.FAMILIES
+_STATS_DIRECT = {
+    engine._distance_stats: _distance_stats_direct,
+    engine._bearing_stats: _bearing_stats_direct,
+}
+
+
 def log_marginal_likelihood_direct(series, spec, priors, grid, blocks=None):
     """Per-cell log quadrature sum, flattened row-major, laid out cell-major.
 
-    The plain formulation of ``geoprofile.engine._log_marginal_likelihood``:
+    The plain formulation of ``geoprofile.engine._Terms.log_likelihood``:
     offsets ``(ncells, n, 2)`` from every cell center, each cell's crimes
     summed along the rows of a ``(ncells, n)`` array and each cell's nodes
     along the rows of a ``(ncells, nodes)`` array, so the result is the bit
@@ -234,12 +253,7 @@ def log_marginal_likelihood_direct(series, spec, priors, grid, blocks=None):
     on_anchor = r < engine.ANCHOR_COINCIDENCE_KM
     log_mass = 0.0
     for block in blocks or engine.FAMILIES[spec.family]:
-        if block.scalar == "r":
-            stats = _sum_stats_direct(np.where(on_anchor, engine.ANCHOR_NUDGE_KM, r), n)
-        else:
-            phi = np.arctan2(-d[..., 1], -d[..., 0]) % TWO_PI
-            phi = np.where(on_anchor | (phi >= TWO_PI), 0.0, phi)
-            stats = _sum_stats_direct(phi, n - on_anchor.sum(axis=1))
+        stats = _STATS_DIRECT[block.stats](d, r, on_anchor)
         nodes = np.meshgrid(
             *(engine._quadrature_nodes(spec, p.name, priors) for p in block.params),
             indexing="ij",

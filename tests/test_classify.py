@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,10 @@ from geoprofile.classify import (
     nn_distances,
 )
 from geoprofile.dataset import Dataset, read_dataset
+from geoprofile.engine import Family
+from geoprofile.geodesy import UtmPoint
+from geoprofile.models import M1Params, M2Params, NonResParams
+from geoprofile.synthetic import SyntheticScenario, sample_series
 
 # the benchmark's seeded populations, from the repository root
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -369,3 +374,73 @@ class TestClassifyAll:
                 multi_cluster_coverage=coverage,
             )
             assert len(labels) == 1
+
+
+def _below_floor(counts):
+    return pytest.mark.xfail(strict=True, reason=f"own label below 142 of 200: {counts}")
+
+
+class TestLabelCost:
+    """How often ``classify_all`` gives a series drawn by
+    ``synthetic.sample_series`` its own family's label.
+
+    The criterion was fixed before the first run and is not taken from the
+    counts: at least LABEL_FLOOR of DRAWS series of a row get their own
+    family's label, a NONRES series counting as M2. LABEL_FLOOR is the
+    0.1% lower quantile of Binomial(200, 0.8): a classifier that labels
+    80% of a family correctly fails a row with probability 0.0009.
+
+    Each series draws its parameters uniformly from these ranges (km and
+    radians), its anchor fixed, with one seed per row:
+    - M1: alpha 0.5-3;
+    - M2 (ring): alpha 2-8, sigma 0.3-2;
+    - NONRES: alpha 15-40, sigma1 0.3-2, theta 0-2 pi, sigma2 0.1-1.
+    A row that fails is a strict xfail whose reason holds its counts; it is
+    not re-seeded or re-parameterized.
+    """
+
+    DRAWS = 200
+    LABEL_FLOOR = 142
+    ANCHOR = (350.0, 4360.0)
+    OWN = {"M1": SubtypeKind.M1, "M2": SubtypeKind.M2, "NONRES": SubtypeKind.M2}
+
+    @staticmethod
+    def _params(family, rng):
+        if family == "M1":
+            return M1Params(rng.uniform(0.5, 3.0))
+        if family == "M2":
+            return M2Params(rng.uniform(2.0, 8.0), rng.uniform(0.3, 2.0))
+        return NonResParams(
+            rng.uniform(15.0, 40.0), rng.uniform(0.3, 2.0),
+            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.0),
+        )
+
+    @classmethod
+    def _counts(cls, family, n):
+        index = list(cls.OWN).index(family)
+        rng = np.random.default_rng([14, index, n])
+        anchor = UtmPoint(18, *cls.ANCHOR)
+        xys = []
+        for _ in range(cls.DRAWS):
+            scenario = SyntheticScenario(
+                Family(family), anchor, cls._params(family, rng), n, seed=int(rng.integers(2**32))
+            )
+            (series,) = sample_series(scenario)
+            xys.append(series.xy)
+        return Counter(label.kind for label in classify_all(xys))
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            pytest.param("M1", 10, marks=_below_floor("M1 127, M2 17, M3 56")),
+            pytest.param("M1", 20),
+            pytest.param("M2", 10, marks=_below_floor("M1 3, M2 97, M3 100")),
+            pytest.param("M2", 20, marks=_below_floor("M1 7, M2 17, M3 176")),
+            pytest.param("NONRES", 10, marks=_below_floor("M1 7, M2 138, M3 55")),
+            pytest.param("NONRES", 20, marks=_below_floor("M1 11, M2 78, M3 111")),
+        ],
+    )
+    def test_own_label_share(self, family, n):
+        counts = self._counts(family, n)
+        shown = ", ".join(f"{kind.value} {counts[kind]}" for kind in SubtypeKind)
+        assert counts[self.OWN[family]] >= self.LABEL_FLOOR, shown

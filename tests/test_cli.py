@@ -1029,6 +1029,29 @@ class TestEvaluateFailures:
         err = capsys.readouterr().err
         assert "stray" in err and "outside" in err
 
+    def test_failure_lines(self, tmp_path, capsys):
+        # b's anchor is blank and c's lies outside the grid: records with no
+        # method. a and d, each the other's only donor, are too few for 1a.
+        sites = {"a": (350.0, 4360.0), "b": (340.0, 4350.0), "c": (360.0, 4370.0),
+                 "d": (355.0, 4365.0)}
+        anchors = {"a": "350.0,4360.0", "b": ",", "c": "500.0,4500.0", "d": "355.0,4365.0"}
+        lines = [",".join(UTM_CSV_HEADER)]
+        for oid, (e, n) in sites.items():
+            for k, (de, dn) in enumerate([(0.1, 0.2), (1.0, -0.5), (-0.8, 1.1)]):
+                lines.append(f"{oid},{k},0,18,{e + de},{n + dn},{anchors[oid]}")
+        path = tmp_path / "four.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--dataset", str(path), "--method", "1a", "--method", "rossmo",
+                     "--scope", "all", "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: offender a method 1a: every donor series needs a known anchor",
+            "error: offender b: no anchor in dataset",
+            "error: offender c: anchor outside the jurisdiction grid",
+            "error: offender d method 1a: every donor series needs a known anchor",
+            "error: no results for method(s): 1a",
+        ]
+
 
 class TestWriterFormulations:
     """The writers reproduce the plain per-cell formulations exactly."""

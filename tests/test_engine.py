@@ -22,7 +22,6 @@ from geoprofile.engine import (
     ModelSpec,
     NONRES_WEIGHT_FROM_FREQUENCIES,
     PosteriorSurface,
-    _log_marginal_likelihood,
     _log_quad,
     _normalize_log_mass,
     _pairwise_sum,
@@ -515,9 +514,10 @@ class TestMethodWiring:
 
 
 class TestSharedTerms:
-    """``method_surfaces`` computes an offender's statistics once per scalar
-    and each distinct block quadrature once, and its surfaces are those of
-    standalone ``posterior_surface`` calls bit for bit."""
+    """``method_surfaces`` computes an offender's statistics once per
+    statistics function and each distinct block quadrature once, and its
+    surfaces are those of standalone ``posterior_surface`` calls bit for
+    bit."""
 
     METHODS = list(WIRING)
 
@@ -926,11 +926,11 @@ def _loo_priors(grid, kinds=frozenset(PriorKind)):
 
 
 class TestLayoutOracle:
-    """``_log_marginal_likelihood`` against its cell-major formulation in
-    ``tests/oracles.py``, bit for bit, across numpy's summation blocks over
-    crimes and over nodes, every family and prior kind, crimes on and in
-    line with cell centres, and grids of unequal, single-row and
-    single-column cells."""
+    """A family's log-likelihood, ``_Terms.log_likelihood`` of one series,
+    against its cell-major formulation in ``tests/oracles.py``, bit for
+    bit, across numpy's summation blocks over crimes and over nodes, every
+    family and prior kind, crimes on and in line with cell centres, and
+    grids of unequal, single-row and single-column cells."""
 
     UNEVEN = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=28, ncols=50)
     ROW = Grid(west=330.0, east=370.0, south=4360.0, north=4361.5, nrows=1, ncols=60)
@@ -939,7 +939,7 @@ class TestLayoutOracle:
 
     @staticmethod
     def _check(series, spec, priors, grid):
-        got = _log_marginal_likelihood(series, spec, priors, grid)
+        got = engine._Terms(series, priors, grid, [spec.family]).log_likelihood(spec)
         np.testing.assert_array_equal(
             got, log_marginal_likelihood_direct(series, spec, priors, grid)
         )
@@ -1063,6 +1063,66 @@ def test_ring_surfaces_match_the_papers_normaliser():
         np.testing.assert_array_equal(
             np.argsort(-got, kind="stable"), np.argsort(-want, kind="stable")
         )
+
+
+class TestNewBlock:
+    """A block in a new scalar is one new ``FAMILIES`` row: its statistics
+    function and its Gaussian map, with no edit of ``_Terms``, ``_log_quad``
+    or the cell-major oracle. The toy block reads each crime's easting
+    offset from the cell centre as a normal scalar with mean 0 and spread
+    alpha."""
+
+    @staticmethod
+    def _easting_stats(ex, ny, r, on_anchor):
+        x = np.repeat(ex[:, None, :], ny.shape[1], axis=1).reshape(r.shape)
+        return engine._sum_stats(x, len(r))
+
+    @staticmethod
+    def _easting_stats_direct(d, r, on_anchor):
+        """The same statistics, cell-major: each cell's row of offsets."""
+        x = -d[..., 0]
+        n = x.shape[1]
+        return np.column_stack(
+            [(x * x).sum(axis=1), x.sum(axis=1), np.full(len(x), n), np.ones(len(x))]
+        )
+
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        import oracles
+
+        block = engine.Block(
+            stats=self._easting_stats,
+            params=(engine.Param("alpha", PriorKind.DISTANCE_M1, 32),),
+            gaussian=lambda a: (0.0, a, np.log(a)),
+        )
+        monkeypatch.setitem(engine.FAMILIES, Family.M1, (block,))
+        monkeypatch.setitem(oracles._STATS_DIRECT, self._easting_stats, self._easting_stats_direct)
+
+    def test_surfaces_equal_cell_major_sum(self, toy):
+        rng = np.random.default_rng(330)
+        series = _series(_rand_sites(rng, np.array([351.0, 4362.0]), 1.5, 9))
+        priors = _loo_priors(GRID)
+        spec = ModelSpec(Family.M1)
+        log_lik = log_marginal_likelihood_direct(series, spec, priors, GRID)
+        # each node's normal densities in the easting offset, summed plainly
+        alpha = engine._quadrature_nodes(spec, "alpha", priors)
+        x = series.xy[None, :, 0] - GRID.centers[:, None, 0]
+        per_node = (-(x[:, :, None] ** 2) / (2.0 * alpha**2) - np.log(alpha)).sum(axis=1)
+        np.testing.assert_allclose(
+            log_lik,
+            np.logaddexp.reduce(per_node, axis=1) - math.log(len(alpha)),
+            rtol=1e-12,
+        )
+        expected = _normalize_log_mass(log_lik + priors.anchor.log_weights, GRID)
+        alone = posterior_surface(series, spec, priors, GRID)
+        np.testing.assert_array_equal(alone.mass, expected.mass)
+
+        methods = [MethodId.ONE_A, MethodId.TWO_AI]
+        shared = method_surfaces(series, methods, SubtypeLabel(SubtypeKind.M1), priors, GRID)
+        np.testing.assert_array_equal(shared[MethodId.ONE_A].mass, expected.mass)
+        nonres = posterior_surface(series, ModelSpec(Family.NONRES), priors, GRID)
+        blend = multimodel_combine([expected, nonres], [0.5, 0.5])
+        np.testing.assert_array_equal(shared[MethodId.TWO_AI].mass, blend.mass)
 
 
 class TestQuadratureOracle:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geoprofile.dataset import CrimeSeries, Dataset
-from geoprofile.engine import MethodId, PosteriorSurface
+from geoprofile.engine import Family, MethodId, PosteriorSurface
 from geoprofile.evaluation import (
     ALL_THRESHOLDS,
     RESIDENTS_THRESHOLDS,
@@ -19,6 +19,8 @@ from geoprofile.evaluation import (
 )
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, OutOfGridError, cell_center
+from geoprofile.models import M1Params, M2Params, NonResParams
+from geoprofile.synthetic import SyntheticScenario, sample_series
 
 GRID = Grid(west=330.0, east=370.0, south=4345.0, north=4380.0, nrows=35, ncols=40)
 
@@ -370,3 +372,102 @@ class TestResidency:
         assert samples[priors.PriorKind.DISTANCE_NONRES] == []
         resident = samples[priors.PriorKind.DISTANCE_M1] + samples[priors.PriorKind.DISTANCE_M2]
         assert 10.0 in resident
+
+
+class TestQuarterTurns:
+    """A population turned by 0, 90, 180 and 270 degrees about the centre of
+    a square grid, a cell corner, so that each turn maps cell centres onto
+    cell centres. Each method scores every offender at the same rank on
+    every turn, within SPREAD cells, a bound fixed before the first run
+    for rounding-level near-ties.
+
+    ``1a`` and ``rossmo`` are invariant in exact arithmetic: Euclidean
+    labels and ring and M1 likelihoods, a per-axis anchor KDE whose
+    bandwidths swap, and a Manhattan decay. The directional methods read
+    bearings cut at due east, and their priors reflect at that cut; each
+    of their rows is a strict xfail whose reason holds the measured ranks.
+    """
+
+    GRID = Grid(west=315.0, east=385.0, south=4325.0, north=4395.0, nrows=70, ncols=70)
+    CENTRE = np.array([350.0, 4360.0])
+    SPREAD = 3
+    METHODS = (MethodId.ONE_A, MethodId.ROSSMO, MethodId.ONE_B, MethodId.TWO_BII)
+
+    @classmethod
+    def _population(cls):
+        """4 offenders of 10 crimes per family, anchors 15 km or more inside
+        the grid; parameters uniform on the ranges of ``TestLabelCost`` in
+        tests/test_classify.py."""
+        rng = np.random.default_rng(9)
+        params = {
+            Family.M1: lambda: M1Params(rng.uniform(0.5, 3.0)),
+            Family.M2: lambda: M2Params(rng.uniform(2.0, 8.0), rng.uniform(0.3, 2.0)),
+            Family.NONRES: lambda: NonResParams(
+                rng.uniform(15.0, 40.0), rng.uniform(0.3, 2.0),
+                rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.0),
+            ),
+        }
+        series = []
+        for family, draw in params.items():
+            for k in range(4):
+                anchor = UtmPoint(18, *rng.uniform(cls.CENTRE - 20.0, cls.CENTRE + 20.0))
+                scenario = SyntheticScenario(
+                    family, anchor, draw(), 10, seed=int(rng.integers(2**32))
+                )
+                (drawn,) = sample_series(scenario)
+                series.append(replace(drawn, offender_id=f"{family.value}{k}"))
+        return series
+
+    @classmethod
+    def _turned(cls, xy, quarter):
+        """``xy`` turned by ``quarter`` 90-degree steps counterclockwise."""
+        if quarter == 0:
+            return xy
+        d = xy - cls.CENTRE
+        for _ in range(quarter):
+            d = np.column_stack([-d[:, 1], d[:, 0]])
+        return cls.CENTRE + d
+
+    @pytest.fixture(scope="class")
+    def ranks(self):
+        """{method: {offender: cells examined on each turn}}"""
+        population = self._population()
+        out = {m: {s.offender_id: [] for s in population} for m in self.METHODS}
+        for quarter in range(4):
+            ds = Dataset(tuple(
+                CrimeSeries(
+                    s.offender_id, self._turned(s.xy, quarter), 18,
+                    UtmPoint(18, *self._turned(
+                        np.array([[s.anchor.easting, s.anchor.northing]]), quarter
+                    )[0]),
+                )
+                for s in population
+            ))
+            report = compare_methods(ds, self.METHODS, Scope.ALL, grid=self.GRID)
+            assert not report.failures
+            for r in report.results:
+                out[r.method][r.offender_id].append(r.cells_examined)
+        return out
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            MethodId.ONE_A,
+            MethodId.ROSSMO,
+            pytest.param(MethodId.ONE_B, marks=pytest.mark.xfail(
+                strict=True,
+                reason="rank spread over 3 cells for 5 of 12 offenders; "
+                "worst M13 at 197, 152, 85 and 178 cells",
+            )),
+            pytest.param(MethodId.TWO_BII, marks=pytest.mark.xfail(
+                strict=True,
+                reason="rank spread over 3 cells for 7 of 12 offenders; "
+                "worst M13 at 2380, 492, 85 and 957 cells",
+            )),
+        ],
+        ids=lambda m: m.value,
+    )
+    def test_rank_unchanged_by_turns(self, ranks, method):
+        spread = {oid: max(cells) - min(cells) for oid, cells in ranks[method].items()}
+        worst = max(spread, key=spread.get)
+        assert spread[worst] <= self.SPREAD, (worst, ranks[method][worst], spread)
