@@ -35,18 +35,25 @@ crimes and nodes are summed by column adds that replay numpy's row-sum
 order (``_pairwise_sum``), so every surface is bit for bit the cell-major
 formulation, ``log_marginal_likelihood_direct`` in tests/oracles.py.
 
-The node sweep of a block (``_log_quad``) splits its cells in two parts
-at a multiple of 16 cells. Where the process may use two CPUs, the
-calling thread computes the first part and one long-lived worker thread
-the second, each in its own columns of one exponent buffer that the
-caller allocates; otherwise the caller computes both. Each part fills
-its columns by matmul sub-calls of at most ``BLAS_ONE_THREAD_MAX``
-multiply-adds, OpenBLAS's bound for running a call on its calling thread,
-so the library's own threads never wake to compete for the second core.
-Each sub-call covers a multiple of 16 cells, and a grid's remainder past
-the last multiple gets a sub-call of its own: one matmul over all cells
-gives those remainder cells other bits than the cell-major formulation.
-Every other pass is elementwise per cell, so the split changes no bits.
+The node sweep of a block (``_log_quad``) fills the exponents by matmul
+sub-calls of at most ``BLAS_ONE_THREAD_MAX`` multiply-adds, OpenBLAS's
+bound for running a call on its calling thread, so the library's own
+threads never wake to compete for the second core. Each sub-call covers
+a multiple of 16 cells, and a grid's remainder past the last multiple
+gets a sub-call of its own: one matmul over all cells gives those
+remainder cells other bits than the cell-major formulation. The cells
+are swept in tiles at most two full sub-calls wide, 1 MiB of exponents
+at the bound, and each tile runs the whole pass chain (matmul, peak, shift,
+floor, ``exp``, node sum, ``log``) while it sits in a 2 MiB L2 cache;
+streaming all cells through each pass in turn missed the cache on most
+reads. Where the process may use two CPUs, the calling thread and one
+long-lived worker thread claim tiles one at a time until none are
+left, each in its own tile buffer that the caller allocates; once
+its own loop ends, the caller cancels the worker's task if it has not
+started, so a worker that is slow to start costs at most one tile.
+Otherwise the caller sweeps every tile. Every pass but the matmul is
+elementwise per cell, so neither the tiles nor who sweeps them change
+any bits.
 
 The methods are data too: METHODS gives each posterior method its
 resident buffer-zone model and the weight of its non-resident surface.
@@ -61,6 +68,7 @@ import contextvars
 import enum
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -106,13 +114,12 @@ LOG_SUM_EXP_FLOOR = -700.0
 # OpenBLAS runs a dgemm on its calling thread alone while M * N * K is at
 # most SMP_THRESHOLD_MIN (65536) times GEMM_MULTITHREAD_THRESHOLD (4), the
 # defaults in its interface/gemm.c and Makefile.system. Above that it wakes
-# its own worker threads, which then spin on the core the sweep's second
-# part needs.
+# its own worker threads, which then spin on the core the sweep's worker
+# thread needs.
 BLAS_ONE_THREAD_MAX = 4 * 65536
 
-# The two parts of the node sweep and its matmul sub-calls start on
-# multiples of this many cells; a remainder past the last multiple gets a
-# sub-call of its own (``_log_quad_part``).
+# The node sweep's matmul sub-calls start on multiples of this many cells;
+# a remainder past the last multiple gets a sub-call of its own (``_tiles``).
 _CELL_ALIGN = 16
 
 
@@ -123,8 +130,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The node sweep runs in two parts, the second on one long-lived worker
-# thread, where the process may use two CPUs; otherwise in one part.
+# The node sweep's tiles are shared by the caller and one long-lived worker
+# thread where the process may use two CPUs; otherwise the caller sweeps
+# them all.
 _PARTS = 2 if _usable_cpus() >= 2 else 1
 _WORKER: ThreadPoolExecutor
 
@@ -304,27 +312,30 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     values; up to 128, eight accumulators combined as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above
     that, the two halves split at a multiple of 8, each summed the same
-    way. Here each of those adds is one column add, in place in ``x``;
-    the sums land in ``x[0]``, which is returned.
+    way. Here each of those adds is one column add, and the eight
+    accumulators are one ``np.add.reduce`` over the outer axis of the
+    first ``blocks`` values viewed as (blocks / 8, 8, ...): numpy reduces
+    an outer axis strictly in order. ``x`` is scratch: the sums are
+    written into it or into a new array, one row of which is returned.
     """
     n = len(x)
     if n < 8:
         for i in range(1, n):
             x[0] += x[i]
-    elif n <= 128:
+        return x[0]
+    if n <= 128:
         blocks = n - n % 8
-        for i in range(8, blocks, 8):
-            x[:8] += x[i : i + 8]
-        x[0:8:2] += x[1:8:2]
-        x[0:8:4] += x[2:8:4]
-        x[0] += x[4]
+        acc = x[:8] if blocks == 8 else np.add.reduce(x[:blocks].reshape(-1, 8, *x.shape[1:]))
+        acc[0:8:2] += acc[1:8:2]
+        acc[0:8:4] += acc[2:8:4]
+        acc[0] += acc[4]
         for i in range(blocks, n):
-            x[0] += x[i]
-    else:
-        half = n // 2 - (n // 2) % 8
-        _pairwise_sum(x[:half])
-        x[0] += _pairwise_sum(x[half:])
-    return x[0]
+            acc[0] += x[i]
+        return acc[0]
+    half = n // 2 - (n // 2) % 8
+    first = _pairwise_sum(x[:half])
+    first += _pairwise_sum(x[half:])
+    return first
 
 
 def _sum_stats(x: np.ndarray, count) -> np.ndarray:
@@ -351,59 +362,98 @@ def _log_quad(stats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """log of the equal-weight node average of exp(stats @ coeffs), per cell.
 
     The exponents are laid out (nodes, cells), so every pass runs along
-    contiguous cells and the node sum replays numpy's row-sum order. Where
-    ``_PARTS`` is 2, the worker thread computes the second part of the
-    cells (module docstring) in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds there too; an error in either part is
-    raised once both parts have finished.
+    contiguous cells and the node sum replays numpy's row-sum order. The
+    cells are cut into tiles (``_tiles``), each swept whole in a tile
+    buffer that the caller allocates. Where ``_PARTS`` is 2, the caller
+    and the worker thread claim tiles one at a time until none are left;
+    the worker runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too. Once its own loop ends, the
+    caller cancels the worker's task if it has not started and otherwise
+    waits for it; an error in either is raised after that wait, the
+    caller's first.
     """
     ncells = len(stats)
     # the sub-calls run several times as fast on a C-contiguous coeffs.T
     # as on its transposed view
     lhs = np.ascontiguousarray(coeffs.T)
-    vals = np.empty((len(lhs), ncells))
     quad = np.empty(ncells)
-    # the caller, which starts first, takes the larger part
-    split = (ncells // 2 + _CELL_ALIGN - 1) // _CELL_ALIGN * _CELL_ALIGN
-    if _PARTS == 1 or split >= ncells:
-        _log_quad_part(lhs, stats.T, vals, quad, 0, ncells)
+    tiles = _tiles(ncells, lhs.size)
+    width = max(edges[-1] - edges[0] for edges in tiles)
+    claims = (iter(tiles), threading.Lock())
+    if _PARTS == 1 or len(tiles) == 1:
+        _sweep(lhs, stats.T, np.empty((len(lhs), width)), quad, claims)
         return quad
-    second = _WORKER.submit(
-        contextvars.copy_context().run, _log_quad_part, lhs, stats.T, vals, quad, split, ncells
+    mine, theirs = np.empty((2, len(lhs), width))
+    worker = _WORKER.submit(
+        contextvars.copy_context().run, _sweep, lhs, stats.T, theirs, quad, claims
     )
     try:
-        _log_quad_part(lhs, stats.T, vals, quad, 0, split)
+        _sweep(lhs, stats.T, mine, quad, claims)
     finally:
-        wait((second,))
-    second.result()
+        # a task still queued has no tile left to claim
+        if not worker.cancel():
+            wait((worker,))
+    if not worker.cancelled():
+        worker.result()
     return quad
 
 
-def _log_quad_part(lhs, rhs, vals, quad, start: int, stop: int) -> None:
-    """``_log_quad`` of cells [start, stop) into ``quad``, through the same
-    columns of ``vals``; ``lhs`` is a C-contiguous coeffs.T, ``rhs`` is
-    stats.T.
+def _tiles(ncells: int, size: int) -> list[list[int]]:
+    """The edges of ``_log_quad``'s matmul sub-calls over ``ncells`` cells
+    for a coeffs.T of ``size`` entries, cut into tiles at most two full
+    sub-calls wide: a tile is the edges of its sub-calls.
 
-    The exponents are filled by matmul sub-calls that each stay within
-    ``BLAS_ONE_THREAD_MAX``, so OpenBLAS computes them on this thread.
-    Each covers a multiple of ``_CELL_ALIGN`` cells, but for a remainder,
-    which gets a sub-call of its own with the aligned block before it:
-    in a larger sub-call OpenBLAS gives a remainder's cells other bits
-    than the cell-major product.
+    Each sub-call stays within ``BLAS_ONE_THREAD_MAX``, so OpenBLAS
+    computes it on its calling thread, and covers a multiple of
+    ``_CELL_ALIGN`` cells, but for a remainder, which gets a sub-call of
+    its own with the aligned block before it: in a larger sub-call
+    OpenBLAS gives a remainder's cells other bits than the cell-major
+    product. The remainder's short sub-calls join the tile before them
+    where they fit. At ``BLAS_ONE_THREAD_MAX`` a tile holds at most 1 MiB
+    of exponents, whatever the node count, which stays in a 2 MiB L2
+    cache through the whole pass chain.
+    """
+    cells = max(_CELL_ALIGN, BLAS_ONE_THREAD_MAX // size // _CELL_ALIGN * _CELL_ALIGN)
+    tail = ncells - ncells % _CELL_ALIGN
+    if tail < ncells:
+        tail = max(0, tail - _CELL_ALIGN)
+    edges = sorted({*range(0, tail, cells), tail, ncells})
+    tiles = [[0]]
+    for a, b in zip(edges, edges[1:]):
+        if b - tiles[-1][0] > 2 * cells:
+            tiles.append([a])
+        tiles[-1].append(b)
+    return tiles
+
+
+def _sweep(lhs, rhs, buf, quad, claims) -> None:
+    """Sweep tiles in ``buf`` until none are left to claim; ``claims`` is
+    the tiles' shared iterator and the lock that hands each out once."""
+    tiles, lock = claims
+    while True:
+        with lock:
+            edges = next(tiles, None)
+        if edges is None:
+            return
+        _log_quad_tile(lhs, rhs, buf, quad, edges)
+
+
+def _log_quad_tile(lhs, rhs, buf, quad, edges) -> None:
+    """``_log_quad`` of one tile's cells [edges[0], edges[-1]) into
+    ``quad``, through the first columns of ``buf``: the matmul, peak,
+    shift, floor, ``exp``, node sum and ``log`` all run while the tile's
+    exponents sit in cache. ``lhs`` is a C-contiguous coeffs.T, ``rhs``
+    is stats.T, and each pair of consecutive edges is one sub-call.
     """
     nodes, k = lhs.shape
-    cells = max(_CELL_ALIGN, BLAS_ONE_THREAD_MAX // (k * nodes) // _CELL_ALIGN * _CELL_ALIGN)
-    tail = stop - (stop - start) % _CELL_ALIGN
-    if tail < stop:
-        tail = max(start, tail - _CELL_ALIGN)
-    edges = sorted({*range(start, tail, cells), tail, stop})
+    start, stop = edges[0], edges[-1]
+    vals = buf[:, : stop - start]
     for a, b in zip(edges, edges[1:]):
         # node tensors past BLAS_ONE_THREAD_MAX / (k * _CELL_ALIGN) nodes
         # take more than one sub-call per cell block
         rows = max(1, BLAS_ONE_THREAD_MAX // (k * (b - a)))
         for r in range(0, nodes, rows):
-            np.matmul(lhs[r : r + rows], rhs[:, a:b], out=vals[r : r + rows, a:b])
-    vals = vals[:, start:stop]
+            np.matmul(lhs[r : r + rows], rhs[:, a:b], out=vals[r : r + rows, a - start : b - start])
     peak = vals.max(axis=0)
     # a cell that underflowed at every node is shifted by 0, not by -inf
     # (which would give NaN); adding back its -inf peak keeps it -inf

@@ -32,7 +32,7 @@ from geoprofile.engine import (
 )
 from geoprofile.geodesy import UtmPoint
 from geoprofile.grid import Grid, check_grid_zone, locate_cell
-from geoprofile.priors import InsufficientDataError, build_prior_set, is_nonresident
+from geoprofile.priors import DonorTable, InsufficientDataError, build_prior_set, is_nonresident
 from geoprofile.rossmo import hit_score_surface
 
 __all__ = [
@@ -190,16 +190,19 @@ def offender_surfaces(
     grid: Grid,
     nonres_weight: float,
     quadrature: Mapping[str, int] | None,
+    *,
+    table: DonorTable | None = None,
 ) -> dict[MethodId, PosteriorSurface]:
     """One offender's surfaces, in the order of ``methods``: one LOO prior
-    build and one ``method_surfaces`` call for the posterior methods, then
-    the hit score. Domain errors are raised, the posterior part's first."""
+    build, from ``table`` if given, and one ``method_surfaces`` call for
+    the posterior methods, then the hit score. Domain errors are raised,
+    the posterior part's first."""
     posterior = [m for m in methods if m is not MethodId.ROSSMO]
     surfaces = {}
     if posterior:
         label = labels[series.offender_id]
         kinds = prior_kinds(posterior, label, nonres_weight)
-        priors = build_prior_set(ds, series.offender_id, labels, grid, kinds)
+        priors = build_prior_set(ds, series.offender_id, labels, grid, kinds, table=table)
         surfaces = method_surfaces(
             series, posterior, label, priors, grid, nonres_weight, quadrature
         )
@@ -249,6 +252,9 @@ def compare_methods(
     # the posterior methods and the hit score fail apart
     rossmo = (MethodId.ROSSMO,) if MethodId.ROSSMO in methods else ()
     groups = [g for g in (tuple(m for m in methods if m not in rossmo), rossmo) if g]
+    # every LOO build of this call reads one set of donor statistics and
+    # densities; nothing outlives the call
+    table = DonorTable(ds)
     for series in ds.series:
         oid = series.offender_id
         if series.anchor is None:
@@ -266,7 +272,7 @@ def compare_methods(
         for group in groups:
             try:
                 surfaces |= offender_surfaces(
-                    ds, series, group, labels, grid, nonres_weight, quadrature
+                    ds, series, group, labels, grid, nonres_weight, quadrature, table=table
                 )
             except (InsufficientDataError, DegenerateSurfaceError) as exc:
                 report.failures.extend(FailureRecord(oid, m.value, str(exc)) for m in group)

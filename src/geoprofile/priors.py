@@ -8,6 +8,14 @@ crime-to-anchor distance, mean bearing, spreads of both) feed bounded
 Bandwidths follow Silverman's rule of thumb; the bounded estimates
 reflect probability mass at the support edges instead of letting it
 leak out.
+
+The leave-one-out builds of one evaluation share a ``DonorTable``: the
+donor statistics of every offender with an anchor, computed once, and a
+memo of the 1-D densities by support and exact sample bytes. Leaving out
+an offender that feeds no group of a kind gives that kind the same
+samples as leaving out another, so most builds find their densities
+already made. The anchor prior changes with every left-out anchor and is
+built each time.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = [
     "bounded_density_1d",
     "flat_param_prior",
     "flat_prior_set",
+    "DonorTable",
     "build_prior_set",
     "is_nonresident",
 ]
@@ -309,12 +318,63 @@ def _donor_stats(donors, anchors: np.ndarray) -> dict[str, np.ndarray]:
     return stats
 
 
+class DonorTable:
+    """What the leave-one-out builds over one dataset share: the donor
+    statistics of every series with an anchor, computed once, and each
+    1-D density, built once per distinct support and sample bytes.
+
+    ``_donor_stats`` gives each donor the values it would have in any
+    subset, so a build's statistics are the table's rows of its donors,
+    in donor order. A sample set too few to estimate maps to its kind's
+    flat prior. The memo grows with every distinct sample set, so a table
+    lives only as long as one evaluation: ``compare_methods`` makes one
+    per call and hands it to each build as ``build_prior_set``'s
+    ``table``.
+    """
+
+    def __init__(self, ds: Dataset) -> None:
+        self.dataset = ds
+        self._densities: dict[tuple, tuple[ParamPrior, bool]] = {}
+
+    @cached_property
+    def _rows(self) -> tuple[dict[str, int], np.ndarray, dict[str, np.ndarray]]:
+        """Each anchored series' row, the anchors, and the statistics."""
+        anchored = [s for s in self.dataset.series if s.anchor is not None]
+        anchors = np.array([(s.anchor.easting, s.anchor.northing) for s in anchored])
+        rows = {s.offender_id: i for i, s in enumerate(anchored)}
+        return rows, anchors, _donor_stats(anchored, anchors)
+
+    def donors(self, excluded_offender: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The anchors and statistics of every anchored series but the
+        excluded one, in donor order."""
+        rows, anchors, stats = self._rows
+        keep = np.ones(len(anchors), dtype=bool)
+        if excluded_offender in rows:
+            keep[rows[excluded_offender]] = False
+        return anchors[keep], {name: column[keep] for name, column in stats.items()}
+
+    def density(self, kind: PriorKind, samples: np.ndarray) -> tuple[ParamPrior, bool]:
+        """``bounded_density_1d`` of ``samples`` on ``kind``'s support, and
+        False; ``kind``'s flat prior, and True, where they are too few."""
+        support = PRIORS[kind].support
+        key = (support, samples.tobytes())
+        if key not in self._densities:
+            try:
+                self._densities[key] = (bounded_density_1d(samples, *support), False)
+            except InsufficientDataError:
+                # the flat prior, not the exception and its traceback
+                self._densities[key] = (flat_param_prior(kind), True)
+        return self._densities[key]
+
+
 def build_prior_set(
     ds: Dataset,
     excluded_offender: str,
     subtype_labels: dict[str, SubtypeLabel],
     grid: Grid,
     kinds: Collection[PriorKind] = frozenset(PriorKind),
+    *,
+    table: DonorTable | None = None,
 ) -> PriorSet:
     """Priors from every offender except the examined one: the anchor
     prior and the parameter priors of ``kinds``, which default to all.
@@ -323,8 +383,14 @@ def build_prior_set(
     names its group and whose statistic it has. A kind with fewer than 3
     donor samples falls back to a flat prior; one warning names every such
     kind built. An unknown ``excluded_offender`` raises UnknownOffenderError.
+    ``table``, if given, is the ``DonorTable`` of ``ds`` that the builds of
+    one evaluation share; without it the build makes its own.
     """
     ds.get(excluded_offender)  # UnknownOffenderError for an unknown id
+    if table is None:
+        table = DonorTable(ds)
+    elif table.dataset is not ds:
+        raise ValueError("donor table belongs to another dataset")
     donors = [s for s in ds.series if s.offender_id != excluded_offender]
     if len(donors) < 2:
         raise InsufficientDataError(
@@ -332,8 +398,7 @@ def build_prior_set(
         )
     if any(s.anchor is None for s in donors):
         raise InsufficientDataError("every donor series needs a known anchor")
-    anchors = np.array([(s.anchor.easting, s.anchor.northing) for s in donors])
-    stats = _donor_stats(donors, anchors)
+    anchors, stats = table.donors(excluded_offender)
     labels = [subtype_labels[s.offender_id].kind.value for s in donors]
     group = np.where(stats["resident"], labels, "NONRES")
     params, flat = {}, []
@@ -342,10 +407,8 @@ def build_prior_set(
             continue
         values = stats[row.statistic]
         samples = values[np.isin(group, row.groups) & ~np.isnan(values)]
-        try:
-            params[kind] = bounded_density_1d(samples, *row.support)
-        except InsufficientDataError:
-            params[kind] = flat_param_prior(kind)
+        params[kind], fell_back = table.density(kind, samples)
+        if fell_back:
             flat.append(f"{kind.value}: {len(samples)}")
     if flat:
         logger.warning(

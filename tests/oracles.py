@@ -208,7 +208,7 @@ def _log_quad_direct(stats, coeffs):
 def _log_quad_one_call(stats, coeffs):
     """The node log-sum-exp laid out (nodes, cells) as one matmul and one
     pass per step over all cells: ``geoprofile.engine._log_quad`` before
-    its cells were split into parts and sub-calls."""
+    its cells were cut into tiles and sub-calls."""
     vals = coeffs.T @ stats.T
     peak = vals.max(axis=0)
     vals -= np.where(np.isfinite(peak), peak, 0.0)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -667,6 +668,19 @@ def test_pairwise_sum_replays_numpy_row_sum():
             assert np.array_equal(got, rows.sum(axis=1)), n
 
 
+def test_pairwise_sum_replays_numpy_row_sum_on_column_slices():
+    # the node sweep's tiles arrive as the first columns of a wider
+    # buffer, whose rows are strided: every length on both sides of the
+    # eight-accumulator reduce (8 to 128 values) and the halving above
+    # it, then the tile widths of 256 and 32 nodes
+    rng = np.random.default_rng(301)
+    wide = [(n, 512) for n in (128, 256, 300)] + [(n, 4096) for n in (32, 64, 128, 129)]
+    for n, width in [(n, int(rng.integers(1, 97))) for n in range(1, 601)] + wide:
+        buf = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, width + int(rng.integers(1, 33))))
+        want = np.ascontiguousarray(buf[:, :width].T).sum(axis=1)
+        assert np.array_equal(_pairwise_sum(buf[:, :width]), want), (n, width)
+
+
 class TestLogQuad:
     """The floored node log-sum-exp against the unfloored one."""
 
@@ -732,10 +746,11 @@ class TestLogQuad:
 
 
 class TestSplitSweep:
-    """``_log_quad``'s two parts and its matmul sub-calls change no bits,
-    keep every BLAS call within OpenBLAS's one-thread bound and start one
-    worker thread, which runs in the caller's context and whose errors
-    reach the caller."""
+    """``_log_quad``'s tiles, whichever thread sweeps them, and its matmul
+    sub-calls change no bits, keep every BLAS call within OpenBLAS's
+    one-thread bound and start one worker thread, which runs in the
+    caller's context, whose errors reach the caller and on which a caller
+    never waits before it has started."""
 
     @staticmethod
     def _block(seed, cells, nodes, n=10):
@@ -766,8 +781,35 @@ class TestSplitSweep:
         for method in WIRING:
             np.testing.assert_array_equal(surfaces[1][method].mass, surfaces[2][method].mass)
 
+    @staticmethod
+    def _gate(monkeypatch, tile=None):
+        """In every ``_log_quad`` call, hold the caller's first tile until
+        the worker has claimed one, so both threads sweep;
+        ``tile(is_caller, *args)`` replaces the tile function after the
+        gate."""
+        caller, ready, claimed = threading.current_thread(), threading.Condition(), []
+        sweep = engine._log_quad_tile
+        tile = tile or (lambda is_caller, *args: sweep(*args))
+
+        def gated(lhs, rhs, buf, quad, edges):
+            # a call is known by its output array, which ``claimed`` keeps
+            is_caller = threading.current_thread() is caller
+            with ready:
+                if is_caller:
+                    assert ready.wait_for(
+                        lambda: any(q is quad for q in claimed), timeout=60
+                    ), "the worker never claimed a tile"
+                else:
+                    claimed.append(quad)
+                    ready.notify_all()
+            tile(is_caller, lhs, rhs, buf, quad, edges)
+
+        monkeypatch.setattr(engine, "_log_quad_tile", gated)
+        return sweep
+
     def test_blas_calls_within_the_one_thread_bound(self, monkeypatch):
         monkeypatch.setattr(engine, "_PARTS", 2)
+        self._gate(monkeypatch)
         matmul = np.matmul
         calls = []
 
@@ -779,12 +821,64 @@ class TestSplitSweep:
         for nodes, cells in ((32, 7000), (256, 7000), (256, 7171), (4096, 275), (5000, 48)):
             calls.clear()
             stats, coeffs = self._block(nodes, cells, nodes)
-            _log_quad(stats, coeffs)
+            np.testing.assert_array_equal(
+                _log_quad(stats, coeffs), _log_quad_one_call(stats, coeffs)
+            )
             sizes = [size for _, size in calls]
             assert max(sizes) <= engine.BLAS_ONE_THREAD_MAX, (nodes, cells)
             # the sub-calls cover every cell-node once, on two threads
             assert sum(sizes) == 4 * nodes * cells
             assert len({thread for thread, _ in calls}) == 2
+
+    @pytest.mark.parametrize("nodes, cells", [(256, 7000), (32, 7000), (256, 7171), (5000, 48)])
+    def test_tiles_cover_every_cell_once(self, nodes, cells):
+        tiles = engine._tiles(cells, 4 * nodes)
+        # consecutive tiles share an edge; every tile holds a sub-call or more
+        assert tiles[0][0] == 0 and tiles[-1][-1] == cells
+        assert all(t[-1] == u[0] for t, u in zip(tiles, tiles[1:]))
+        assert all(len(t) >= 2 and t == sorted(set(t)) for t in tiles)
+        # at the BLAS bound a tile holds at most 1 MiB of exponents, or two
+        # aligned cell blocks where a node tensor is larger
+        width = max(t[-1] - t[0] for t in tiles)
+        assert width * nodes * 8 <= max(2**20, 2 * 8 * nodes * engine._CELL_ALIGN)
+        # the sub-calls start on multiples of the alignment; a remainder
+        # shares its own sub-call only with the aligned block before it
+        edges = sorted({e for t in tiles for e in t})
+        assert all(e % engine._CELL_ALIGN == 0 for e in edges[:-1])
+        if cells % engine._CELL_ALIGN:
+            assert edges[-1] - edges[-2] == engine._CELL_ALIGN + cells % engine._CELL_ALIGN
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_sweep_memory_stays_within_two_tiles(self, parts, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", parts)
+        stats, coeffs = self._block(390, 7000, 256)
+        want = _log_quad_one_call(stats, coeffs)
+        tracemalloc.start()
+        try:
+            got = _log_quad(stats, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # all its exponents at once, as one buffer, would be 14.3 MB
+        assert peak < 3 * 2**20
+        np.testing.assert_array_equal(got, want)
+
+    def test_caller_never_waits_on_a_worker_that_has_not_started(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PARTS", 2)
+        stats, coeffs = self._block(380, 7000, 256)
+        release, got = threading.Event(), []
+        busy = engine._WORKER.submit(release.wait, 120)  # the worker is taken
+        caller = threading.Thread(target=lambda: got.append(_log_quad(stats, coeffs)))
+        try:
+            caller.start()
+            caller.join(timeout=30)
+            finished = not caller.is_alive()
+        finally:
+            release.set()
+            busy.result(timeout=120)
+            caller.join(timeout=120)
+        assert finished, "the caller waited on a worker that had not started"
+        np.testing.assert_array_equal(got[0], _log_quad_one_call(stats, coeffs))
 
     def test_one_worker_thread(self, monkeypatch):
         monkeypatch.setattr(engine, "_PARTS", 2)
@@ -799,9 +893,10 @@ class TestSplitSweep:
 
     def test_concurrent_callers_share_the_worker(self, monkeypatch):
         # more callers than cores, switching threads as often as possible:
-        # each caller's parts write only its own buffers
+        # each caller's tiles write only its own buffers
         monkeypatch.setattr(engine, "_PARTS", 2)
-        blocks = [self._block(370 + i, 1104, 99) for i in range(6)]
+        blocks = [self._block(370 + i, 1104, 256) for i in range(6)]
+        assert len(engine._tiles(1104, blocks[0][1].size)) == 3
         want = [_log_quad_one_call(*block) for block in blocks]
         got = [None] * len(blocks)
 
@@ -826,53 +921,68 @@ class TestSplitSweep:
     @pytest.mark.parametrize("over", ["raise", "ignore"])
     def test_callers_error_state_holds_in_the_worker(self, over, monkeypatch):
         monkeypatch.setattr(engine, "_PARTS", 2)
+        raised = []
+
+        def recording(is_caller, *args):
+            try:
+                sweep(*args)
+            except FloatingPointError:
+                raised.append("caller" if is_caller else "worker")
+                raise
+
+        sweep = self._gate(monkeypatch, recording)
         stats, coeffs = self._block(340, 7000, 32)
-        # the last cell is the worker's; its exponents overflow at every node
-        stats[-1, 0] = 1e308
+        # the first cell of every tile, so of the worker's too, overflows
+        # at every node
+        first = [edges[0] for edges in engine._tiles(7000, coeffs.size)]
+        stats[first, 0] = 1e308
         coeffs[0] = np.minimum(coeffs[0], -2.0)
         with np.errstate(over=over):
             if over == "raise":
                 with pytest.raises(FloatingPointError, match="overflow"):
                     _log_quad(stats, coeffs)
+                assert "worker" in raised
             else:
                 got = _log_quad(stats, coeffs)
-                assert got[-1] == -np.inf
+                assert raised == [] and np.all(got[first] == -np.inf)
                 np.testing.assert_array_equal(got, _log_quad_one_call(stats, coeffs))
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(engine, "_PARTS", 2)
-        caller, part = threading.current_thread(), engine._log_quad_part
-        error, finished = RuntimeError("the worker's part failed"), []
+        error, finished = RuntimeError("the worker's tile failed"), []
 
-        def failing(*args):
-            if threading.current_thread() is not caller:
+        def failing(is_caller, *args):
+            if not is_caller:
                 raise error
-            part(*args)
+            sweep(*args)
             finished.append("caller")
 
-        monkeypatch.setattr(engine, "_log_quad_part", failing)
+        sweep = self._gate(monkeypatch, failing)
+        stats, coeffs = self._block(350, 7000, 256)
         with pytest.raises(RuntimeError) as info:
-            _log_quad(*self._block(350, 7000, 32))
+            _log_quad(stats, coeffs)
         assert info.value is error
-        assert finished == ["caller"]
+        # the worker stopped at its first tile; the caller swept every other
+        assert finished == ["caller"] * (len(engine._tiles(7000, coeffs.size)) - 1)
 
     def test_caller_error_raised_once_the_worker_finishes(self, monkeypatch):
         monkeypatch.setattr(engine, "_PARTS", 2)
-        caller, part = threading.current_thread(), engine._log_quad_part
-        error, finished = RuntimeError("the caller's part failed"), []
+        error, finished = RuntimeError("the caller's tile failed"), []
 
-        def failing(*args):
-            if threading.current_thread() is caller:
+        def failing(is_caller, *args):
+            if is_caller:
                 raise error
             time.sleep(0.05)
-            part(*args)
+            sweep(*args)
             finished.append("worker")
 
-        monkeypatch.setattr(engine, "_log_quad_part", failing)
+        sweep = self._gate(monkeypatch, failing)
+        stats, coeffs = self._block(351, 7000, 256)
         with pytest.raises(RuntimeError) as info:
-            _log_quad(*self._block(351, 7000, 32))
+            _log_quad(stats, coeffs)
         assert info.value is error
-        assert finished == ["worker"]
+        # the caller stopped at its first tile; the worker swept every other
+        assert finished == ["worker"] * (len(engine._tiles(7000, coeffs.size)) - 1)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,111 @@ class TestCompareMethods:
         assert report.results == []
         assert [(f.offender_id, f.method) for f in report.failures] == [("eq", "rossmo")]
         assert "hit scores sum to inf" in report.failures[0].message
+
+
+class TestDonorTable:
+    """One ``compare_methods`` call builds one ``DonorTable``: every LOO
+    build reads its donor statistics and 1-D densities, and each
+    ``PriorSet`` is the one a build from the donors alone gives."""
+
+    @staticmethod
+    def _population(seed):
+        rng = np.random.default_rng(seed)
+        kinds = ["tight", "ring", "far"] * 4
+        return Dataset(tuple(
+            _offender(rng, f"d{i}", rng.uniform((340.0, 4352.0), (360.0, 4372.0)), kind)
+            for i, kind in enumerate(kinds)
+        ))
+
+    @staticmethod
+    def _without_anchor(ds, oid):
+        return Dataset(tuple(
+            replace(s, anchor=None) if s.offender_id == oid else s for s in ds.series
+        ))
+
+    @staticmethod
+    def _assert_same_priors(got, want):
+        np.testing.assert_array_equal(got.anchor.weights, want.anchor.weights)
+        assert got.params.keys() == want.params.keys()
+        for kind in want.params:
+            np.testing.assert_array_equal(got[kind].nodes, want[kind].nodes)
+            np.testing.assert_array_equal(got[kind].density, want[kind].density)
+        assert got.source_offender_count == want.source_offender_count
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_table_per_call(self, seed, monkeypatch):
+        import geoprofile.evaluation as evaluation
+        import geoprofile.priors as priors
+
+        ds = self._population(seed)
+        stats_calls, density_calls, builds, tables = [], [], [], set()
+        donor_stats, density, build = (
+            priors._donor_stats, priors.bounded_density_1d, evaluation.build_prior_set
+        )
+
+        def counting_stats(*args):
+            stats_calls.append(1)
+            return donor_stats(*args)
+
+        def recording_density(samples, lo, hi):
+            density_calls.append((lo, hi, np.asarray(samples).tobytes()))
+            return density(samples, lo, hi)
+
+        def recording_build(ds, oid, labels, grid, kinds, **shared):
+            # shared holds the table, where there is one
+            tables.update(id(t) for t in shared.values())
+            refs.extend(weakref.ref(t) for t in shared.values())
+            builds.append((oid, labels, kinds, build(ds, oid, labels, grid, kinds, **shared)))
+            return builds[-1][-1]
+
+        refs = []
+        monkeypatch.setattr(priors, "_donor_stats", counting_stats)
+        monkeypatch.setattr(priors, "bounded_density_1d", recording_density)
+        monkeypatch.setattr(evaluation, "build_prior_set", recording_build)
+        compare_methods(ds, list(MethodId), Scope.ALL, grid=GRID)
+        assert len(builds) == len(ds.series)
+        assert len(stats_calls) == 1
+        shared = list(density_calls)
+        assert len(shared) == len(set(shared))
+        assert len(tables) == 1 and len(refs) == len(builds)
+        assert all(ref() is None for ref in refs)  # the table died with the call
+
+        density_calls.clear()
+        for oid, labels, kinds, got in builds:
+            # the excluded offender without an anchor: a table of its donors alone
+            alone = self._without_anchor(ds, oid)
+            self._assert_same_priors(got, priors.build_prior_set(alone, oid, labels, GRID, kinds))
+        assert len(stats_calls) == 1 + len(builds)
+        # one call per distinct support and sample set that the separate
+        # builds, which repeat many, need
+        assert len(shared) < len(density_calls)
+        assert set(shared) == set(density_calls)
+
+    def test_donor_without_an_anchor_still_raises(self):
+        from geoprofile.classify import label_dataset
+        from geoprofile.priors import DonorTable, InsufficientDataError, build_prior_set
+
+        ds = self._without_anchor(self._population(4), "d5")
+        labels, table = label_dataset(ds), DonorTable(ds)
+        with pytest.raises(InsufficientDataError, match="needs a known anchor"):
+            build_prior_set(ds, "d0", labels, GRID, table=table)
+        # the offender without an anchor is no donor of its own priors
+        self._assert_same_priors(
+            build_prior_set(ds, "d5", labels, GRID, table=table),
+            build_prior_set(ds, "d5", labels, GRID),
+        )
+        # and every other offender's build fails for it
+        report = compare_methods(ds, [MethodId.ONE_A], Scope.ALL, grid=GRID)
+        assert report.results == []
+        assert {f.offender_id for f in report.failures} == {s.offender_id for s in ds.series}
+
+    def test_table_of_another_dataset_rejected(self):
+        from geoprofile.classify import label_dataset
+        from geoprofile.priors import DonorTable, build_prior_set
+
+        ds = self._population(5)
+        with pytest.raises(ValueError, match="another dataset"):
+            build_prior_set(ds, "d0", label_dataset(ds), GRID, table=DonorTable(Dataset(ds.series)))
 
 
 class TestResidency:
