@@ -40,7 +40,7 @@ from geoprofile.geodesy import latlon_to_utm
 from geoprofile.grid import DEFAULT_ZONE, Grid
 
 # profile calls these through evaluation.offender_surfaces; perfbench's
-# tracer still looks them up here by name (ROADMAP item 8)
+# tracer still looks them up here by name (ROADMAP item 17)
 from geoprofile.engine import run_method  # noqa: F401
 from geoprofile.priors import build_prior_set  # noqa: F401
 from geoprofile.rossmo import hit_score_surface  # noqa: F401

@@ -252,15 +252,15 @@ def compare_methods(
     # the posterior methods and the hit score fail apart
     rossmo = (MethodId.ROSSMO,) if MethodId.ROSSMO in methods else ()
     groups = [g for g in (tuple(m for m in methods if m not in rossmo), rossmo) if g]
-    # every LOO build of this call reads one set of donor statistics and
-    # densities; nothing outlives the call
-    table = DonorTable(ds)
+    # the residency test and every LOO build of this call read one set of
+    # donor statistics and shared densities; nothing outlives the call
+    table = DonorTable(ds, labels)
     for series in ds.series:
         oid = series.offender_id
         if series.anchor is None:
             report.failures.append(FailureRecord(oid, "", "no anchor in dataset"))
             continue
-        if scope is Scope.RESIDENTS_ONLY and is_nonresident(series):
+        if scope is Scope.RESIDENTS_ONLY and not table.resident(oid):
             continue
         if not grid.contains(series.anchor):
             report.failures.append(

@@ -9,13 +9,10 @@ Bandwidths follow Silverman's rule of thumb; the bounded estimates
 reflect probability mass at the support edges instead of letting it
 leak out.
 
-The leave-one-out builds of one evaluation share a ``DonorTable``: the
-donor statistics of every offender with an anchor, computed once, and a
-memo of the 1-D densities by support and exact sample bytes. Leaving out
-an offender that feeds no group of a kind gives that kind the same
-samples as leaving out another, so most builds find their densities
-already made. The anchor prior changes with every left-out anchor and is
-built each time.
+The leave-one-out builds of one evaluation share a ``DonorTable`` of the
+donors' statistics: a kind's one shared density is reused unless the
+left-out offender feeds the kind. The anchor prior changes with every
+left-out anchor and is built each time.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, NamedTuple
+from typing import Collection, Mapping, NamedTuple
 
 import numpy as np
 
@@ -106,10 +103,11 @@ class ParamPrior:
     def __post_init__(self) -> None:
         if self.nodes.shape != self.density.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and density must be matching 1-D arrays")
-        if np.any(self.density < 0.0):
+        # each test asks for what is right, so NaN, which fails every comparison, is refused
+        if not (self.density >= 0.0).all():
             raise ValueError("density must be nonnegative")
         total = float(np.trapezoid(self.density, self.nodes))
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise ValueError(f"density must integrate to 1, got {total}")
 
     @cached_property
@@ -237,6 +235,8 @@ def flat_param_prior(kind: PriorKind, lo: float | None = None, hi: float | None 
     default_lo, default_hi = PRIORS[kind].support
     lo = default_lo if lo is None else lo
     hi = default_hi if hi is None else hi
+    if not hi > lo:
+        raise ValueError("support must have hi > lo")
     nodes = np.linspace(lo, hi, TABLE_NODES)
     return ParamPrior(lo=lo, hi=hi, nodes=nodes, density=np.full(TABLE_NODES, 1.0 / (hi - lo)))
 
@@ -319,52 +319,62 @@ def _donor_stats(donors, anchors: np.ndarray) -> dict[str, np.ndarray]:
 
 
 class DonorTable:
-    """What the leave-one-out builds over one dataset share: the donor
-    statistics of every series with an anchor, computed once, and each
-    1-D density, built once per distinct support and sample bytes.
-
-    ``_donor_stats`` gives each donor the values it would have in any
-    subset, so a build's statistics are the table's rows of its donors,
-    in donor order. A sample set too few to estimate maps to its kind's
-    flat prior. The memo grows with every distinct sample set, so a table
-    lives only as long as one evaluation: ``compare_methods`` makes one
-    per call and hands it to each build as ``build_prior_set``'s
-    ``table``.
+    """What the leave-one-out builds over one dataset and its labels share:
+    every anchored series' row and, computed once when first read, the
+    anchors, the donor statistics and per kind the mask of the donors that
+    feed it. ``_donor_stats`` gives each donor the values it would have in
+    any subset, so a kind's one shared density is reused unless the
+    left-out offender feeds the kind; then the build estimates its own and
+    the table keeps nothing of it. ``compare_methods`` makes one per call.
     """
 
-    def __init__(self, ds: Dataset) -> None:
-        self.dataset = ds
-        self._densities: dict[tuple, tuple[ParamPrior, bool]] = {}
+    def __init__(self, ds: Dataset, labels: Mapping[str, SubtypeLabel]) -> None:
+        self.dataset, self.labels = ds, labels
+        self._anchored = [s for s in ds.series if s.anchor is not None]
+        self.rows = {s.offender_id: i for i, s in enumerate(self._anchored)}
+        self._shared: dict[PriorKind, tuple[ParamPrior, str | None]] = {}
 
     @cached_property
-    def _rows(self) -> tuple[dict[str, int], np.ndarray, dict[str, np.ndarray]]:
-        """Each anchored series' row, the anchors, and the statistics."""
-        anchored = [s for s in self.dataset.series if s.anchor is not None]
-        anchors = np.array([(s.anchor.easting, s.anchor.northing) for s in anchored])
-        rows = {s.offender_id: i for i, s in enumerate(anchored)}
-        return rows, anchors, _donor_stats(anchored, anchors)
+    def _columns(self) -> tuple[np.ndarray, dict[str, np.ndarray], dict[PriorKind, np.ndarray]]:
+        """The anchors, the statistics, and per kind the feeding donors."""
+        anchors = np.array([(s.anchor.easting, s.anchor.northing) for s in self._anchored])
+        stats = _donor_stats(self._anchored, anchors)
+        labels = [self.labels[s.offender_id].kind.value for s in self._anchored]
+        group = np.where(stats["resident"], labels, "NONRES")
+        feeds = {
+            kind: np.isin(group, row.groups) & ~np.isnan(stats[row.statistic])
+            for kind, row in PRIORS.items()
+        }
+        return anchors, stats, feeds
 
-    def donors(self, excluded_offender: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The anchors and statistics of every anchored series but the
-        excluded one, in donor order."""
-        rows, anchors, stats = self._rows
-        keep = np.ones(len(anchors), dtype=bool)
-        if excluded_offender in rows:
-            keep[rows[excluded_offender]] = False
-        return anchors[keep], {name: column[keep] for name, column in stats.items()}
+    def resident(self, offender_id: str) -> bool:
+        """The negation of ``is_nonresident`` for an anchored offender."""
+        return bool(self._columns[1]["resident"][self.rows[offender_id]])
 
-    def density(self, kind: PriorKind, samples: np.ndarray) -> tuple[ParamPrior, bool]:
-        """``bounded_density_1d`` of ``samples`` on ``kind``'s support, and
-        False; ``kind``'s flat prior, and True, where they are too few."""
-        support = PRIORS[kind].support
-        key = (support, samples.tobytes())
-        if key not in self._densities:
-            try:
-                self._densities[key] = (bounded_density_1d(samples, *support), False)
-            except InsufficientDataError:
-                # the flat prior, not the exception and its traceback
-                self._densities[key] = (flat_param_prior(kind), True)
-        return self._densities[key]
+    def anchors(self, excluded_offender: str) -> np.ndarray:
+        """The anchors of every anchored series but the excluded one."""
+        anchors, row = self._columns[0], self.rows.get(excluded_offender)
+        return anchors if row is None else np.delete(anchors, row, axis=0)
+
+    def prior(self, kind: PriorKind, excluded_offender: str) -> tuple[ParamPrior, str | None]:
+        """``bounded_density_1d`` of ``kind``'s samples without the excluded
+        offender's, and None; where they are too few, ``kind``'s flat prior
+        and a note of their count."""
+        _, stats, feeds = self._columns
+        keep, row = feeds[kind], self.rows.get(excluded_offender)
+        if row is not None and keep[row]:
+            keep = keep & (np.arange(len(keep)) != row)
+        elif kind in self._shared:
+            return self._shared[kind]
+        samples = stats[PRIORS[kind].statistic][keep]
+        try:
+            built = bounded_density_1d(samples, *PRIORS[kind].support), None
+        except InsufficientDataError:
+            # the flat prior, not the exception and its traceback
+            built = flat_param_prior(kind), f"{kind.value}: {len(samples)}"
+        if keep is feeds[kind]:  # every feeding donor: the kind's shared density
+            self._shared[kind] = built
+        return built
 
 
 def build_prior_set(
@@ -383,41 +393,29 @@ def build_prior_set(
     names its group and whose statistic it has. A kind with fewer than 3
     donor samples falls back to a flat prior; one warning names every such
     kind built. An unknown ``excluded_offender`` raises UnknownOffenderError.
-    ``table``, if given, is the ``DonorTable`` of ``ds`` that the builds of
-    one evaluation share; without it the build makes its own.
+    ``table``, if given, is the ``DonorTable`` of ``ds`` and
+    ``subtype_labels`` that the builds of one evaluation share; without it
+    the build makes its own.
     """
     ds.get(excluded_offender)  # UnknownOffenderError for an unknown id
     if table is None:
-        table = DonorTable(ds)
-    elif table.dataset is not ds:
-        raise ValueError("donor table belongs to another dataset")
-    donors = [s for s in ds.series if s.offender_id != excluded_offender]
-    if len(donors) < 2:
-        raise InsufficientDataError(
-            "leave-one-out donor set too small to build an anchor prior"
-        )
-    if any(s.anchor is None for s in donors):
+        table = DonorTable(ds, subtype_labels)
+    elif table.dataset is not ds or table.labels is not subtype_labels:
+        raise ValueError("donor table belongs to another dataset or other labels")
+    donors = len(ds.series) - 1
+    if donors < 2:
+        raise InsufficientDataError("leave-one-out donor set too small to build an anchor prior")
+    if len(table.rows) - (excluded_offender in table.rows) < donors:
         raise InsufficientDataError("every donor series needs a known anchor")
-    anchors, stats = table.donors(excluded_offender)
-    labels = [subtype_labels[s.offender_id].kind.value for s in donors]
-    group = np.where(stats["resident"], labels, "NONRES")
-    params, flat = {}, []
-    for kind, row in PRIORS.items():
-        if kind not in kinds:
-            continue
-        values = stats[row.statistic]
-        samples = values[np.isin(group, row.groups) & ~np.isnan(values)]
-        params[kind], fell_back = table.density(kind, samples)
-        if fell_back:
-            flat.append(f"{kind.value}: {len(samples)}")
-    if flat:
+    built = {kind: table.prior(kind, excluded_offender) for kind in PRIORS if kind in kinds}
+    if flat := [note for _, note in built.values() if note]:
         logger.warning(
             "too few donor samples for %d prior(s) (%s); falling back to flat",
             len(flat),
             ", ".join(flat),
         )
     return PriorSet(
-        anchor=kde2d(anchors, grid),
-        params=MappingProxyType(params),
-        source_offender_count=len(donors),
+        anchor=kde2d(table.anchors(excluded_offender), grid),
+        params=MappingProxyType({kind: prior for kind, (prior, _) in built.items()}),
+        source_offender_count=donors,
     )

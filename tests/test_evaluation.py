@@ -333,14 +333,15 @@ class TestCompareMethods:
 
 
 class TestDonorTable:
-    """One ``compare_methods`` call builds one ``DonorTable``: every LOO
-    build reads its donor statistics and 1-D densities, and each
-    ``PriorSet`` is the one a build from the donors alone gives."""
+    """One ``compare_methods`` call builds one ``DonorTable``: the residency
+    test and every LOO build read its donor statistics and shared 1-D
+    densities, and each ``PriorSet`` is the one a build from the donors
+    alone gives."""
 
     @staticmethod
-    def _population(seed):
+    def _population(seed, n_offenders=12):
         rng = np.random.default_rng(seed)
-        kinds = ["tight", "ring", "far"] * 4
+        kinds = ["tight", "ring", "far"] * (n_offenders // 3)
         return Dataset(tuple(
             _offender(rng, f"d{i}", rng.uniform((340.0, 4352.0), (360.0, 4372.0)), kind)
             for i, kind in enumerate(kinds)
@@ -361,13 +362,17 @@ class TestDonorTable:
             np.testing.assert_array_equal(got[kind].density, want[kind].density)
         assert got.source_offender_count == want.source_offender_count
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_table_per_call(self, seed, monkeypatch):
+    @pytest.mark.parametrize("scope", list(Scope), ids=lambda scope: scope.value)
+    @pytest.mark.parametrize("seed, n_offenders", [(1, 12), (2, 12), (3, 12), (6, 60)])
+    def test_one_table_per_call(self, seed, n_offenders, scope, monkeypatch):
         import geoprofile.evaluation as evaluation
         import geoprofile.priors as priors
 
-        ds = self._population(seed)
-        stats_calls, density_calls, builds, tables = [], [], [], set()
+        ds = self._population(seed, n_offenders)
+        scored = [
+            s.offender_id for s in ds.series if scope is Scope.ALL or not is_nonresident(s)
+        ]
+        stats_calls, density_calls, builds, tables, kept = [], [], [], set(), []
         donor_stats, density, build = (
             priors._donor_stats, priors.bounded_density_1d, evaluation.build_prior_set
         )
@@ -385,18 +390,21 @@ class TestDonorTable:
             tables.update(id(t) for t in shared.values())
             refs.extend(weakref.ref(t) for t in shared.values())
             builds.append((oid, labels, kinds, build(ds, oid, labels, grid, kinds, **shared)))
+            kept.extend(len(t._shared) for t in shared.values())
             return builds[-1][-1]
 
         refs = []
         monkeypatch.setattr(priors, "_donor_stats", counting_stats)
         monkeypatch.setattr(priors, "bounded_density_1d", recording_density)
         monkeypatch.setattr(evaluation, "build_prior_set", recording_build)
-        compare_methods(ds, list(MethodId), Scope.ALL, grid=GRID)
-        assert len(builds) == len(ds.series)
+        compare_methods(ds, list(MethodId), scope, grid=GRID)
+        assert [oid for oid, *_ in builds] == scored
         assert len(stats_calls) == 1
         shared = list(density_calls)
         assert len(shared) == len(set(shared))
         assert len(tables) == 1 and len(refs) == len(builds)
+        # at most one shared density per kind, however many builds
+        assert len(kept) == len(builds) and max(kept) <= len(priors.PRIORS)
         assert all(ref() is None for ref in refs)  # the table died with the call
 
         density_calls.clear()
@@ -415,7 +423,8 @@ class TestDonorTable:
         from geoprofile.priors import DonorTable, InsufficientDataError, build_prior_set
 
         ds = self._without_anchor(self._population(4), "d5")
-        labels, table = label_dataset(ds), DonorTable(ds)
+        labels = label_dataset(ds)
+        table = DonorTable(ds, labels)
         with pytest.raises(InsufficientDataError, match="needs a known anchor"):
             build_prior_set(ds, "d0", labels, GRID, table=table)
         # the offender without an anchor is no donor of its own priors
@@ -433,8 +442,20 @@ class TestDonorTable:
         from geoprofile.priors import DonorTable, build_prior_set
 
         ds = self._population(5)
+        labels = label_dataset(ds)
         with pytest.raises(ValueError, match="another dataset"):
-            build_prior_set(ds, "d0", label_dataset(ds), GRID, table=DonorTable(Dataset(ds.series)))
+            build_prior_set(ds, "d0", labels, GRID, table=DonorTable(Dataset(ds.series), labels))
+
+    def test_table_of_other_labels_rejected(self):
+        from geoprofile.classify import label_dataset
+        from geoprofile.priors import DonorTable, build_prior_set
+
+        # equal labels in another mapping: the table's groups are not checked
+        # against them entry by entry, so only its own mapping is accepted
+        ds = self._population(5)
+        labels = label_dataset(ds)
+        with pytest.raises(ValueError, match="other labels"):
+            build_prior_set(ds, "d0", labels, GRID, table=DonorTable(ds, dict(labels)))
 
 
 class TestResidency:

@@ -11,6 +11,7 @@ from geoprofile.grid import Grid
 from geoprofile.priors import (
     PRIORS,
     InsufficientDataError,
+    ParamPrior,
     PriorKind,
     bounded_density_1d,
     build_prior_set,
@@ -108,6 +109,39 @@ class TestBoundedDensity1d:
         prior = bounded_density_1d(rng.normal(5.0, 1.0, size=300), 0.0, 150.0)
         for q in [0.05, 0.25, 0.5, 0.75, 0.95]:
             assert prior.cdf(prior.quantile(q)) == pytest.approx(q, abs=1e-3)
+
+
+
+class TestParamPriorRefusals:
+    """NaN fails every comparison, so each check asks for what is right."""
+
+    NODES = np.linspace(0.0, 2.0, 5)
+
+    def test_nan_density_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ParamPrior(0.0, 2.0, self.NODES, np.full(5, math.nan))
+
+    def test_one_nan_density_value_refused(self):
+        density = np.full(5, 0.5)
+        density[2] = math.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            ParamPrior(0.0, 2.0, self.NODES, density)
+
+    def test_nan_nodes_refused(self):
+        nodes = self.NODES.copy()
+        nodes[1] = math.nan
+        with pytest.raises(ValueError, match="integrate to 1"):
+            ParamPrior(0.0, 2.0, nodes, np.full(5, 0.5))
+
+    def test_flat_prior_on_empty_support_refused(self):
+        with pytest.raises(ValueError, match="support must have hi > lo"):
+            flat_param_prior(PriorKind.DISTANCE_M1, 5.0, 5.0)
+        with pytest.raises(ValueError, match="support must have hi > lo"):
+            flat_param_prior(PriorKind.DISTANCE_M1, 6.0, 5.0)
+
+    def test_valid_prior_accepted(self):
+        prior = ParamPrior(0.0, 2.0, self.NODES, np.full(5, 0.5))
+        assert prior.cdf(1.0) == pytest.approx(0.5)
 
 
 def _series(offender_id, anchor_xy, site_offsets):
